@@ -19,6 +19,7 @@ other ways, and all three agree identically:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -160,13 +161,16 @@ def integrate(initial, t_final: float, dt: float) -> Trajectory:
     nondecreasing exactly, not just within tolerance.
 
     Raises StepTooLarge as soon as any component exceeds 1e6 in magnitude,
-    and ValueError for nonpositive dt / t_final or a nonfinite start.
+    and ValueError for nonfinite or nonpositive dt / t_final or a nonfinite
+    start.
     """
     start = np.asarray(initial, dtype=float)
     if start.shape != (3,):
         raise ValueError(f"initial state must have three components, got shape {start.shape}")
     if not np.all(np.isfinite(start)):
         raise ValueError("initial state must be finite")
+    if not (math.isfinite(t_final) and math.isfinite(dt)):
+        raise ValueError(f"dt and t_final must be finite, got dt={dt!r}, t_final={t_final!r}")
     if dt <= 0.0 or t_final <= 0.0:
         raise ValueError("dt and t_final must be positive")
     n_steps = int(round(t_final / dt))

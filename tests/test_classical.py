@@ -156,3 +156,11 @@ def test_integrate_rejects_bad_arguments():
         integrate([np.nan, 0.0, 0.0], 1.0, 1e-3)
     with pytest.raises(ValueError):
         integrate([1.0, 2.0], 1.0, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "t_final, dt", [(math.inf, 1e-3), (1.0, math.nan), (math.nan, 1e-3), (1.0, math.inf)]
+)
+def test_integrate_rejects_nonfinite_steps(t_final, dt):
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate([0.0, 0.6, 0.8], t_final, dt)

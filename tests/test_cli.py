@@ -127,6 +127,23 @@ def test_quantum_evolve_bad_inits(capsys, tmp_path):
     assert code == 2
 
 
+def test_quantum_evolve_rejects_two_by_two_state(capsys, tmp_path):
+    small = tmp_path / "qubit.json"
+    small.write_text(json.dumps(density_matrix_to_json(np.eye(2) / 2.0)))
+    code, _, err = run_cli(["quantum-evolve", "--init", str(small)], capsys)
+    assert code == 2
+    assert err == "error: state has shape (2, 2), the operators need (4, 4)\n"
+
+
+@pytest.mark.parametrize("command", ["classical-sim", "quantum-evolve"])
+@pytest.mark.parametrize("flags", [["--t-final", "inf"], ["--dt", "nan"]])
+def test_nonfinite_step_arguments_exit_code(capsys, command, flags):
+    code, _, err = run_cli([command, *flags], capsys)
+    assert code == 2
+    assert err.startswith("error: dt and t_final must be finite")
+    assert len(err.splitlines()) == 1
+
+
 def test_quantum_evolve_positivity_exit_code(capsys):
     code, _, err = run_cli(["quantum-evolve", "--dt", "1", "--t-final", "30"], capsys)
     assert code == 3

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncqubits.quantum import (
     InvalidParams,
@@ -83,13 +86,6 @@ def test_rhs_preserves_hermiticity_and_trace(ops, rng):
         out = lindblad_rhs(rho, ops)
         assert abs(np.trace(out)) < 1e-12
         assert np.abs(out - out.conj().T).max() < 1e-12
-
-
-def test_rhs_with_hamiltonian(ops, rng):
-    rho = random_density_matrix(rng)
-    h = ops.lz
-    expected = lindblad_rhs(rho, ops) - 1j * (h @ rho - rho @ h)
-    assert np.abs(lindblad_rhs(rho, ops, hamiltonian=h) - expected).max() == 0.0
 
 
 def test_ehrenfest_values(ops, basis):
@@ -235,6 +231,72 @@ def test_evolve_rejects_bad_input(ops):
         evolve(np.eye(4) / 2.0, ops, 1.0, 1e-3)  # trace 2
     with pytest.raises(ValueError):
         evolve(np.eye(4) / 4.0, ops, -1.0, 1e-3)
+    with pytest.raises(ValueError, match="shape"):
+        evolve(np.eye(2) / 2.0, ops, 1.0, 1e-3)  # a valid state, but of one qubit
+
+
+@pytest.mark.parametrize(
+    "t_final, dt", [(math.inf, 1e-3), (1.0, math.nan), (math.nan, 1e-3), (1.0, math.inf)]
+)
+def test_evolve_rejects_nonfinite_steps(ops, t_final, dt):
+    with pytest.raises(ValueError, match="must be finite"):
+        evolve(np.eye(4) / 4.0, ops, t_final, dt)
+
+
+def test_evolve_divergence_names_first_bad_time(ops):
+    dt = 10.0
+    with pytest.raises(PositivityLost, match="diverged") as exc:
+        evolve(np.eye(4) / 4.0, ops, 2000.0, dt)
+    t_bad = float(str(exc.value).rsplit("= ", 1)[1])
+    assert 0.0 < t_bad < 2000.0
+    # one step earlier every state is still finite, only far from positive
+    with pytest.raises(PositivityLost, match="reduce dt"):
+        evolve(np.eye(4) / 4.0, ops, t_bad - dt, dt)
+
+
+def _rk4_reference(rho, ops, dt, n_steps):
+    """Classical four-stage RK4 on lindblad_rhs, the reference for evolve."""
+    out = [rho]
+    for _ in range(n_steps):
+        k1 = lindblad_rhs(rho, ops)
+        k2 = lindblad_rhs(rho + 0.5 * dt * k1, ops)
+        k3 = lindblad_rhs(rho + 0.5 * dt * k2, ops)
+        k4 = lindblad_rhs(rho + dt * k3, ops)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        out.append(rho)
+    return np.stack(out)
+
+
+def test_evolve_matches_staged_rk4(ops, rng):
+    # The model's jump operator is real, which makes its generator the same
+    # under row and column stacking; a complex one tells the two apart.
+    jump = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    complex_ops = dataclasses.replace(ops, jump=jump, jump_dagger=jump.conj().T)
+    for model in (ops, ops, complex_ops, complex_ops):
+        rho0 = random_density_matrix(rng)
+        states = np.stack([s for _, s in evolve(rho0, model, 2.0, 1e-3)])
+        assert states.shape == (2001, 4, 4)
+        assert np.abs(states - _rk4_reference(rho0, model, 1e-3, 2000)).max() < 1e-12
+
+
+@settings(deadline=None)
+@given(
+    entries=st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
+    dt=st.floats(0.0, 0.1, exclude_min=True),
+)
+def test_evolve_one_step_is_rk4_step(ops, entries, dt):
+    a = np.array(entries[:16]).reshape(4, 4) + 1j * np.array(entries[16:]).reshape(4, 4)
+    rho0 = a @ a.conj().T + 0.1 * np.eye(4)  # Hermitian, safely positive
+    rho0 /= np.trace(rho0).real
+    pairs = evolve(rho0, ops, dt, dt)
+    assert len(pairs) == 2 and pairs[1][0] == dt
+    assert np.abs(pairs[1][1] - _rk4_reference(rho0, ops, dt, 1)[1]).max() < 1e-13
+
+
+def test_evolve_stays_hermitian_without_correction(ops, rng):
+    states = np.stack([s for _, s in evolve(random_density_matrix(rng), ops, 20.0, 1e-3)])
+    assert states.shape == (20001, 4, 4)
+    assert np.abs(states - states.conj().transpose(0, 2, 1)).max() <= 1e-12
 
 
 def test_vec_unvec_round_trip(rng):
