@@ -31,6 +31,11 @@ K_UNDEFINED_LZ = 1e-12
 #: any state component beyond this magnitude aborts integration
 DIVERGENCE_LIMIT = 1e6
 
+#: most steps one integrate() or quantum.evolve() call may take; both
+#: keep the whole run (at this limit the states alone take 24 MB per
+#: classical start and 256 MB per quantum run), so this bounds memory and time
+MAX_STEPS = 10**6
+
 
 class StepTooLarge(RuntimeError):
     """Integration blew past the divergence guard."""
@@ -43,6 +48,11 @@ class Trajectory:
     ``states`` has one (lx, ly, lz) row per time; ``h_values`` holds
     |l|^2 / 2, ``s_values`` holds 2 lx, and ``k_values`` holds ly / lz with
     NaN wherever |lz| < 1e-12 makes the ratio meaningless.
+
+    From one start the shapes are (T,) for ``times`` and the scalars and
+    (T, 3) for ``states``.  From a stack of n starts every array but
+    ``times`` gains a leading run axis: ``states`` is (n, T, 3) and the
+    scalars are (n, T), with run i in row i.
     """
 
     times: np.ndarray
@@ -152,34 +162,59 @@ def finite_difference_gradient(f, point, step: float = 1e-5) -> np.ndarray:
     return np.asarray(out)
 
 
-def integrate(initial, t_final: float, dt: float) -> Trajectory:
-    """Fixed-step RK4 integration of the synchronization flow.
+def step_count(t_final: float, dt: float) -> int:
+    """round(t_final / dt), the step count of the fixed-step integrators.
 
-    Records the state after every step (the initial state included) along
-    with H, S and k; the step count is round(t_final / dt).  Because every
-    stage of the lx update is a sum of squares, the recorded S is
-    nondecreasing exactly, not just within tolerance.
-
-    Raises StepTooLarge as soon as any component exceeds 1e6 in magnitude,
-    and ValueError for nonfinite or nonpositive dt / t_final or a nonfinite
-    start.
+    Raises ValueError unless dt and t_final are finite and positive and
+    the count lies in [1, MAX_STEPS]; the count is checked before anything
+    is allocated.
     """
-    start = np.asarray(initial, dtype=float)
-    if start.shape != (3,):
-        raise ValueError(f"initial state must have three components, got shape {start.shape}")
-    if not np.all(np.isfinite(start)):
-        raise ValueError("initial state must be finite")
     if not (math.isfinite(t_final) and math.isfinite(dt)):
         raise ValueError(f"dt and t_final must be finite, got dt={dt!r}, t_final={t_final!r}")
     if dt <= 0.0 or t_final <= 0.0:
         raise ValueError("dt and t_final must be positive")
-    n_steps = int(round(t_final / dt))
+    steps = t_final / dt
+    if steps > MAX_STEPS:
+        raise ValueError(f"t_final / dt = {steps:g} steps, more than MAX_STEPS = {MAX_STEPS}")
+    n_steps = int(round(steps))
     if n_steps < 1:
         raise ValueError("t_final is shorter than half a step")
+    return n_steps
+
+
+def integrate(initial, t_final: float, dt: float) -> Trajectory:
+    """Fixed-step RK4 integration of the synchronization flow.
+
+    ``initial`` is one start, shape (3,), or a stack of starts, shape
+    (n, 3), and its shape picks the path.  One start runs a loop over
+    Python floats, the fastest way to make a single run.  A stack runs as
+    one numpy RK4 over the (3, n) block of all starts, with the loop's
+    operations in the loop's order, so each run is bit-identical to the
+    one-start run from its row; the result then has a leading run axis
+    (see :class:`Trajectory`).
+
+    Records the state after every step (the initial state included) along
+    with H, S and k; the step count is round(t_final / dt), at most
+    MAX_STEPS.  Because every stage of the lx update is a sum of squares,
+    the recorded S is nondecreasing exactly, not just within tolerance.
+
+    Raises StepTooLarge when any component exceeds 1e6 in magnitude or is
+    no longer a number (for a stack, naming the first run that did), and
+    ValueError for a bad shape, a nonfinite start, nonfinite or
+    nonpositive dt / t_final, or more than MAX_STEPS steps.
+    """
+    start = np.asarray(initial, dtype=float)
+    if start.shape != (3,) and not (start.ndim == 2 and start.shape[1] == 3 and len(start)):
+        raise ValueError(f"initial state must have shape (3,) or (n, 3), got shape {start.shape}")
+    if not np.all(np.isfinite(start)):
+        raise ValueError("initial state must be finite")
+    n_steps = step_count(t_final, dt)
+    if start.ndim == 2:
+        return _integrate_stack(start, n_steps, dt)
 
     lx, ly, lz = (float(v) for v in start)
     limit = DIVERGENCE_LIMIT
-    if abs(lx) > limit or abs(ly) > limit or abs(lz) > limit:
+    if not (abs(lx) <= limit and abs(ly) <= limit and abs(lz) <= limit):
         raise StepTooLarge(f"initial state exceeds {limit:g}")
 
     xs = [lx]
@@ -218,7 +253,7 @@ def integrate(initial, t_final: float, dt: float) -> Trajectory:
         ly += sixth * (ay + 2.0 * (by + cy) + dy)
         lz += sixth * (az + 2.0 * (bz + cz) + dz)
 
-        if abs(lx) > limit or abs(ly) > limit or abs(lz) > limit:
+        if not (abs(lx) <= limit and abs(ly) <= limit and abs(lz) <= limit):
             raise StepTooLarge(f"state exceeded {limit:g} at t = {i * dt:g}")
         xs.append(lx)
         ys.append(ly)
@@ -227,13 +262,91 @@ def integrate(initial, t_final: float, dt: float) -> Trajectory:
     x = np.asarray(xs)
     y = np.asarray(ys)
     z = np.asarray(zs)
-    k = np.full(x.size, np.nan)
-    defined = np.abs(z) >= K_UNDEFINED_LZ
-    k[defined] = y[defined] / z[defined]
+    return _trajectory(dt, np.column_stack([x, y, z]), x, y, z)
+
+
+def _integrate_stack(starts: np.ndarray, n_steps: int, dt: float) -> Trajectory:
+    """The RK4 loop of :func:`integrate` over the (3, n) block of all runs.
+
+    Every line repeats one of the loop's float operations, with operands
+    swapped only where IEEE arithmetic is commutative (x + half a becomes
+    half a + x), so the runs are bit-identical to one-start runs.  States
+    go straight into a preallocated (T, 3, n) stack.  Divergence is tested
+    once after the loop, not per step.
+    """
+    limit = DIVERGENCE_LIMIT
+    bad = ~(np.abs(starts) <= limit).all(axis=1)
+    if bad.any():
+        raise StepTooLarge(f"initial state exceeds {limit:g} in run {np.argmax(bad)}")
+
+    n = len(starts)
+    stack = np.empty((n_steps + 1, 3, n))
+    stack[0] = starts.T
+    a, b, c, d, mid, acc = (np.empty((3, n)) for _ in range(6))
+    squares = np.empty((2, n))
+    sq_y, sq_z = squares
+    minus_2x = np.empty(n)
+    mid_x, mid_yz = mid[0], mid[1:]
+    # 0-d arrays: numpy converts a Python float on every call
+    two, minus_two, half, full, sixth = (np.array(v) for v in (2.0, -2.0, 0.5 * dt, dt, dt / 6.0))
+    mul, add = np.multiply, np.add
+
+    def field(x, yz, out_x, out_yz):
+        # (2 (y y + z z), (-2 x) y, (-2 x) z)
+        mul(yz, yz, squares)
+        add(sq_y, sq_z, out_x)
+        mul(out_x, two, out_x)
+        mul(x, minus_two, minus_2x)
+        mul(minus_2x, yz, out_yz)
+
+    (a_x, a_yz), (b_x, b_yz), (c_x, c_yz), (d_x, d_yz) = ((v[0], v[1:]) for v in (a, b, c, d))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for prev, prev_x, prev_yz, cur in zip(stack[:-1], stack[:-1, 0], stack[:-1, 1:], stack[1:]):
+            field(prev_x, prev_yz, a_x, a_yz)
+            mul(a, half, mid)
+            add(mid, prev, mid)
+            field(mid_x, mid_yz, b_x, b_yz)
+            mul(b, half, mid)
+            add(mid, prev, mid)
+            field(mid_x, mid_yz, c_x, c_yz)
+            mul(c, full, mid)
+            add(mid, prev, mid)
+            field(mid_x, mid_yz, d_x, d_yz)
+            # prev + sixth (a + 2 (b + c) + d)
+            add(b, c, acc)
+            mul(acc, two, acc)
+            add(acc, a, acc)
+            add(acc, d, acc)
+            mul(acc, sixth, acc)
+            add(prev, acc, cur)
+
+    # NaN fails both comparisons; min and max allocate nothing
+    if not (-limit <= stack.min() and stack.max() <= limit):
+        step, run = np.argwhere(~(np.abs(stack) <= limit).all(axis=1))[0]
+        raise StepTooLarge(f"state exceeded {limit:g} at t = {step * dt:g} in run {run}")
+    x, y, z = (stack[:, i].T for i in range(3))
+    return _trajectory(dt, stack.transpose(2, 0, 1), x, y, z)
+
+
+def _trajectory(dt: float, states: np.ndarray, x, y, z) -> Trajectory:
+    """Trajectory with H, S and k of the components x, y, z (time on the
+    last axis), each computed into its own output array: a stack of runs
+    makes no full-size temporaries."""
+    h = np.multiply(x, x)
+    s = np.multiply(y, y)  # scratch until S is written
+    h += s
+    np.multiply(z, z, out=s)
+    h += s
+    h *= 0.5
+    np.multiply(x, 2.0, out=s)
+    k = np.abs(z)
+    defined = k >= K_UNDEFINED_LZ
+    k.fill(np.nan)
+    np.divide(y, z, out=k, where=defined)
     return Trajectory(
-        times=dt * np.arange(n_steps + 1),
-        states=np.column_stack([x, y, z]),
-        h_values=0.5 * (x * x + y * y + z * z),
-        s_values=2.0 * x,
+        times=dt * np.arange(x.shape[-1]),
+        states=states,
+        h_values=h,
+        s_values=s,
         k_values=k,
     )

@@ -121,8 +121,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags, per command."""
+def _option_types(parser: argparse.ArgumentParser, command: str) -> dict:
+    """Option name -> the converter argparse applies to its flag text."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.type or str for a in sub.choices[command]._actions}
+
+
+def _coerce(key: str, value, kind):
+    """A config value converted as if its JSON text had been typed as the flag."""
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(
+            f"config value {key!r} must be {kind.__name__}, got {value!r}"
+        ) from None
+
+
+def _merge_config(args: argparse.Namespace, types: dict) -> dict:
+    """defaults < config file < explicit flags, per command; config values
+    get their option's type, and a null keeps the default."""
     values = dict(_DEFAULTS[args.command])
     explicit = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     path = getattr(args, "config", None)
@@ -134,7 +152,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
         for key, val in loaded.items():
             norm = str(key).replace("-", "_")
             if norm in values:
-                values[norm] = val
+                if val is not None:
+                    values[norm] = _coerce(key, val, types[norm])
             else:
                 print(f"warning: ignoring unknown config key {key!r}", file=sys.stderr)
     values.update(explicit)
@@ -157,7 +176,7 @@ def _emit(text: str, out_path):
 
 
 def _parse_triple(text: str) -> list[float]:
-    parts = str(text).split(",")
+    parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated numbers, got {text!r}")
     return [float(p) for p in parts]
@@ -200,7 +219,7 @@ def _trajectory_json(traj: Trajectory) -> str:
 
 def _cmd_classical_sim(cfg) -> int:
     init = _parse_triple(cfg["init"])
-    traj = integrate(init, float(cfg["t_final"]), float(cfg["dt"]))
+    traj = integrate(init, cfg["t_final"], cfg["dt"])
     body = _trajectory_csv(traj) if cfg["format"] == "csv" else _trajectory_json(traj)
     stream = _emit(body, cfg["out"])
     lx, ly, lz = traj.states[-1]
@@ -232,9 +251,9 @@ def _parse_initial_density(text: str) -> np.ndarray:
 
 
 def _cmd_quantum_evolve(cfg) -> int:
-    rho0 = _parse_initial_density(str(cfg["init"]))
+    rho0 = _parse_initial_density(cfg["init"])
     ops = build_operators()
-    pairs = evolve(rho0, ops, float(cfg["t_final"]), float(cfg["dt"]))
+    pairs = evolve(rho0, ops, cfg["t_final"], cfg["dt"])
     times = np.array([t for t, _ in pairs])
     states = np.stack([s for _, s in pairs])
     columns = {
@@ -265,8 +284,8 @@ def _cmd_quantum_evolve(cfg) -> int:
 
 
 def _params_from(cfg) -> StationaryParams:
-    a = float(cfg["a"])
-    return StationaryParams(a, 1.0 - a, complex(float(cfg["c_re"]), float(cfg["c_im"])))
+    a = cfg["a"]
+    return StationaryParams(a, 1.0 - a, complex(cfg["c_re"], cfg["c_im"]))
 
 
 def _cmd_stationary(cfg) -> int:
@@ -291,9 +310,9 @@ def _cmd_ppt(cfg) -> int:
     report = ppt_analyze(_params_from(cfg))
     closed = report.closed_form_eigenvalues
     payload = {
-        "a": float(cfg["a"]),
-        "c_re": float(cfg["c_re"]),
-        "c_im": float(cfg["c_im"]),
+        "a": cfg["a"],
+        "c_re": cfg["c_re"],
+        "c_im": cfg["c_im"],
         "eigenvalues": report.eigenvalues.tolist(),
         "min_eigenvalue": report.min_eigenvalue,
         "negativity": report.negativity,
@@ -305,7 +324,7 @@ def _cmd_ppt(cfg) -> int:
 
 
 def _cmd_sweep(cfg) -> int:
-    rows = sweep(int(cfg["grid"]))
+    rows = sweep(cfg["grid"])
     if cfg["format"] == "csv":
         lines = ["a,c,min_pt_eigenvalue,negativity,separable"]
         for r in rows:
@@ -350,9 +369,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
+        cfg = _merge_config(args, _option_types(parser, args.command))
         return _HANDLERS[args.command](cfg)
     except (StepTooLarge, PositivityLost) as exc:
         print(f"error: {exc}", file=sys.stderr)

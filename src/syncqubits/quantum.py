@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical import step_count
 from .linalg import tensor_product
 
 #: slack used when validating stationary-family coefficients
@@ -28,7 +29,8 @@ POSITIVITY_ERROR = -1e-6
 
 
 class InvalidParams(ValueError):
-    """Stationary-family coefficients violate normalization or positivity."""
+    """Stationary-family coefficients are not finite or violate normalization
+    or positivity."""
 
 
 class PositivityLost(RuntimeError):
@@ -173,18 +175,13 @@ def evolve(rho0, ops: OperatorSet, t_final: float, dt: float):
     roundoff.  After the run all recorded states are checked in one batch:
     PositivityLost names the first time a state stopped being finite or an
     eigenvalue fell below -1e-6 (the practical symptom of a dt too large for
-    the stiffest decay mode).
+    the stiffest decay mode).  ValueError for nonfinite or nonpositive
+    dt / t_final or more than MAX_STEPS steps (:func:`classical.step_count`).
     """
     rho = check_density_matrix(rho0)
     if rho.shape != ops.jump.shape:
         raise ValueError(f"state has shape {rho.shape}, the operators need {ops.jump.shape}")
-    if not (math.isfinite(t_final) and math.isfinite(dt)):
-        raise ValueError(f"dt and t_final must be finite, got dt={dt!r}, t_final={t_final!r}")
-    if dt <= 0.0 or t_final <= 0.0:
-        raise ValueError("dt and t_final must be positive")
-    n_steps = int(round(t_final / dt))
-    if n_steps < 1:
-        raise ValueError("t_final is shorter than half a step")
+    n_steps = step_count(t_final, dt)
 
     step = _rk4_propagator(ops, dt).dot
     dim = rho.shape[0]
@@ -231,9 +228,10 @@ def ehrenfest_lx(rho, ops: OperatorSet) -> float:
 class StationaryParams:
     """Coefficients (a, b, c) of a stationary density matrix.
 
-    Validated on construction: a + b = 1, both nonnegative, and
-    a b >= |c|^2 (all within 1e-12), the exact conditions for unit trace
-    and positivity.  ``c`` may be complex.
+    Validated on construction: all three finite, a + b = 1, both
+    nonnegative, and a b >= |c|^2 (all within 1e-12), the exact conditions
+    for unit trace and positivity.  ``c`` may be complex.  A violation
+    raises InvalidParams.
     """
 
     a: float
@@ -244,6 +242,9 @@ class StationaryParams:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "c", complex(self.c))
+        for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
+            if not np.isfinite(value):
+                raise InvalidParams(f"{name} must be finite, got {value!r}")
         if abs(self.a + self.b - 1.0) > PARAM_TOL:
             raise InvalidParams(f"a + b must equal 1, got {self.a + self.b!r}")
         if self.a < -PARAM_TOL or self.b < -PARAM_TOL:

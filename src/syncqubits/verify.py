@@ -53,19 +53,24 @@ def _result(number: int, passed: bool, detail: str) -> CheckResult:
 # shared ensembles
 
 
-def _classical_ensemble(rng, count=50, t_final=50.0, dt=1e-3):
-    """Long runs from random states with 1/2 <= |l| <= 2, sampled away from
-    the measure-zero ly = lz = 0 line where nothing ever moves."""
-    runs = []
-    while len(runs) < count:
+def _classical_starts(rng, count=50):
+    """Random states with 1/2 <= |l| <= 2 as a (count, 3) stack, sampled
+    away from the measure-zero ly = lz = 0 line where nothing ever moves."""
+    starts = []
+    while len(starts) < count:
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         length = np.sqrt(rng.uniform(0.25, 4.0))
         start = length * direction
         if abs(start[1]) + abs(start[2]) < 1e-8:
             continue
-        runs.append((start, classical.integrate(start, t_final, dt)))
-    return runs
+        starts.append(start)
+    return np.array(starts)
+
+
+def _classical_ensemble(rng, t_final=50.0, dt=1e-3):
+    """Long runs from :func:`_classical_starts`, integrated as one stack."""
+    return classical.integrate(_classical_starts(rng), t_final, dt)
 
 
 def _quantum_ensemble(ops, t_final=20.0, dt=1e-3):
@@ -188,13 +193,13 @@ def _check_classical_convergence(runs):
     worst_final = 0.0
     worst_l2 = 0.0
     worst_k = 0.0
-    for start, traj in runs:
-        length = float(np.linalg.norm(start))
-        lx, ly, lz = traj.states[-1]
+    for states, h_values, k_values in zip(runs.states, runs.h_values, runs.k_values):
+        length = float(np.linalg.norm(states[0]))
+        lx, ly, lz = states[-1]
         worst_final = max(worst_final, abs(lx - length), abs(ly), abs(lz))
-        l_sq = 2.0 * traj.h_values
+        l_sq = 2.0 * h_values
         worst_l2 = max(worst_l2, float(np.abs(l_sq - l_sq[0]).max()))
-        k = traj.k_values[~np.isnan(traj.k_values)]
+        k = k_values[~np.isnan(k_values)]
         if k.size:
             worst_k = max(worst_k, float(np.abs(k - k[0]).max()))
     passed = worst_final <= 1e-5 and worst_l2 <= 1e-8 and worst_k <= 1e-6
@@ -210,9 +215,9 @@ def _check_monotone_invariants(classical_runs, quantum_runs, ops):
     """9: H stays constant and S never decreases, classically and quantumly."""
     worst_h = 0.0
     worst_dip = 0.0
-    for _, traj in classical_runs:
-        worst_h = max(worst_h, float(np.abs(traj.h_values - traj.h_values[0]).max()))
-        worst_dip = max(worst_dip, float(-np.diff(traj.s_values).min()))
+    for h, s in zip(classical_runs.h_values, classical_runs.s_values):
+        worst_h = max(worst_h, float(np.abs(h - h[0]).max()))
+        worst_dip = max(worst_dip, float(-np.diff(s).min()))
     for _, _, states in quantum_runs:
         h = 0.5 * np.einsum("tij,ji->t", states, ops.l_squared).real
         s = 2.0 * np.einsum("tij,ji->t", states, ops.lx).real

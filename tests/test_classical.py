@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from syncqubits.classical import (
+    MAX_STEPS,
     StepTooLarge,
     classical_field,
     default_quasithermo,
@@ -16,6 +20,7 @@ from syncqubits.classical import (
     sync_jump,
     sync_jump_grad,
 )
+from syncqubits.verify import DEFAULT_SEED, _classical_starts
 
 
 def test_field_fixed_point():
@@ -89,20 +94,29 @@ def test_integrate_fixed_point_is_constant():
     assert np.abs(traj.states - np.array([2.0, 0.0, 0.0])).max() == 0.0
 
 
-def test_integrate_matches_closed_form():
-    # for |l| = 1 and lx(0) = 0 the solution is lx = tanh(2t),
-    # (ly, lz) = (ly0, lz0) / cosh(2t)
-    traj = integrate([0.0, 0.6, 0.8], 2.0, 1e-3)
-    for t_probe in (0.5, 1.0, 2.0):
-        i = int(round(t_probe / 1e-3))
-        expected = np.array(
-            [
-                math.tanh(2.0 * t_probe),
-                0.6 / math.cosh(2.0 * t_probe),
-                0.8 / math.cosh(2.0 * t_probe),
-            ]
-        )
-        assert np.abs(traj.states[i] - expected).max() < 1e-9
+def _closed_form(start, t):
+    """Exact solution: lx = R tanh(2 R t + atanh(lx0 / R)) with R = |l|, while
+    (ly, lz) shrink by the common factor that keeps |l| fixed."""
+    radius = float(np.linalg.norm(start))
+    phase = 2.0 * radius * t + math.atanh(start[0] / radius)
+    shrink = np.cosh(phase[0]) / np.cosh(phase)
+    return np.column_stack([radius * np.tanh(phase), start[1] * shrink, start[2] * shrink])
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+@pytest.mark.parametrize("radius, lx0", [(1.0, 0.0), (0.5, -0.2), (2.0, 0.6), (3.0, -1.5)])
+def test_integrate_matches_closed_form(stacked, radius, lx0):
+    rest = math.sqrt(radius * radius - lx0 * lx0)
+    start = np.array([lx0, 0.6 * rest, 0.8 * rest])
+    if stacked:
+        # the mirrored start runs beside it and has a closed form of its own
+        traj = integrate([start, -start], 2.0, 1e-3)
+        runs = [(start, traj.states[0]), (-start, traj.states[1])]
+    else:
+        runs = [(start, integrate(start, 2.0, 1e-3).states)]
+    t = 1e-3 * np.arange(2001)
+    for begin, states in runs:
+        assert np.abs(states - _closed_form(begin, t)).max() < 1e-10
 
 
 def test_integrate_conserves_invariants():
@@ -142,9 +156,19 @@ def test_k_marker_nan_when_lz_zero():
     assert np.isnan(traj.k_values).all()
 
 
-def test_integrate_divergence_guard():
-    with pytest.raises(StepTooLarge):
-        integrate([2e6, 0.0, 1.0], 1.0, 1e-3)
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+def test_integrate_divergence_guard(stacked):
+    # at dt = 0.5 the start (0, 3, 4) is far outside RK4's stability region,
+    # and its second step passes the limit
+    start = [0.0, 3.0, 4.0]
+    initial = [[0.0, 0.6, 0.8], start] if stacked else start
+    suffix = " in run 1" if stacked else ""
+    with pytest.raises(StepTooLarge, match=rf"^state exceeded 1e\+06 at t = 1{suffix}$"):
+        integrate(initial, 5.0, 0.5)
+    start = [2e6, 0.0, 1.0]
+    initial = [[0.0, 0.6, 0.8], start] if stacked else start
+    with pytest.raises(StepTooLarge, match=rf"^initial state exceeds 1e\+06{suffix}$"):
+        integrate(initial, 1.0, 1e-3)
 
 
 def test_integrate_rejects_bad_arguments():
@@ -156,6 +180,12 @@ def test_integrate_rejects_bad_arguments():
         integrate([np.nan, 0.0, 0.0], 1.0, 1e-3)
     with pytest.raises(ValueError):
         integrate([1.0, 2.0], 1.0, 1e-3)
+    with pytest.raises(ValueError, match="shape"):
+        integrate([[1.0, 2.0], [0.5, 0.5]], 1.0, 1e-3)
+    with pytest.raises(ValueError, match="shape"):
+        integrate(np.empty((0, 3)), 1.0, 1e-3)
+    with pytest.raises(ValueError, match="finite"):
+        integrate([[0.0, 0.6, 0.8], [np.nan, 0.0, 1.0]], 1.0, 1e-3)
 
 
 @pytest.mark.parametrize(
@@ -164,3 +194,80 @@ def test_integrate_rejects_bad_arguments():
 def test_integrate_rejects_nonfinite_steps(t_final, dt):
     with pytest.raises(ValueError, match="must be finite"):
         integrate([0.0, 0.6, 0.8], t_final, dt)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+def test_integrate_rejects_too_many_steps(stacked):
+    start = [0.0, 0.6, 0.8]
+    initial = [start, start] if stacked else start
+    # checked before anything is allocated: a 1e12-step run would need 24 TB
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        integrate(initial, 1e9, 1e-3)
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        integrate(initial, (MAX_STEPS + 1) * 1e-3, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# a stack of starts against one-start runs
+
+
+def _assert_run_equal(stack, i, one):
+    """Run i of a stacked trajectory equals the one-start trajectory bit for bit."""
+    assert np.array_equal(stack.times, one.times)
+    for name in ("states", "h_values", "s_values", "k_values"):
+        assert np.array_equal(getattr(stack, name)[i], getattr(one, name), equal_nan=True), name
+
+
+def test_stack_layout():
+    traj = integrate([[0.1, 0.2, 0.3], [0.0, 0.6, 0.8]], 0.01, 1e-3)
+    assert traj.times.shape == (11,)
+    assert traj.states.shape == (2, 11, 3)
+    for values in (traj.h_values, traj.s_values, traj.k_values):
+        assert values.shape == (2, 11)
+    assert np.array_equal(traj.states[:, 0], [[0.1, 0.2, 0.3], [0.0, 0.6, 0.8]])
+
+
+def test_stack_is_bit_identical_on_verify_starts():
+    starts = _classical_starts(np.random.default_rng(DEFAULT_SEED))
+    stack = integrate(starts, 2.0, 1e-3)
+    for i, start in enumerate(starts):
+        _assert_run_equal(stack, i, integrate(start, 2.0, 1e-3))
+
+
+def test_stack_edge_rows():
+    # a fixed point on the ly = lz = 0 line, and an lz = 0 start whose k is
+    # NaN throughout, beside an ordinary start
+    starts = [[0.7, 0.0, 0.0], [0.2, 0.5, 0.0], [0.0, 0.6, 0.8]]
+    stack = integrate(starts, 1.0, 1e-3)
+    for i, start in enumerate(starts):
+        _assert_run_equal(stack, i, integrate(start, 1.0, 1e-3))
+    assert np.array_equal(stack.states[0], np.tile([0.7, 0.0, 0.0], (1001, 1)))
+    assert np.isnan(stack.k_values[:2]).all()
+    assert not np.isnan(stack.k_values[2, 0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    starts=arrays(float, st.tuples(st.integers(1, 6), st.just(3)), elements=st.floats(-3.0, 3.0)),
+    dt=st.sampled_from([1e-3, 1e-2, 5e-2]),
+)
+def test_stack_matches_one_start_runs(starts, dt):
+    stack = integrate(starts, 20 * dt, dt)
+    for i, start in enumerate(starts):
+        _assert_run_equal(stack, i, integrate(start, 20 * dt, dt))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    directions=arrays(float, st.tuples(st.integers(1, 4), st.just(3)), elements=st.floats(-1.0, 1.0)),
+    radius=st.floats(0.5, 2.0),
+)
+def test_rk4_keeps_length_and_ratio(directions, radius):
+    norms = np.linalg.norm(directions, axis=1)
+    assume(norms.min() > 0.1)
+    traj = integrate(radius * directions / norms[:, None], 2.0, 1e-3)
+    for h, k in zip(traj.h_values, traj.k_values):
+        assert np.abs(h - h[0]).max() <= 5e-9  # |l|^2 = 2 H within 1e-8
+        k = k[~np.isnan(k)]
+        if k.size:
+            assert np.abs(k - k[0]).max() <= 1e-9 * abs(k[0])

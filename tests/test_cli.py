@@ -144,6 +144,13 @@ def test_nonfinite_step_arguments_exit_code(capsys, command, flags):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["classical-sim", "quantum-evolve"])
+def test_step_count_limit_exit_code(capsys, command):
+    code, _, err = run_cli([command, "--t-final", "1e9"], capsys)
+    assert code == 2
+    assert err == "error: t_final / dt = 1e+12 steps, more than MAX_STEPS = 1000000\n"
+
+
 def test_quantum_evolve_positivity_exit_code(capsys):
     code, _, err = run_cli(["quantum-evolve", "--dt", "1", "--t-final", "30"], capsys)
     assert code == 3
@@ -172,6 +179,19 @@ def test_stationary_invalid_params(capsys):
     code, _, err = run_cli(["stationary", "--a", "0.3", "--c-re", "0.5"], capsys)
     assert code == 2
     assert "positivity" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stationary", "--a", "nan"], "error: a must be finite, got nan\n"),
+        (["ppt", "--a", "0.5", "--c-re", "nan"], "error: c must be finite, got (nan+0j)\n"),
+    ],
+)
+def test_nonfinite_params_exit_code(capsys, argv, message):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err == message
 
 
 def test_ppt_command(capsys):
@@ -221,6 +241,31 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     )
     assert code == 0
     assert len(out.strip().splitlines()) == 3  # explicit flag beats the file
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"grid": [3]}, "error: config value 'grid' must be int, got [3]\n"),
+        ({"grid": 2.5}, "error: config value 'grid' must be int, got 2.5\n"),
+        ({"grid": True}, "error: config value 'grid' must be int, got True\n"),
+    ],
+)
+def test_config_values_get_option_types(capsys, tmp_path, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err == message
+
+
+def test_config_values_read_like_flags(capsys, tmp_path):
+    # a string is converted as the flag's text would be; null keeps the default
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": "3", "format": None}))
+    code, out, _ = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert out == run_cli(["sweep", "--grid", "3"], capsys)[1]
 
 
 def test_config_file_missing(capsys, tmp_path):

@@ -125,6 +125,21 @@ def test_stationary_params_validation():
     assert StationaryParams.from_weight(0.25).b == 0.75
 
 
+@pytest.mark.parametrize(
+    "a, b, c, name",
+    [
+        (math.nan, 0.5, 0.0, "a"),
+        (0.5, math.inf, 0.0, "b"),
+        (0.5, 0.5, complex(math.nan, 0.0), "c"),
+        (0.5, 0.5, complex(0.0, -math.inf), "c"),
+    ],
+)
+def test_stationary_params_rejects_nonfinite(a, b, c, name):
+    # NaN passes every range comparison, so it must be caught first
+    with pytest.raises(InvalidParams, match=f"^{name} must be finite"):
+        StationaryParams(a, b, c)
+
+
 def test_stationary_state_corners(basis):
     uniform = stationary_state(StationaryParams(1.0, 0.0, 0.0), basis)
     assert np.abs(uniform - 0.25).max() == 0.0
@@ -241,6 +256,12 @@ def test_evolve_rejects_bad_input(ops):
 def test_evolve_rejects_nonfinite_steps(ops, t_final, dt):
     with pytest.raises(ValueError, match="must be finite"):
         evolve(np.eye(4) / 4.0, ops, t_final, dt)
+
+
+def test_evolve_rejects_too_many_steps(ops):
+    # checked before the (1e12 + 1, 4, 4) stack would be allocated
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        evolve(np.eye(4) / 4.0, ops, 1e9, 1e-3)
 
 
 def test_evolve_divergence_names_first_bad_time(ops):
