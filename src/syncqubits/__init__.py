@@ -30,7 +30,6 @@ from .linalg import (
     DimMismatch,
     NotHermitian,
     SpectrumReport,
-    commutator,
     hermitian_eigensystem,
     null_space,
     principal_angles,
@@ -41,6 +40,7 @@ from .quantum import (
     KernelBasis,
     OperatorSet,
     PositivityLost,
+    QuantumTrajectory,
     StationaryFit,
     StationaryParams,
     build_operators,
@@ -55,46 +55,3 @@ from .quantum import (
 from .verify import CheckResult, run_all
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BadSubsystem",
-    "CheckResult",
-    "DimMismatch",
-    "InvalidParams",
-    "KernelBasis",
-    "NotHermitian",
-    "OperatorSet",
-    "PTSpectrumReport",
-    "PositivityLost",
-    "QuasiThermoFunctions",
-    "SpectrumReport",
-    "StationaryFit",
-    "StationaryParams",
-    "StepTooLarge",
-    "SweepRow",
-    "Trajectory",
-    "build_operators",
-    "classical_field",
-    "commutator",
-    "cubic_roots",
-    "default_quasithermo",
-    "dissipative_field",
-    "ehrenfest_lx",
-    "evolve",
-    "hermitian_eigensystem",
-    "integrate",
-    "kernel_basis",
-    "lindblad_rhs",
-    "liouvillian_matrix",
-    "null_space",
-    "partial_transpose",
-    "ppt_analyze",
-    "principal_angles",
-    "project_to_stationary",
-    "quasithermo_field",
-    "run_all",
-    "schwinger_map",
-    "stationary_state",
-    "sweep",
-    "tensor_product",
-]

@@ -23,14 +23,14 @@ invalid input data, 3 runtime guard tripped (divergence, positivity loss).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .classical import StepTooLarge, Trajectory, integrate
-from .entanglement import ppt_analyze, sweep
+from .classical import StepTooLarge, integrate
+from .entanglement import SweepRow, ppt_analyze, sweep
 from .linalg import hermitian_eigensystem
 from .quantum import (
     InvalidParams,
@@ -41,6 +41,7 @@ from .quantum import (
     density_matrix_from_json,
     density_matrix_to_json,
     evolve,
+    labelled_state,
     project_to_stationary,
     stationary_state,
 )
@@ -182,46 +183,44 @@ def _parse_triple(text: str) -> list[float]:
     return [float(p) for p in parts]
 
 
-def _trajectory_csv(traj: Trajectory) -> str:
-    lines = ["t,lx,ly,lz,H,S,k"]
-    for i in range(traj.times.size):
-        lx, ly, lz = traj.states[i]
-        k = traj.k_values[i]
-        lines.append(
-            ",".join(
-                [
-                    _fmt(traj.times[i]),
-                    _fmt(lx),
-                    _fmt(ly),
-                    _fmt(lz),
-                    _fmt(traj.h_values[i]),
-                    _fmt(traj.s_values[i]),
-                    "" if np.isnan(k) else _fmt(k),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value != value else _fmt(value)
 
 
-def _trajectory_json(traj: Trajectory) -> str:
-    k = [None if np.isnan(v) else v for v in traj.k_values.tolist()]
-    payload = {
-        "t": traj.times.tolist(),
-        "lx": traj.states[:, 0].tolist(),
-        "ly": traj.states[:, 1].tolist(),
-        "lz": traj.states[:, 2].tolist(),
-        "H": traj.h_values.tolist(),
-        "S": traj.s_values.tolist(),
-        "k": k,
-    }
-    return json.dumps(payload) + "\n"
+def _columns_text(columns: dict, fmt: str, records: bool = False) -> str:
+    """Equal-length columns as CSV or JSON text.
+
+    CSV has a header row, then one row per index: floats with 17
+    significant digits, NaN as an empty field, bools as true/false.  JSON
+    is one object of lists, or with ``records`` a list of row objects, with
+    NaN as null.
+    """
+    names = list(columns)
+    values = [np.asarray(col).tolist() for col in columns.values()]
+    if fmt == "json":
+        values = [[None if v != v else v for v in col] for col in values]
+        if records:
+            return json.dumps([dict(zip(names, row)) for row in zip(*values)]) + "\n"
+        return json.dumps(dict(zip(names, values))) + "\n"
+    rows = zip(*([_cell(v) for v in col] for col in values))
+    return "\n".join([",".join(names), *map(",".join, rows)]) + "\n"
 
 
 def _cmd_classical_sim(cfg) -> int:
     init = _parse_triple(cfg["init"])
     traj = integrate(init, cfg["t_final"], cfg["dt"])
-    body = _trajectory_csv(traj) if cfg["format"] == "csv" else _trajectory_json(traj)
-    stream = _emit(body, cfg["out"])
+    columns = {
+        "t": traj.times,
+        "lx": traj.states[:, 0],
+        "ly": traj.states[:, 1],
+        "lz": traj.states[:, 2],
+        "H": traj.h_values,
+        "S": traj.s_values,
+        "k": traj.k_values,
+    }
+    stream = _emit(_columns_text(columns, cfg["format"]), cfg["out"])
     lx, ly, lz = traj.states[-1]
     max_dh = float(np.abs(traj.h_values - traj.h_values[0]).max())
     print(f"final state: lx={_fmt(lx)} ly={_fmt(ly)} lz={_fmt(lz)}", file=stream)
@@ -230,16 +229,8 @@ def _cmd_classical_sim(cfg) -> int:
 
 
 def _parse_initial_density(text: str) -> np.ndarray:
-    if text == "mixed":
-        return np.eye(4, dtype=complex) / 4.0
-    if text.startswith("basis:"):
-        label = text[len("basis:"):]
-        if len(label) == 2 and set(label) <= {"0", "1"}:
-            idx = int(label, 2)
-            rho = np.zeros((4, 4), dtype=complex)
-            rho[idx, idx] = 1.0
-            return rho
-        raise ValueError(f"bad basis label {label!r}, expected two bits")
+    if text == "mixed" or text.startswith("basis:"):
+        return labelled_state(text)
     try:
         with open(text) as fh:
             payload = json.load(fh)
@@ -253,27 +244,18 @@ def _parse_initial_density(text: str) -> np.ndarray:
 def _cmd_quantum_evolve(cfg) -> int:
     rho0 = _parse_initial_density(cfg["init"])
     ops = build_operators()
-    pairs = evolve(rho0, ops, cfg["t_final"], cfg["dt"])
-    times = np.array([t for t, _ in pairs])
-    states = np.stack([s for _, s in pairs])
+    traj = evolve(rho0, ops, cfg["t_final"], cfg["dt"])
+    states = traj.states
     columns = {
-        "t": times,
+        "t": traj.times,
         "lx_avg": np.einsum("tij,ji->t", states, ops.lx).real,
         "ly_avg": np.einsum("tij,ji->t", states, ops.ly).real,
         "lz_avg": np.einsum("tij,ji->t", states, ops.lz).real,
         "l2_avg": np.einsum("tij,ji->t", states, ops.l_squared).real,
         "trace": np.einsum("tii->t", states).real,
-        "min_eig": np.linalg.eigvalsh(states)[:, 0],
+        "min_eig": traj.min_eigenvalues,
     }
-    if cfg["format"] == "csv":
-        names = list(columns)
-        lines = [",".join(names)]
-        for i in range(times.size):
-            lines.append(",".join(_fmt(columns[n][i]) for n in names))
-        body = "\n".join(lines) + "\n"
-    else:
-        body = json.dumps({n: v.tolist() for n, v in columns.items()}) + "\n"
-    stream = _emit(body, cfg["out"])
+    stream = _emit(_columns_text(columns, cfg["format"]), cfg["out"])
     fit = project_to_stationary(states[-1])
     print(
         f"stationary fit: a={_fmt(fit.a)} b={_fmt(fit.b)} "
@@ -325,24 +307,8 @@ def _cmd_ppt(cfg) -> int:
 
 def _cmd_sweep(cfg) -> int:
     rows = sweep(cfg["grid"])
-    if cfg["format"] == "csv":
-        lines = ["a,c,min_pt_eigenvalue,negativity,separable"]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(r.a),
-                        _fmt(r.c),
-                        _fmt(r.min_pt_eigenvalue),
-                        _fmt(r.negativity),
-                        "true" if r.separable else "false",
-                    ]
-                )
-            )
-        body = "\n".join(lines) + "\n"
-    else:
-        body = json.dumps([dataclasses.asdict(r) for r in rows]) + "\n"
-    _emit(body, cfg["out"])
+    columns = {f.name: [getattr(r, f.name) for r in rows] for f in fields(SweepRow)}
+    _emit(_columns_text(columns, cfg["format"], records=True), cfg["out"])
     return 0
 
 

@@ -47,26 +47,9 @@ def _require_square(a: np.ndarray) -> None:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
 
 
-def hermiticity_error(m) -> float:
-    """Largest entrywise deviation of a square matrix from its adjoint."""
-    a = _as_matrix(m)
-    _require_square(a)
-    return float(np.abs(a - a.conj().T).max())
-
-
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product; row (i1, i2) of the result maps to i1 * rows(b) + i2."""
     return np.kron(_as_matrix(a), _as_matrix(b))
-
-
-def commutator(a, b) -> np.ndarray:
-    """a @ b - b @ a for square matrices of equal size."""
-    am = _as_matrix(a)
-    bm = _as_matrix(b)
-    _require_square(am)
-    if am.shape != bm.shape:
-        raise DimMismatch(f"shape mismatch: {am.shape} vs {bm.shape}")
-    return am @ bm - bm @ am
 
 
 def hermitian_eigensystem(m, tol: float = HERMITIAN_TOL) -> SpectrumReport:

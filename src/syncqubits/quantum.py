@@ -65,6 +65,21 @@ class OperatorSet:
 
 
 @dataclass(frozen=True)
+class QuantumTrajectory:
+    """Fixed-step run of the master equation, one entry per step from t = 0.
+
+    ``times`` is (T,), ``states`` the (T, d, d) stack of density matrices
+    and ``min_eigenvalues`` (T,) the lowest eigenvalue of each state, which
+    :func:`evolve` computes for its positivity check.  All three are
+    read-only.
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+    min_eigenvalues: np.ndarray
+
+
+@dataclass(frozen=True)
 class KernelBasis:
     """Orthonormal pair spanning the jump operator's kernel.
 
@@ -102,6 +117,21 @@ def kernel_basis() -> KernelBasis:
     psi1 = _readonly(np.full(4, 0.5, dtype=complex))
     psi2 = _readonly(np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0))
     return KernelBasis(psi1=psi1, psi2=psi2)
+
+
+def labelled_state(label: str) -> np.ndarray:
+    """Density matrix named by ``mixed`` (I/4) or ``basis:IJ`` (|IJ><IJ|,
+    I, J in {0, 1}); ValueError for any other label."""
+    if label == "mixed":
+        return np.eye(4, dtype=complex) / 4.0
+    bits = label.removeprefix("basis:")
+    if bits == label:
+        raise ValueError(f"unknown state label {label!r}, expected 'mixed' or 'basis:IJ'")
+    if len(bits) != 2 or not set(bits) <= {"0", "1"}:
+        raise ValueError(f"bad basis label {bits!r}, expected two bits")
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[int(bits, 2), int(bits, 2)] = 1.0
+    return rho
 
 
 def check_density_matrix(
@@ -169,8 +199,8 @@ def _rk4_propagator(ops: OperatorSet, dt: float) -> np.ndarray:
 def evolve(rho0, ops: OperatorSet, t_final: float, dt: float):
     """Fixed-step RK4 trajectory of the master equation.
 
-    Returns a list of (time, state) pairs, one per step including t = 0.
-    Each step applies the precomputed RK4 propagator (:func:`_rk4_propagator`)
+    Returns a :class:`QuantumTrajectory` with one time, state and lowest
+    eigenvalue per step, t = 0 included.  Each step applies the precomputed RK4 propagator (:func:`_rk4_propagator`)
     to the flattened state, which keeps it Hermitian and of unit trace up to
     roundoff.  After the run all recorded states are checked in one batch:
     PositivityLost names the first time a state stopped being finite or an
@@ -203,8 +233,11 @@ def evolve(rho0, ops: OperatorSet, t_final: float, dt: float):
         raise PositivityLost(
             f"eigenvalue {lowest[bad[0]]:.3e} at t = {bad[0] * dt:g}; reduce dt"
         )
-    states.setflags(write=False)
-    return [(i * dt, states[i]) for i in range(n_steps + 1)]
+    return QuantumTrajectory(
+        times=_readonly(np.arange(n_steps + 1) * dt),
+        states=_readonly(states),
+        min_eigenvalues=_readonly(lowest),
+    )
 
 
 def expectation_value(rho, op) -> float:

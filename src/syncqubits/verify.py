@@ -75,19 +75,9 @@ def _classical_ensemble(rng, t_final=50.0, dt=1e-3):
 
 def _quantum_ensemble(ops, t_final=20.0, dt=1e-3):
     """Master-equation runs from the maximally mixed state and each of the
-    four basis projectors, as (label, times, stacked states)."""
-    inits = [("mixed", np.eye(4, dtype=complex) / 4.0)]
-    for idx, label in enumerate(("basis:00", "basis:01", "basis:10", "basis:11")):
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[idx, idx] = 1.0
-        inits.append((label, rho))
-    runs = []
-    for label, rho in inits:
-        pairs = quantum.evolve(rho, ops, t_final, dt)
-        times = np.array([t for t, _ in pairs])
-        states = np.stack([s for _, s in pairs])
-        runs.append((label, times, states))
-    return runs
+    four basis projectors."""
+    labels = ("mixed", "basis:00", "basis:01", "basis:10", "basis:11")
+    return [quantum.evolve(quantum.labelled_state(x), ops, t_final, dt) for x in labels]
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +208,9 @@ def _check_monotone_invariants(classical_runs, quantum_runs, ops):
     for h, s in zip(classical_runs.h_values, classical_runs.s_values):
         worst_h = max(worst_h, float(np.abs(h - h[0]).max()))
         worst_dip = max(worst_dip, float(-np.diff(s).min()))
-    for _, _, states in quantum_runs:
-        h = 0.5 * np.einsum("tij,ji->t", states, ops.l_squared).real
-        s = 2.0 * np.einsum("tij,ji->t", states, ops.lx).real
+    for run in quantum_runs:
+        h = 0.5 * np.einsum("tij,ji->t", run.states, ops.l_squared).real
+        s = 2.0 * np.einsum("tij,ji->t", run.states, ops.lx).real
         worst_h = max(worst_h, float(np.abs(h - h[0]).max()))
         worst_dip = max(worst_dip, float(-np.diff(s).min()))
     passed = worst_h <= 1e-8 and worst_dip <= 1e-10
@@ -281,10 +271,10 @@ def _check_quantum_convergence(runs, basis):
     positive the whole way."""
     worst_residual = 0.0
     worst_eig = np.inf
-    for _, _, states in runs:
-        fit = quantum.project_to_stationary(states[-1], basis)
+    for run in runs:
+        fit = quantum.project_to_stationary(run.states[-1], basis)
         worst_residual = max(worst_residual, fit.residual)
-        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(states)[:, 0].min()))
+        worst_eig = min(worst_eig, float(run.min_eigenvalues.min()))
     passed = worst_residual <= 1e-8 and worst_eig >= -1e-8
     return _result(
         13,

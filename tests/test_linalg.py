@@ -5,9 +5,7 @@ import scipy.linalg
 from syncqubits.linalg import (
     DimMismatch,
     NotHermitian,
-    commutator,
     hermitian_eigensystem,
-    hermiticity_error,
     null_space,
     principal_angles,
     tensor_product,
@@ -57,26 +55,6 @@ def test_tensor_product_rejects_empty():
         tensor_product(np.zeros((0, 2)), np.eye(2))
 
 
-def test_commutator_antisymmetric(rng):
-    a = random_hermitian(rng, 4)
-    b = random_hermitian(rng, 4)
-    assert np.array_equal(commutator(a, b), -commutator(b, a))
-
-
-def test_commutator_known_values(ops):
-    # the collective components close the usual angular-momentum algebra,
-    # and [J, J+] = 2 lx for the jump operator
-    assert np.abs(commutator(ops.ly, ops.lz) - 1j * ops.lx).max() < 1e-15
-    assert np.abs(commutator(JUMP, JUMP.conj().T) - 2.0 * ops.lx).max() < 1e-15
-
-
-def test_commutator_dim_mismatch():
-    with pytest.raises(DimMismatch):
-        commutator(np.eye(2), np.eye(3))
-    with pytest.raises(DimMismatch):
-        commutator(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
 def test_hermitian_eigensystem_diagonal():
     report = hermitian_eigensystem(np.diag([1.0, 0.0, 0.0, -1.0]))
     assert np.array_equal(report.eigenvalues, [-1.0, 0.0, 0.0, 1.0])
@@ -110,11 +88,6 @@ def test_hermitian_eigensystem_random(rng):
 def test_hermitian_eigensystem_rejects_nonhermitian():
     with pytest.raises(NotHermitian):
         hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_hermiticity_error():
-    assert hermiticity_error(np.eye(3)) == 0.0
-    assert abs(hermiticity_error(np.array([[0, 1e-3], [0, 0]])) - 1e-3) < 1e-18
 
 
 def test_null_space_of_jump():

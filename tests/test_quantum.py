@@ -18,6 +18,7 @@ from syncqubits.quantum import (
     evolve,
     expectation_value,
     kernel_basis,
+    labelled_state,
     lindblad_rhs,
     liouvillian_matrix,
     project_to_stationary,
@@ -52,6 +53,14 @@ def test_l_squared_consistent(ops):
     assert np.abs(ops.l_squared - total).max() < 1e-15
     for comp in (ops.lx, ops.ly, ops.lz):
         assert np.abs(ops.l_squared @ comp - comp @ ops.l_squared).max() < 1e-15
+
+
+def test_operator_commutators(ops):
+    # the collective components close the usual angular-momentum algebra,
+    # and [J, J+] = 2 lx for the jump operator
+    assert np.abs(ops.ly @ ops.lz - ops.lz @ ops.ly - 1j * ops.lx).max() < 1e-15
+    jump_commutator = ops.jump @ ops.jump_dagger - ops.jump_dagger @ ops.jump
+    assert np.abs(jump_commutator - 2.0 * ops.lx).max() < 1e-15
 
 
 def test_operators_read_only(ops):
@@ -211,29 +220,64 @@ def test_project_state_orthogonal_to_kernel(basis):
 
 def test_evolve_dark_state_constant(ops, basis):
     rho0 = np.outer(basis.psi2, basis.psi2.conj())
-    pairs = evolve(rho0, ops, 2.0, 1e-3)
-    assert np.abs(pairs[-1][1] - rho0).max() < 1e-12
+    traj = evolve(rho0, ops, 2.0, 1e-3)
+    assert np.abs(traj.states[-1] - rho0).max() < 1e-12
 
 
 def test_evolve_mixed_state_reaches_family(ops):
-    pairs = evolve(np.eye(4) / 4.0, ops, 10.0, 1e-3)
-    fit = project_to_stationary(pairs[-1][1])
+    traj = evolve(np.eye(4) / 4.0, ops, 10.0, 1e-3)
+    fit = project_to_stationary(traj.states[-1])
     assert fit.residual < 1e-6
-    times = np.array([t for t, _ in pairs])
-    assert times[0] == 0.0 and abs(times[-1] - 10.0) < 1e-9
+    assert traj.times[0] == 0.0 and abs(traj.times[-1] - 10.0) < 1e-9
 
 
 def test_evolve_monotone_and_conserving(ops):
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[0, 0] = 1.0
-    pairs = evolve(rho0, ops, 5.0, 1e-3)
-    states = np.stack([s for _, s in pairs])
+    states = evolve(rho0, ops, 5.0, 1e-3).states
     trace = np.einsum("tii->t", states).real
     assert np.abs(trace - 1.0).max() < 1e-9
     s = 2.0 * np.einsum("tij,ji->t", states, ops.lx).real
     assert np.diff(s).min() > -1e-10
     l2 = np.einsum("tij,ji->t", states, ops.l_squared).real
     assert np.abs(l2 - l2[0]).max() < 1e-8
+
+
+def test_evolve_returns_read_only_trajectory(ops):
+    traj = evolve(np.eye(4) / 4.0, ops, 0.01, 1e-3)
+    assert traj.states.shape == (11, 4, 4)
+    assert np.array_equal(traj.times, [i * 1e-3 for i in range(11)])
+    # the positivity check's eigenvalues, not a second computation
+    assert np.array_equal(traj.min_eigenvalues, np.linalg.eigvalsh(traj.states)[:, 0])
+    for a in (traj.times, traj.states, traj.min_eigenvalues):
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "label, diagonal",
+    [
+        ("mixed", [0.25, 0.25, 0.25, 0.25]),
+        ("basis:00", [1.0, 0.0, 0.0, 0.0]),
+        ("basis:01", [0.0, 1.0, 0.0, 0.0]),
+        ("basis:10", [0.0, 0.0, 1.0, 0.0]),
+        ("basis:11", [0.0, 0.0, 0.0, 1.0]),
+    ],
+)
+def test_labelled_state(label, diagonal):
+    assert np.array_equal(labelled_state(label), np.diag(diagonal).astype(complex))
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("basis:7", "bad basis label '7'"),
+        ("basis:011", "bad basis label '011'"),
+        ("pure", "unknown state label 'pure'"),
+    ],
+)
+def test_labelled_state_rejects_unknown(label, message):
+    with pytest.raises(ValueError, match=message):
+        labelled_state(label)
 
 
 def test_evolve_large_step_loses_positivity(ops):
@@ -295,7 +339,7 @@ def test_evolve_matches_staged_rk4(ops, rng):
     complex_ops = dataclasses.replace(ops, jump=jump, jump_dagger=jump.conj().T)
     for model in (ops, ops, complex_ops, complex_ops):
         rho0 = random_density_matrix(rng)
-        states = np.stack([s for _, s in evolve(rho0, model, 2.0, 1e-3)])
+        states = evolve(rho0, model, 2.0, 1e-3).states
         assert states.shape == (2001, 4, 4)
         assert np.abs(states - _rk4_reference(rho0, model, 1e-3, 2000)).max() < 1e-12
 
@@ -309,13 +353,13 @@ def test_evolve_one_step_is_rk4_step(ops, entries, dt):
     a = np.array(entries[:16]).reshape(4, 4) + 1j * np.array(entries[16:]).reshape(4, 4)
     rho0 = a @ a.conj().T + 0.1 * np.eye(4)  # Hermitian, safely positive
     rho0 /= np.trace(rho0).real
-    pairs = evolve(rho0, ops, dt, dt)
-    assert len(pairs) == 2 and pairs[1][0] == dt
-    assert np.abs(pairs[1][1] - _rk4_reference(rho0, ops, dt, 1)[1]).max() < 1e-13
+    traj = evolve(rho0, ops, dt, dt)
+    assert traj.times.tolist() == [0.0, dt]
+    assert np.abs(traj.states[1] - _rk4_reference(rho0, ops, dt, 1)[1]).max() < 1e-13
 
 
 def test_evolve_stays_hermitian_without_correction(ops, rng):
-    states = np.stack([s for _, s in evolve(random_density_matrix(rng), ops, 20.0, 1e-3)])
+    states = evolve(random_density_matrix(rng), ops, 20.0, 1e-3).states
     assert states.shape == (20001, 4, 4)
     assert np.abs(states - states.conj().transpose(0, 2, 1)).max() <= 1e-12
 
