@@ -46,6 +46,9 @@ REAL_C_TOL = 1e-12
 #: closed-form and numerical spectra must agree this well, or something is broken
 CLOSED_FORM_AGREEMENT = 1e-9
 
+#: most points per axis sweep() accepts; it analyses up to MAX_GRID**2 states
+MAX_GRID = 1001
+
 
 class BadSubsystem(ValueError):
     """Subsystem index other than 1 or 2."""
@@ -70,13 +73,15 @@ def partial_transpose(rho, subsystem: int = 2) -> np.ndarray:
     return swapped.reshape(4, 4).copy()
 
 
-def _real_cubic_roots(c2: float, c1: float, c0: float) -> np.ndarray:
-    """Ascending roots of x^3 + c2 x^2 + c1 x + c0, all known to be real.
+def _real_cubic_roots(c2: float, c1: float, c0: float, disc: float) -> np.ndarray:
+    """Ascending roots of x^3 + c2 x^2 + c1 x + c0, all known to be real,
+    given the cubic's discriminant ``disc``.
 
-    Uses the trigonometric form with the arccos argument clamped to [-1, 1];
-    unlike companion-matrix methods it stays exact at double roots, where
-    the spectra here actually live (the a = 0 corner has one).  A
-    nonnegative depressed p only occurs for a triple root on this domain.
+    Uses the trigonometric form with the angle taken by atan2 from the
+    discriminant and q, not by arccos from q alone: near a double root (the
+    a = 0 corner has one) the arccos argument sits next to -1, where its
+    rounding error of 1e-16 moves the roots by 1e-8.  A nonnegative
+    depressed p only occurs for a triple root on this domain.
     """
     p = c1 - c2 * c2 / 3.0
     q = 2.0 * c2 ** 3 / 27.0 - c2 * c1 / 3.0 + c0
@@ -84,7 +89,7 @@ def _real_cubic_roots(c2: float, c1: float, c0: float) -> np.ndarray:
     if p >= 0.0:
         return np.full(3, shift - np.cbrt(q))
     m = 2.0 * math.sqrt(-p / 3.0)
-    phi = math.acos(min(1.0, max(-1.0, -4.0 * q / m ** 3))) / 3.0
+    phi = math.atan2(math.sqrt(max(disc, 0.0) / 27.0), -q) / 3.0
     third = 2.0 * math.pi / 3.0
     roots = shift + m * np.cos([phi, phi - third, phi - 2.0 * third])
     return np.sort(roots)
@@ -94,15 +99,28 @@ def cubic_roots(params: StationaryParams) -> np.ndarray:
     """Ascending closed-form eigenvalues of the transposed state, minus the
     b/2 eigenvalue that splits off exactly.
 
-    Only defined for real c; for b > 0 exactly one root is negative.
+    Only defined for real c; for b > 0 exactly one root is negative.  The
+    discriminant is evaluated as a polynomial in (a, b, c) rather than from
+    the rounded coefficients, which keeps it accurate where it vanishes.
     """
     if abs(params.c.imag) > REAL_C_TOL:
         raise ValueError("closed-form roots are only available for real c")
     a, b, c = params.a, params.b, params.c.real
+    u = c * c
     coeff2 = -(a + 0.5 * b)
-    coeff1 = -(0.25 * b * b + c * c - 0.5 * a * b)
+    coeff1 = -(0.25 * b * b + u - 0.5 * a * b)
     coeff0 = b ** 3 / 8.0
-    return _real_cubic_roots(coeff2, coeff1, coeff0)
+    disc = 0.25 * (
+        a * a * (a * b - 2.0 * u) ** 2
+        + a * a * b ** 4
+        + 10.0 * a * a * b * b * u
+        - 2.0 * a * b ** 3 * u
+        - 20.0 * a * b * u * u
+        + 8.0 * b ** 4 * u
+        + 13.0 * b * b * u * u
+        + 16.0 * u ** 3
+    )
+    return _real_cubic_roots(coeff2, coeff1, coeff0, disc)
 
 
 @dataclass(frozen=True)
@@ -165,9 +183,10 @@ def sweep(grid_n: int) -> list[SweepRow]:
 
     Grid points with c^2 > a (1 - a) admit no state and are skipped; rows
     come back in row-major order (a outer, c inner), deterministically.
+    ValueError unless 2 <= grid_n <= MAX_GRID.
     """
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
+    if not 2 <= grid_n <= MAX_GRID:
+        raise ValueError(f"grid_n must be between 2 and MAX_GRID = {MAX_GRID}, got {grid_n}")
     basis = kernel_basis()
     rows = []
     for a in np.linspace(0.0, 1.0, grid_n):

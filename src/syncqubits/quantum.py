@@ -142,12 +142,17 @@ def check_density_matrix(
 ) -> np.ndarray:
     """Validate a density matrix and return it as a fresh complex array.
 
-    Checks Hermiticity, unit trace and positivity (eigenvalues no lower
-    than ``eig_floor``); raises ValueError on any violation.
+    Checks that it is a nonempty square matrix of finite entries, then
+    Hermiticity, unit trace and positivity (eigenvalues no lower than
+    ``eig_floor``); raises ValueError on any violation.
     """
     r = np.array(rho, dtype=complex)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {r.shape}")
+    if r.size == 0:
+        raise ValueError("density matrix is empty")
+    if not np.isfinite(r).all():
+        raise ValueError("density matrix entries must be finite")
     herm = float(np.abs(r - r.conj().T).max())
     if herm > herm_tol:
         raise ValueError(f"not Hermitian: deviation {herm:.3e}")
@@ -409,8 +414,8 @@ def density_matrix_from_json(obj) -> np.ndarray:
     """Rebuild a complex matrix from :func:`density_matrix_to_json` output."""
     try:
         dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float).reshape(dim, dim)
-        im = np.asarray(obj["im"], dtype=float).reshape(dim, dim)
-    except (KeyError, TypeError, ValueError) as exc:
+        rho = np.asarray(obj["re"], dtype=float).reshape(dim, dim).astype(complex)
+        rho.imag = np.asarray(obj["im"], dtype=float).reshape(dim, dim)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"not a serialized density matrix: {exc}") from exc
-    return re + 1j * im
+    return rho

@@ -8,12 +8,12 @@ PASS/FAIL line) per criterion.
 
 import pytest
 
-from syncqubits.verify import CHECK_KEYS, run_all
+from syncqubits.verify import CHECK_KEYS
 
 
 @pytest.fixture(scope="module")
-def results():
-    return {r.number: r for r in run_all()}
+def results(verify_results):
+    return {r.number: r for r in verify_results}
 
 
 @pytest.mark.parametrize(

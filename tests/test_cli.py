@@ -13,9 +13,9 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-# The exact text each data command writes for tiny inputs, recorded before the
-# CSV/JSON writers were folded into one.  Cells derived from LAPACK results
-# (min_eig, the transposed spectra) may differ in their last digits on another
+# The exact text each data command writes for tiny inputs, which pins the
+# shared CSV/JSON writer's format byte for byte.  Cells derived from LAPACK
+# results (min_eig, the spectra) may differ in their last digits on another
 # BLAS build.
 PINNED_OUTPUT = [
     pytest.param(
@@ -132,7 +132,7 @@ PINNED_OUTPUT = [
             '    -0.2521831147457291,\n'
             '    0.2681482733051108,\n'
             '    0.35,\n'
-            '    0.6340348414406182\n'
+            '    0.6340348414406183\n'
             '  ]\n'
             '}\n'
         ),
@@ -323,6 +323,44 @@ def test_quantum_evolve_bad_inits(capsys, tmp_path):
     assert code == 2
 
 
+_MIXED_RE = "0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0, 0.25"
+_ZEROS = ", ".join(["0"] * 16)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(
+            '{"dim": 4, "re": [0.25, Infinity, 0, 0, Infinity, 0.25, 0, 0, '
+            '0, 0, 0.25, -Infinity, 0, 0, -Infinity, 0.25], "im": [%s]}' % _ZEROS,
+            "error: density matrix entries must be finite\n",
+            id="inf",
+        ),
+        pytest.param(
+            '{"dim": 4, "re": [%s], "im": [NaN, %s]}' % (_MIXED_RE, ", ".join(["0"] * 15)),
+            "error: density matrix entries must be finite\n",
+            id="nan",
+        ),
+        pytest.param(
+            '{"dim": 0, "re": [], "im": []}', "error: density matrix is empty\n", id="empty"
+        ),
+        pytest.param(
+            '{"dim": 1e999, "re": [], "im": []}',
+            "error: not a serialized density matrix: cannot convert float infinity to integer\n",
+            id="infinite-dim",
+        ),
+    ],
+)
+def test_quantum_evolve_rejects_unusable_state_file(capsys, tmp_path, text, message):
+    # refused with one line before any LAPACK call, and with no numpy warning
+    state_file = tmp_path / "rho.json"
+    state_file.write_text(text)
+    code, out, err = run_cli(["quantum-evolve", "--init", str(state_file)], capsys)
+    assert code == 2
+    assert (out, err) == ("", message)
+
+
 def test_quantum_evolve_rejects_two_by_two_state(capsys, tmp_path):
     small = tmp_path / "qubit.json"
     small.write_text(json.dumps(density_matrix_to_json(np.eye(2) / 2.0)))
@@ -402,6 +440,13 @@ def test_ppt_command(capsys):
     assert code == 0
     assert json.loads(out)["closed_form_eigenvalues"] is None
 
+    # next to the double root at a = 0 the closed form still agrees
+    code, out, _ = run_cli(["ppt", "--a", "1e-8"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    gap = np.abs(np.array(payload["closed_form_eigenvalues"]) - payload["eigenvalues"]).max()
+    assert gap < 1e-9
+
 
 def test_sweep_deterministic_output(capsys, tmp_path):
     f1 = tmp_path / "one.csv"
@@ -422,6 +467,13 @@ def test_sweep_json_format(capsys):
     rows = json.loads(out)
     assert {r["a"] for r in rows} == {0.0, 0.5, 1.0}
     assert all(not r["separable"] for r in rows if r["a"] == 0.5)
+
+
+def test_sweep_grid_limit_exit_code(capsys):
+    # refused before the grid is allocated, so this returns at once
+    code, out, err = run_cli(["sweep", "--grid", "1000000000"], capsys)
+    assert code == 2
+    assert (out, err) == ("", "error: grid_n must be between 2 and MAX_GRID = 1001, got 1000000000\n")
 
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):
@@ -469,7 +521,9 @@ def test_config_file_missing(capsys, tmp_path):
     assert code == 2
 
 
-def test_verify_command_passes(capsys, tmp_path):
+def test_verify_command_passes(capsys, tmp_path, monkeypatch, verify_results):
+    # the session's run_all() results, so the suite runs the checks once
+    monkeypatch.setattr(cli, "run_all", lambda: verify_results)
     report_file = tmp_path / "report.txt"
     code, out, _ = run_cli(["verify", "--out", str(report_file)], capsys)
     assert code == 0

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from syncqubits.entanglement import (
+    MAX_GRID,
     BadSubsystem,
     cubic_roots,
     partial_transpose,
@@ -20,10 +25,15 @@ def test_partial_transpose_identity():
     assert np.array_equal(partial_transpose(np.eye(4) / 4.0), np.eye(4) / 4.0)
 
 
-def test_partial_transpose_is_involution(rng):
-    rho = random_density_matrix(rng)
-    for subsystem in (1, 2):
-        assert np.array_equal(partial_transpose(partial_transpose(rho, subsystem), subsystem), rho)
+@given(
+    parts=st.lists(st.floats(), min_size=32, max_size=32),
+    subsystem=st.sampled_from([1, 2]),
+)
+def test_partial_transpose_is_involution(parts, subsystem):
+    # entries are only moved, so twice is the identity bit for bit, NaN included
+    m = np.array(parts).view(complex).reshape(4, 4)
+    twice = partial_transpose(partial_transpose(m, subsystem), subsystem)
+    assert twice.tobytes() == m.tobytes()
 
 
 def test_partial_transpose_moves_coherences():
@@ -69,13 +79,19 @@ def test_cubic_roots_corners():
     assert np.abs(cubic_roots(StationaryParams(1.0, 0.0, 0.0)) - [0.0, 0.0, 1.0]).max() < 1e-12
 
 
-def test_cubic_roots_match_numerical_spectrum(rng, basis):
-    for _ in range(200):
-        params = random_stationary_params(rng)
-        pt = partial_transpose(stationary_state(params, basis))
-        numeric = np.linalg.eigvalsh(pt)
-        closed = np.sort(np.append(cubic_roots(params), 0.5 * params.b))
-        assert np.abs(numeric - closed).max() < 1e-9
+@settings(deadline=None)
+@given(a=st.floats(0.0, 1.0), t=st.floats(-1.0, 1.0))
+@example(a=0.0, t=0.0)  # the pure singlet, with its double root at 1/2
+@example(a=1e-8, t=0.0)  # next to it, where an arccos of a rounded argument is off by 2e-9
+@example(a=0.5, t=1.0)  # on the boundary ab = c^2
+@example(a=1.0, t=0.0)  # the separable corner, roots 0, 0, 1
+def test_cubic_roots_match_numerical_spectrum(basis, a, t):
+    # c = t sqrt(ab) sweeps the whole valid set; t = +-1 is its boundary
+    b = 1.0 - a
+    params = StationaryParams(a, b, t * math.sqrt(a * b))
+    numeric = np.linalg.eigvalsh(partial_transpose(stationary_state(params, basis)))
+    closed = np.sort(np.append(cubic_roots(params), 0.5 * params.b))
+    assert np.abs(numeric - closed).max() < 1e-9
 
 
 def test_cubic_roots_need_real_c():
@@ -158,3 +174,11 @@ def test_sweep_deterministic_and_ordered():
 def test_sweep_rejects_tiny_grid():
     with pytest.raises(ValueError):
         sweep(1)
+
+
+def test_sweep_rejects_huge_grid():
+    # refused before np.linspace would allocate 8 GB or the loop start
+    with pytest.raises(ValueError, match="MAX_GRID = 1001, got 1000000000"):
+        sweep(10**9)
+    with pytest.raises(ValueError, match="MAX_GRID"):
+        sweep(MAX_GRID + 1)

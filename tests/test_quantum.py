@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -397,13 +398,16 @@ def test_liouvillian_kernel_structure(ops, basis):
     assert principal_angles(kern, span).max() < 1e-8
 
 
-def test_density_matrix_json_round_trip(rng):
-    import json
-
-    rho = random_density_matrix(rng)
-    payload = json.loads(json.dumps(density_matrix_to_json(rho)))
-    assert payload["dim"] == 4
-    assert np.abs(density_matrix_from_json(payload) - rho).max() < 1e-15
+@given(
+    dim=st.integers(1, 4),
+    parts=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=32, max_size=32),
+)
+def test_density_matrix_json_round_trip(dim, parts):
+    # exact for any finite complex matrix, signed zeros included
+    m = np.array(parts[: 2 * dim * dim]).view(complex).reshape(dim, dim)
+    payload = json.loads(json.dumps(density_matrix_to_json(m)))
+    assert payload["dim"] == dim
+    assert density_matrix_from_json(payload).tobytes() == m.tobytes()
 
 
 def test_density_matrix_json_rejects_garbage():
@@ -420,6 +424,13 @@ def test_check_density_matrix_rejects_bad_states():
         check_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not hermitian
     with pytest.raises(ValueError):
         check_density_matrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+    # refused before any LAPACK call
+    with pytest.raises(ValueError, match="empty"):
+        check_density_matrix(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="must be finite"):
+        check_density_matrix(np.diag([np.inf, -np.inf]))
+    with pytest.raises(ValueError, match="must be finite"):
+        check_density_matrix(np.array([[0.5, np.nan], [np.nan, 0.5]]))
 
 
 def test_random_density_matrix_is_valid(rng):
