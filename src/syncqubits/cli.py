@@ -204,8 +204,8 @@ def _columns_text(columns: dict, fmt: str, records: bool = False) -> str:
         if records:
             return json.dumps([dict(zip(names, row)) for row in zip(*values)]) + "\n"
         return json.dumps(dict(zip(names, values))) + "\n"
-    rows = zip(*([_cell(v) for v in col] for col in values))
-    return "\n".join([",".join(names), *map(",".join, rows)]) + "\n"
+    rows = (",".join(map(_cell, row)) for row in zip(*values))
+    return "\n".join([",".join(names), *rows]) + "\n"
 
 
 def _cmd_classical_sim(cfg) -> int:

@@ -201,17 +201,20 @@ def _rk4_propagator(ops: OperatorSet, dt: float) -> np.ndarray:
     return taylor.reshape(dim, dim, dim, dim).transpose(1, 0, 3, 2).reshape(dim * dim, dim * dim)
 
 
-def evolve(rho0, ops: OperatorSet, t_final: float, dt: float):
+def evolve(rho0, ops: OperatorSet, t_final: float, dt: float) -> QuantumTrajectory:
     """Fixed-step RK4 trajectory of the master equation.
 
     Returns a :class:`QuantumTrajectory` with one time, state and lowest
-    eigenvalue per step, t = 0 included.  Each step applies the precomputed RK4 propagator (:func:`_rk4_propagator`)
-    to the flattened state, which keeps it Hermitian and of unit trace up to
-    roundoff.  After the run all recorded states are checked in one batch:
-    PositivityLost names the first time a state stopped being finite or an
-    eigenvalue fell below -1e-6 (the practical symptom of a dt too large for
-    the stiffest decay mode).  ValueError for nonfinite or nonpositive
-    dt / t_final or more than MAX_STEPS steps (:func:`classical.step_count`).
+    eigenvalue per step, t = 0 included.  Each step applies the precomputed
+    RK4 propagator (:func:`_rk4_propagator`) to the flattened state, which
+    keeps it Hermitian and of unit trace up to roundoff.  After the run all
+    recorded states are checked in one batch: PositivityLost names the first
+    time a state stopped being finite or an eigenvalue fell below -1e-6 (the
+    practical symptom of a dt too large for the stiffest decay mode); the
+    eigenvalues of that check are the trajectory's ``min_eigenvalues``.
+    ValueError for an invalid ``rho0`` (:func:`check_density_matrix`), for
+    nonfinite or nonpositive dt / t_final or more than MAX_STEPS steps
+    (:func:`classical.step_count`).
     """
     rho = check_density_matrix(rho0)
     if rho.shape != ops.jump.shape:

@@ -77,7 +77,7 @@ def _quantum_ensemble(ops, t_final=20.0, dt=1e-3):
     """Master-equation runs from the maximally mixed state and each of the
     four basis projectors."""
     labels = ("mixed", "basis:00", "basis:01", "basis:10", "basis:11")
-    return [quantum.evolve(quantum.labelled_state(x), ops, t_final, dt) for x in labels]
+    return [quantum.evolve(quantum.labelled_state(label), ops, t_final, dt) for label in labels]
 
 
 # ---------------------------------------------------------------------------

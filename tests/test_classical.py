@@ -265,6 +265,9 @@ def test_stack_matches_one_start_runs(starts, dt):
 def test_rk4_keeps_length_and_ratio(directions, radius):
     norms = np.linalg.norm(directions, axis=1)
     assume(norms.min() > 0.1)
+    # a subnormal ly or lz has no relative precision left to keep k to 1e-9;
+    # from 1e-150 up they stay normal through the run
+    assume(np.abs(directions[directions != 0.0]).min(initial=1.0) >= 1e-150)
     traj = integrate(radius * directions / norms[:, None], 2.0, 1e-3)
     for h, k in zip(traj.h_values, traj.k_values):
         assert np.abs(h - h[0]).max() <= 5e-9  # |l|^2 = 2 H within 1e-8

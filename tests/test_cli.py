@@ -19,86 +19,86 @@ def run_cli(args, capsys):
 # BLAS build.
 PINNED_OUTPUT = [
     pytest.param(
-        'classical-sim --init 1,0.5,0 --t-final 0.002 --format csv',
+        "classical-sim --init 1,0.5,0 --t-final 0.002 --format csv",
         (
-            't,lx,ly,lz,H,S,k\n'
-            '0,1,0.5,0,0.625,2,\n'
-            '0.001,1.0004990011659998,0.49900075016560552,0,0.62500000000000022,'
-            '2.0009980023319995,\n'
-            '0.002,1.0009960093226564,0.4980030013163747,0,0.62500000000000033,'
-            '2.0019920186453128,\n'
+            "t,lx,ly,lz,H,S,k\n"
+            "0,1,0.5,0,0.625,2,\n"
+            "0.001,1.0004990011659998,0.49900075016560552,0,0.62500000000000022,"
+            "2.0009980023319995,\n"
+            "0.002,1.0009960093226564,0.4980030013163747,0,0.62500000000000033,"
+            "2.0019920186453128,\n"
         ),
-        id='classical-sim-lz0-csv',
+        id="classical-sim-lz0-csv",
     ),
     pytest.param(
-        'classical-sim --init 1,0.5,0 --t-final 0.002 --format json',
+        "classical-sim --init 1,0.5,0 --t-final 0.002 --format json",
         (
             '{"t": [0.0, 0.001, 0.002], "lx": [1.0, 1.0004990011659998, 1.0009960093226564], '
             '"ly": [0.5, 0.4990007501656055, 0.4980030013163747], "lz": [0.0, 0.0, 0.0], '
             '"H": [0.625, 0.6250000000000002, 0.6250000000000003], "S": [2.0, '
             '2.0009980023319995, 2.001992018645313], "k": [null, null, null]}\n'
         ),
-        id='classical-sim-lz0-json',
+        id="classical-sim-lz0-json",
     ),
     pytest.param(
-        'classical-sim --t-final 0.002 --format csv',
+        "classical-sim --t-final 0.002 --format csv",
         (
-            't,lx,ly,lz,H,S,k\n'
-            '0,0,0.59999999999999998,0.80000000000000004,0.5,0,0.74999999999999989\n'
-            '0.001,0.0019999973333366663,0.59999880000200001,0.79999840000266675,'
-            '0.50000000000000011,0.0039999946666733326,0.74999999999999989\n'
-            '0.002,0.0039999786668013324,0.5999952000319998,0.79999360004266651,0.5,'
-            '0.0079999573336026648,0.74999999999999989\n'
+            "t,lx,ly,lz,H,S,k\n"
+            "0,0,0.59999999999999998,0.80000000000000004,0.5,0,0.74999999999999989\n"
+            "0.001,0.0019999973333366663,0.59999880000200001,0.79999840000266675,"
+            "0.50000000000000011,0.0039999946666733326,0.74999999999999989\n"
+            "0.002,0.0039999786668013324,0.5999952000319998,0.79999360004266651,0.5,"
+            "0.0079999573336026648,0.74999999999999989\n"
         ),
-        id='classical-sim-csv',
+        id="classical-sim-csv",
     ),
     pytest.param(
-        'classical-sim --t-final 0.002 --format json',
+        "classical-sim --t-final 0.002 --format json",
         (
             '{"t": [0.0, 0.001, 0.002], "lx": [0.0, 0.0019999973333366663, '
             '0.003999978666801332], "ly": [0.6, 0.599998800002, 0.5999952000319998], "lz": '
             '[0.8, 0.7999984000026668, 0.7999936000426665], "H": [0.5, 0.5000000000000001, '
             '0.5], "S": [0.0, 0.003999994666673333, 0.007999957333602665], "k": '
-            '[0.7499999999999999, 0.7499999999999999, 0.7499999999999999]}\n'
+            "[0.7499999999999999, 0.7499999999999999, 0.7499999999999999]}\n"
         ),
-        id='classical-sim-json',
+        id="classical-sim-json",
     ),
     pytest.param(
-        'quantum-evolve --t-final 0.002 --format csv',
+        "quantum-evolve --t-final 0.002 --format csv",
         (
-            't,lx_avg,ly_avg,lz_avg,l2_avg,trace,min_eig\n'
-            '0,0,0,0,1.5,1,0.25\n'
-            '0.001,0.0019980000026666666,0,0,1.5,1,0.24900199733600004\n'
-            '0.002,0.0039920000425388794,0,5.5511151231257827e-17,1.5000000000000002,'
-            '1.0000000000000002,0.24800797870926952\n'
+            "t,lx_avg,ly_avg,lz_avg,l2_avg,trace,min_eig\n"
+            "0,0,0,0,1.5,1,0.25\n"
+            "0.001,0.0019980000026666666,0,0,1.5,1,0.24900199733600004\n"
+            "0.002,0.0039920000425388794,0,5.5511151231257827e-17,1.5000000000000002,"
+            "1.0000000000000002,0.24800797870926952\n"
         ),
-        id='quantum-evolve-csv',
+        id="quantum-evolve-csv",
     ),
     pytest.param(
-        'quantum-evolve --t-final 0.002 --format json',
+        "quantum-evolve --t-final 0.002 --format json",
         (
             '{"t": [0.0, 0.001, 0.002], "lx_avg": [0.0, 0.0019980000026666666, '
             '0.003992000042538879], "ly_avg": [0.0, 0.0, 0.0], "lz_avg": [0.0, 0.0, '
             '5.551115123125783e-17], "l2_avg": [1.5, 1.5, 1.5000000000000002], "trace": [1.0,'
             ' 1.0, 1.0000000000000002], "min_eig": [0.25, 0.24900199733600004, '
-            '0.24800797870926952]}\n'
+            "0.24800797870926952]}\n"
         ),
-        id='quantum-evolve-json',
+        id="quantum-evolve-json",
     ),
     pytest.param(
-        'sweep --grid 3 --format csv',
+        "sweep --grid 3 --format csv",
         (
-            'a,c,min_pt_eigenvalue,negativity,separable\n'
-            '0,0,-0.49999999999999989,0.49999999999999989,false\n'
-            '0.5,-0.5,-0.24999999999999997,0.24999999999999997,false\n'
-            '0.5,0,-0.10355339059327372,0.10355339059327372,false\n'
-            '0.5,0.5,-0.24999999999999992,0.24999999999999992,false\n'
-            '1,0,-2.4745416680801027e-16,3.3306690738754696e-16,true\n'
+            "a,c,min_pt_eigenvalue,negativity,separable\n"
+            "0,0,-0.49999999999999989,0.49999999999999989,false\n"
+            "0.5,-0.5,-0.24999999999999997,0.24999999999999997,false\n"
+            "0.5,0,-0.10355339059327372,0.10355339059327372,false\n"
+            "0.5,0.5,-0.24999999999999992,0.24999999999999992,false\n"
+            "1,0,-2.4745416680801027e-16,3.3306690738754696e-16,true\n"
         ),
-        id='sweep-csv',
+        id="sweep-csv",
     ),
     pytest.param(
-        'sweep --grid 3 --format json',
+        "sweep --grid 3 --format json",
         (
             '[{"a": 0.0, "c": 0.0, "min_pt_eigenvalue": -0.4999999999999999, "negativity": '
             '0.4999999999999999, "separable": false}, {"a": 0.5, "c": -0.5, '
@@ -110,38 +110,38 @@ PINNED_OUTPUT = [
             '"min_pt_eigenvalue": -2.4745416680801027e-16, "negativity": '
             '3.3306690738754696e-16, "separable": true}]\n'
         ),
-        id='sweep-json',
+        id="sweep-json",
     ),
     pytest.param(
-        'ppt --a 0.3 --c-re 0.2',
+        "ppt --a 0.3 --c-re 0.2",
         (
-            '{\n'
+            "{\n"
             '  "a": 0.3,\n'
             '  "c_re": 0.2,\n'
             '  "c_im": 0.0,\n'
             '  "eigenvalues": [\n'
-            '    -0.252183114745729,\n'
-            '    0.2681482733051107,\n'
-            '    0.35,\n'
-            '    0.6340348414406185\n'
-            '  ],\n'
+            "    -0.252183114745729,\n"
+            "    0.2681482733051107,\n"
+            "    0.35,\n"
+            "    0.6340348414406185\n"
+            "  ],\n"
             '  "min_eigenvalue": -0.252183114745729,\n'
             '  "negativity": 0.252183114745729,\n'
             '  "separable": false,\n'
             '  "closed_form_eigenvalues": [\n'
-            '    -0.2521831147457291,\n'
-            '    0.2681482733051108,\n'
-            '    0.35,\n'
-            '    0.6340348414406183\n'
-            '  ]\n'
-            '}\n'
+            "    -0.2521831147457291,\n"
+            "    0.2681482733051108,\n"
+            "    0.35,\n"
+            "    0.6340348414406183\n"
+            "  ]\n"
+            "}\n"
         ),
-        id='ppt',
+        id="ppt",
     ),
     pytest.param(
-        'stationary --a 0.3 --c-re 0.2',
+        "stationary --a 0.3 --c-re 0.2",
         (
-            '{\n'
+            "{\n"
             '  "a": 0.3,\n'
             '  "b": 0.7,\n'
             '  "c_re": 0.2,\n'
@@ -149,55 +149,55 @@ PINNED_OUTPUT = [
             '  "rho": {\n'
             '    "dim": 4,\n'
             '    "re": [\n'
-            '      0.075,\n'
-            '      0.14571067811865474,\n'
-            '      0.0042893218813452455,\n'
-            '      0.075,\n'
-            '      0.14571067811865474,\n'
-            '      0.5664213562373094,\n'
-            '      -0.2749999999999999,\n'
-            '      0.14571067811865474,\n'
-            '      0.0042893218813452455,\n'
-            '      -0.2749999999999999,\n'
-            '      0.2835786437626905,\n'
-            '      0.0042893218813452455,\n'
-            '      0.075,\n'
-            '      0.14571067811865474,\n'
-            '      0.0042893218813452455,\n'
-            '      0.075\n'
-            '    ],\n'
+            "      0.075,\n"
+            "      0.14571067811865474,\n"
+            "      0.0042893218813452455,\n"
+            "      0.075,\n"
+            "      0.14571067811865474,\n"
+            "      0.5664213562373094,\n"
+            "      -0.2749999999999999,\n"
+            "      0.14571067811865474,\n"
+            "      0.0042893218813452455,\n"
+            "      -0.2749999999999999,\n"
+            "      0.2835786437626905,\n"
+            "      0.0042893218813452455,\n"
+            "      0.075,\n"
+            "      0.14571067811865474,\n"
+            "      0.0042893218813452455,\n"
+            "      0.075\n"
+            "    ],\n"
             '    "im": [\n'
-            '      0.0,\n'
-            '      0.0,\n'
-            '      0.0,\n'
-            '      0.0,\n'
-            '      0.0,\n'
-            '      0.0,\n'
-            '      0.0,\n'
-            '      0.0,\n'
-            '      0.0,\n'
-            '      0.0,\n'
-            '      0.0,\n'
-            '      0.0,\n'
-            '      0.0,\n'
-            '      0.0,\n'
-            '      0.0,\n'
-            '      0.0\n'
-            '    ]\n'
-            '  },\n'
+            "      0.0,\n"
+            "      0.0,\n"
+            "      0.0,\n"
+            "      0.0,\n"
+            "      0.0,\n"
+            "      0.0,\n"
+            "      0.0,\n"
+            "      0.0,\n"
+            "      0.0,\n"
+            "      0.0,\n"
+            "      0.0,\n"
+            "      0.0,\n"
+            "      0.0,\n"
+            "      0.0,\n"
+            "      0.0,\n"
+            "      0.0\n"
+            "    ]\n"
+            "  },\n"
             '  "eigenvalues": [\n'
-            '    -1.688831619827493e-17,\n'
-            '    9.949422294367686e-18,\n'
-            '    0.217157287525381,\n'
-            '    0.7828427124746187\n'
-            '  ],\n'
+            "    -1.688831619827493e-17,\n"
+            "    9.949422294367686e-18,\n"
+            "    0.217157287525381,\n"
+            "    0.7828427124746187\n"
+            "  ],\n"
             '  "quadratic_roots": [\n'
-            '    0.21715728752538094,\n'
-            '    0.7828427124746191\n'
-            '  ]\n'
-            '}\n'
+            "    0.21715728752538094,\n"
+            "    0.7828427124746191\n"
+            "  ]\n"
+            "}\n"
         ),
-        id='stationary',
+        id="stationary",
     ),
 ]
 
@@ -473,7 +473,8 @@ def test_sweep_grid_limit_exit_code(capsys):
     # refused before the grid is allocated, so this returns at once
     code, out, err = run_cli(["sweep", "--grid", "1000000000"], capsys)
     assert code == 2
-    assert (out, err) == ("", "error: grid_n must be between 2 and MAX_GRID = 1001, got 1000000000\n")
+    assert out == ""
+    assert err == "error: grid_n must be between 2 and MAX_GRID = 1001, got 1000000000\n"
 
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):

@@ -82,7 +82,7 @@ def test_cubic_roots_corners():
 @settings(deadline=None)
 @given(a=st.floats(0.0, 1.0), t=st.floats(-1.0, 1.0))
 @example(a=0.0, t=0.0)  # the pure singlet, with its double root at 1/2
-@example(a=1e-8, t=0.0)  # next to it, where an arccos of a rounded argument is off by 2e-9
+@example(a=1e-8, t=0.0)  # next to it, where the coefficients fix the roots only to 1e-8
 @example(a=0.5, t=1.0)  # on the boundary ab = c^2
 @example(a=1.0, t=0.0)  # the separable corner, roots 0, 0, 1
 def test_cubic_roots_match_numerical_spectrum(basis, a, t):
