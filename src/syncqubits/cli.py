@@ -11,13 +11,17 @@ verify           run the numbered self-checks and report PASS/FAIL
 
 Data goes to ``--out PATH`` when given, otherwise to standard output (the
 human-readable summary lines then move to standard error so piped data
-stays clean).  A JSON ``--config`` file may supply any long-option value,
-keyed by option name with underscores; explicit flags win over the file.
+stays clean).  Tables are written as they are formatted, a fixed block of
+rows at a time, once the data is computed: a run that fails leaves no
+``--out`` file, and an export's memory does not grow with its text.  A
+JSON ``--config`` file may supply any long-option value, keyed by option
+name with underscores; explicit flags win over the file.
 Floats in CSV output carry 17 significant digits, so equal inputs produce
 byte-identical files.
 
 Exit codes: 0 success, 1 failed verification checks, 2 bad arguments or
-invalid input data, 3 runtime guard tripped (divergence, positivity loss).
+invalid input data, 3 runtime guard tripped (divergence, positivity loss),
+4 internal error (an unexpected exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -48,6 +52,10 @@ from .quantum import (
 from .verify import run_all
 
 _REQUIRED = object()
+
+#: rows per chunk of a CSV/JSON table: an export holds its columns and one
+#: block of text, however long the table
+BLOCK_ROWS = 4096
 
 _DEFAULTS = {
     "classical-sim": {
@@ -166,13 +174,14 @@ def _merge_config(args: argparse.Namespace, types: dict) -> dict:
     return values
 
 
-def _emit(text: str, out_path):
-    """Write the data payload; returns the stream summaries should use."""
+def _emit(chunks, out_path):
+    """Write the data payload, an iterable of text chunks; returns the
+    stream summaries should use."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         return sys.stdout
-    sys.stdout.write(text)
+    sys.stdout.writelines(chunks)
     return sys.stderr
 
 
@@ -183,29 +192,66 @@ def _parse_triple(text: str) -> list[float]:
     return [float(p) for p in parts]
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return "" if value != value else _fmt(value)
+def _csv_cells(col: np.ndarray) -> tuple[str, list]:
+    """A column slice's ``%`` conversion and its cells: 17 significant
+    digits, bools as true/false, NaN as an empty field."""
+    if col.dtype == bool:
+        return "%s", ["true" if v else "false" for v in col.tolist()]
+    if np.isnan(col).any():
+        return "%s", ["" if v != v else format(v, ".17g") for v in col.tolist()]
+    return "%.17g", col.tolist()
 
 
-def _columns_text(columns: dict, fmt: str, records: bool = False) -> str:
-    """Equal-length columns as CSV or JSON text.
+def _json_values(col: np.ndarray) -> list:
+    """A column slice as JSON-ready values, NaN as None (null)."""
+    if np.isnan(col).any():
+        return [None if v != v else v for v in col.tolist()]
+    return col.tolist()
+
+
+def _blocks(arrays: list):
+    """Equal-length arrays cut into blocks of BLOCK_ROWS rows, each block a
+    list of column slices."""
+    for start in range(0, len(arrays[0]), BLOCK_ROWS):
+        yield [a[start : start + BLOCK_ROWS] for a in arrays]
+
+
+def _joined(pieces):
+    for i, piece in enumerate(pieces):
+        yield (", " if i else "") + piece
+
+
+def _table_chunks(columns: dict, fmt: str, records: bool = False):
+    """Equal-length columns as CSV or JSON text, yielded a block of rows at
+    a time, so a table is written as it is formatted.
 
     CSV has a header row, then one row per index: floats with 17
     significant digits, NaN as an empty field, bools as true/false.  JSON
     is one object of lists, or with ``records`` a list of row objects, with
-    NaN as null.
+    NaN as null.  The joined text does not depend on BLOCK_ROWS.
     """
     names = list(columns)
-    values = [np.asarray(col).tolist() for col in columns.values()]
-    if fmt == "json":
-        values = [[None if v != v else v for v in col] for col in values]
-        if records:
-            return json.dumps([dict(zip(names, row)) for row in zip(*values)]) + "\n"
-        return json.dumps(dict(zip(names, values))) + "\n"
-    rows = (",".join(map(_cell, row)) for row in zip(*values))
-    return "\n".join([",".join(names), *rows]) + "\n"
+    arrays = [np.asarray(col) for col in columns.values()]
+    if fmt == "csv":
+        yield ",".join(names) + "\n"
+        for block in _blocks(arrays):
+            specs, cells = zip(*map(_csv_cells, block))
+            row = ",".join(specs) + "\n"
+            yield "".join([row % values for values in zip(*cells)])
+    elif records:
+        yield "["
+        yield from _joined(
+            json.dumps([dict(zip(names, row)) for row in zip(*map(_json_values, block))])[1:-1]
+            for block in _blocks(arrays)
+        )
+        yield "]\n"
+    else:
+        yield "{"
+        for i, (name, a) in enumerate(zip(names, arrays)):
+            yield (", " if i else "") + json.dumps(name) + ": ["
+            yield from _joined(json.dumps(_json_values(col))[1:-1] for (col,) in _blocks([a]))
+            yield "]"
+        yield "}\n"
 
 
 def _cmd_classical_sim(cfg) -> int:
@@ -220,7 +266,7 @@ def _cmd_classical_sim(cfg) -> int:
         "S": traj.s_values,
         "k": traj.k_values,
     }
-    stream = _emit(_columns_text(columns, cfg["format"]), cfg["out"])
+    stream = _emit(_table_chunks(columns, cfg["format"]), cfg["out"])
     lx, ly, lz = traj.states[-1]
     max_dh = float(np.abs(traj.h_values - traj.h_values[0]).max())
     print(f"final state: lx={_fmt(lx)} ly={_fmt(ly)} lz={_fmt(lz)}", file=stream)
@@ -255,7 +301,7 @@ def _cmd_quantum_evolve(cfg) -> int:
         "trace": np.einsum("tii->t", states).real,
         "min_eig": traj.min_eigenvalues,
     }
-    stream = _emit(_columns_text(columns, cfg["format"]), cfg["out"])
+    stream = _emit(_table_chunks(columns, cfg["format"]), cfg["out"])
     fit = project_to_stationary(states[-1])
     print(
         f"stationary fit: a={_fmt(fit.a)} b={_fmt(fit.b)} "
@@ -284,7 +330,7 @@ def _cmd_stationary(cfg) -> int:
         "eigenvalues": spectrum.eigenvalues.tolist(),
         "quadratic_roots": [0.5 * (1.0 - disc**0.5), 0.5 * (1.0 + disc**0.5)],
     }
-    _emit(json.dumps(payload, indent=2) + "\n", cfg["out"])
+    _emit([json.dumps(payload, indent=2) + "\n"], cfg["out"])
     return 0
 
 
@@ -301,14 +347,14 @@ def _cmd_ppt(cfg) -> int:
         "separable": report.separable,
         "closed_form_eigenvalues": None if closed is None else closed.tolist(),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", cfg["out"])
+    _emit([json.dumps(payload, indent=2) + "\n"], cfg["out"])
     return 0
 
 
 def _cmd_sweep(cfg) -> int:
     rows = sweep(cfg["grid"])
     columns = {f.name: [getattr(r, f.name) for r in rows] for f in fields(SweepRow)}
-    _emit(_columns_text(columns, cfg["format"], records=True), cfg["out"])
+    _emit(_table_chunks(columns, cfg["format"], records=True), cfg["out"])
     return 0
 
 
@@ -320,7 +366,7 @@ def _cmd_verify(cfg) -> int:
     ]
     n_pass = sum(r.passed for r in results)
     lines.append(f"{n_pass}/{len(results)} checks passed")
-    _emit("\n".join(lines) + "\n", cfg["out"])
+    _emit(["\n".join(lines) + "\n"], cfg["out"])
     return 0 if n_pass == len(results) else 1
 
 
@@ -346,6 +392,9 @@ def main(argv=None) -> int:
     except (InvalidParams, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, not bad input: report it on one line
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -532,3 +534,90 @@ def test_verify_command_passes(capsys, tmp_path, monkeypatch, verify_results):
     assert len(report) == 14  # 13 checks plus the summary line
     assert all(line.startswith("PASS") for line in report[:-1])
     assert report[-1] == "13/13 checks passed"
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # an unexpected exception is a defect, reported on one line with its own code
+    def broken(cfg):
+        raise RuntimeError("closed form disagrees")
+
+    monkeypatch.setitem(cli._HANDLERS, "ppt", broken)
+    code, out, err = run_cli(["ppt", "--a", "0.3"], capsys)
+    assert code == 4
+    assert (out, err) == ("", "error: internal error: RuntimeError: closed form disagrees\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classical-sim", "--dt", "1", "--t-final", "50"],
+        ["quantum-evolve", "--dt", "1", "--t-final", "30"],
+    ],
+    ids=["divergence", "positivity-loss"],
+)
+def test_failed_run_writes_no_out_file(capsys, tmp_path, argv):
+    # the data is computed in full before the output file is opened
+    out_file = tmp_path / "data.csv"
+    code, _, err = run_cli([*argv, "--out", str(out_file)], capsys)
+    assert code == 3
+    assert err.startswith("error:")
+    assert not out_file.exists()
+
+
+def _reference_table(columns, fmt, records):
+    """The table text written whole, cell by cell: the writer's oracle."""
+    names = list(columns)
+    if fmt == "csv":
+
+        def cell(v):
+            if isinstance(v, bool):
+                return "true" if v else "false"
+            return "" if v != v else format(v, ".17g")
+
+        rows = [",".join(map(cell, row)) for row in zip(*columns.values())]
+        return "\n".join([",".join(names), *rows]) + "\n"
+    values = [[None if v != v else v for v in col] for col in columns.values()]
+    if records:
+        return json.dumps([dict(zip(names, row)) for row in zip(*values)]) + "\n"
+    return json.dumps(dict(zip(names, values))) + "\n"
+
+
+@pytest.mark.parametrize("fmt, records", [("csv", False), ("json", False), ("json", True)])
+def test_table_chunks_across_block_boundaries(fmt, records):
+    block = cli.BLOCK_ROWS
+    n = 2 * block + block // 2
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(n)
+    x[[block - 1, block, 2 * block + 3]] = np.nan  # both sides of the first boundary
+    x[[5, 2 * block]] = [-0.0, np.inf]
+    columns = {"t": np.arange(n) * 0.1, "x": x, "up": x > 0}
+    chunks = list(cli._table_chunks(columns, fmt, records))
+    expected = _reference_table(
+        {name: np.asarray(col).tolist() for name, col in columns.items()}, fmt, records
+    )
+    assert len(chunks) > 3  # the table really is split into blocks
+    assert "".join(chunks) == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_writer_memory_is_bounded(fmt):
+    # about 20 MB of text; the writer holds one block of it at a time
+    rng = np.random.default_rng(3)
+    columns = {f"c{i}": rng.standard_normal(200_000) for i in range(5)}
+    written = []
+
+    def counted(chunks):
+        for chunk in chunks:
+            written.append(len(chunk))
+            yield chunk
+
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        cli._emit(counted(cli._table_chunks(columns, fmt)), os.devnull)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sum(written) > 19_000_000
+    assert peak < 3 * 2**20
