@@ -217,6 +217,7 @@ def _blocks(arrays: list):
 
 
 def _joined(pieces):
+    """Pieces of a JSON array's body, separated as ``json.dumps`` does."""
     for i, piece in enumerate(pieces):
         yield (", " if i else "") + piece
 
