@@ -31,10 +31,14 @@ K_UNDEFINED_LZ = 1e-12
 #: any state component beyond this magnitude aborts integration
 DIVERGENCE_LIMIT = 1e6
 
-#: most steps one integrate() or quantum.evolve() call may take; both
-#: keep the whole run (at this limit the states alone take 24 MB per
-#: classical start and 256 MB per quantum run), so this bounds memory and time
+#: most steps one integrator call may take: it bounds the time of every run
+#: and the memory of integrate() and quantum.evolve(), which collect the whole
+#: run (here 24 MB of states per classical start and 256 MB per quantum run)
 MAX_STEPS = 10**6
+
+#: time points per block of integrate_blocks() and quantum.evolve_blocks();
+#: a reduction over the blocks holds one block, however long the run
+BLOCK_STEPS = 2048
 
 
 class StepTooLarge(RuntimeError):
@@ -79,11 +83,6 @@ def schwinger_map(z1: complex, z2: complex) -> np.ndarray:
     return np.array([cross.real, cross.imag, 0.5 * (abs(z1) ** 2 - abs(z2) ** 2)])
 
 
-def schwinger_map_polar(r1: float, phi1: float, r2: float, phi2: float) -> np.ndarray:
-    """Same map from polar amplitudes r1 e^(i phi1), r2 e^(i phi2)."""
-    return schwinger_map(r1 * np.exp(1j * phi1), r2 * np.exp(1j * phi2))
-
-
 def sync_jump(state) -> complex:
     """The model's own coupling function, lz - i ly."""
     l = np.asarray(state, dtype=float)
@@ -118,16 +117,6 @@ class QuasiThermoFunctions:
     grad_h: Callable[[np.ndarray], np.ndarray]
     grad_s: Callable[[np.ndarray], np.ndarray]
 
-    def gradient_errors(self, points, step: float = 1e-5) -> float:
-        """Worst deviation of the analytic gradients from central differences."""
-        worst = 0.0
-        for p in points:
-            p = np.asarray(p, dtype=float)
-            for func, grad in ((self.h, self.grad_h), (self.s, self.grad_s)):
-                num = finite_difference_gradient(func, p, step)
-                worst = max(worst, float(np.abs(np.asarray(grad(p)) - num).max()))
-        return worst
-
 
 def default_quasithermo() -> QuasiThermoFunctions:
     """H = |l|^2 / 2 and S = 2 lx, the pair the flow conserves and grows."""
@@ -147,19 +136,6 @@ def quasithermo_field(state, fns: QuasiThermoFunctions | None = None) -> np.ndar
     gh = np.asarray(fns.grad_h(l), dtype=float)
     gs = np.asarray(fns.grad_s(l), dtype=float)
     return np.cross(gh, np.cross(gs, gh))
-
-
-def finite_difference_gradient(f, point, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar (possibly complex) function."""
-    p = np.asarray(point, dtype=float)
-    out = []
-    for i in range(p.size):
-        up = p.copy()
-        dn = p.copy()
-        up[i] += step
-        dn[i] -= step
-        out.append((f(up) - f(dn)) / (2.0 * step))
-    return np.asarray(out)
 
 
 def step_count(t_final: float, dt: float) -> int:
@@ -182,16 +158,25 @@ def step_count(t_final: float, dt: float) -> int:
     return n_steps
 
 
+def _checked(initial, t_final: float, dt: float) -> tuple[np.ndarray, int]:
+    """The start(s) as a float array of shape (3,) or (n, 3), and the step count."""
+    start = np.asarray(initial, dtype=float)
+    if start.shape != (3,) and not (start.ndim == 2 and start.shape[1] == 3 and len(start)):
+        raise ValueError(f"initial state must have shape (3,) or (n, 3), got shape {start.shape}")
+    if not np.all(np.isfinite(start)):
+        raise ValueError("initial state must be finite")
+    return start, step_count(t_final, dt)
+
+
 def integrate(initial, t_final: float, dt: float) -> Trajectory:
     """Fixed-step RK4 integration of the synchronization flow.
 
     ``initial`` is one start, shape (3,), or a stack of starts, shape
     (n, 3), and its shape picks the path.  One start runs a loop over
-    Python floats, the fastest way to make a single run.  A stack runs as
-    one numpy RK4 over the (3, n) block of all starts, with the loop's
-    operations in the loop's order, so each run is bit-identical to the
-    one-start run from its row; the result then has a leading run axis
-    (see :class:`Trajectory`).
+    Python floats, the fastest way to make a single run.  A stack collects
+    the blocks of :func:`integrate_blocks`, whose runs are bit-identical to
+    the one-start runs from their rows; the result then has a leading run
+    axis (see :class:`Trajectory`).
 
     Records the state after every step (the initial state included) along
     with H, S and k; the step count is round(t_final / dt), at most
@@ -203,14 +188,15 @@ def integrate(initial, t_final: float, dt: float) -> Trajectory:
     ValueError for a bad shape, a nonfinite start, nonfinite or
     nonpositive dt / t_final, or more than MAX_STEPS steps.
     """
-    start = np.asarray(initial, dtype=float)
-    if start.shape != (3,) and not (start.ndim == 2 and start.shape[1] == 3 and len(start)):
-        raise ValueError(f"initial state must have shape (3,) or (n, 3), got shape {start.shape}")
-    if not np.all(np.isfinite(start)):
-        raise ValueError("initial state must be finite")
-    n_steps = step_count(t_final, dt)
+    start, n_steps = _checked(initial, t_final, dt)
     if start.ndim == 2:
-        return _integrate_stack(start, n_steps, dt)
+        stack = np.empty((n_steps + 1, 3, len(start)))
+        blocks = integrate_blocks(start, t_final, dt)
+        for row, block in zip(range(0, n_steps + 1, BLOCK_STEPS), blocks):
+            stack[row : row + len(block)] = block
+        x, y, z = (stack[:, i].T for i in range(3))
+        states = stack.transpose(2, 0, 1)
+        return Trajectory(dt * np.arange(n_steps + 1), states, *tracked_scalars(x, y, z))
 
     lx, ly, lz = (float(v) for v in start)
     limit = DIVERGENCE_LIMIT
@@ -259,29 +245,35 @@ def integrate(initial, t_final: float, dt: float) -> Trajectory:
         ys.append(ly)
         zs.append(lz)
 
-    x = np.asarray(xs)
-    y = np.asarray(ys)
-    z = np.asarray(zs)
-    return _trajectory(dt, np.column_stack([x, y, z]), x, y, z)
+    x, y, z = (np.asarray(v) for v in (xs, ys, zs))
+    states = np.column_stack([x, y, z])
+    return Trajectory(dt * np.arange(n_steps + 1), states, *tracked_scalars(x, y, z))
 
 
-def _integrate_stack(starts: np.ndarray, n_steps: int, dt: float) -> Trajectory:
-    """The RK4 loop of :func:`integrate` over the (3, n) block of all runs.
-
-    Every line repeats one of the loop's float operations, with operands
-    swapped only where IEEE arithmetic is commutative (x + half a becomes
-    half a + x), so the runs are bit-identical to one-start runs.  States
-    go straight into a preallocated (T, 3, n) stack.  Divergence is tested
-    once after the loop, not per step.
+def integrate_blocks(starts, t_final: float, dt: float):
+    """The RK4 run of :func:`integrate` from a stack of starts, shape (n, 3),
+    yielded as (m, 3, n) blocks of states from the starts on; m is
+    BLOCK_STEPS but in the last block.  Each line of the loop repeats one
+    float operation of the one-start loop, operands swapped only where IEEE
+    arithmetic is commutative (x + half a becomes half a + x), so each run
+    is bit-identical to the one-start run from its row.  A block is a view
+    of one reused buffer, valid until the next is requested, and is tested
+    for divergence before it is yielded.  Errors as for :func:`integrate`,
+    raised once iteration begins, and ValueError for a start of shape (3,).
     """
+    starts, n_steps = _checked(starts, t_final, dt)
+    if starts.ndim != 2:
+        raise ValueError(f"starts must have shape (n, 3), got shape {starts.shape}")
     limit = DIVERGENCE_LIMIT
     bad = ~(np.abs(starts) <= limit).all(axis=1)
     if bad.any():
         raise StepTooLarge(f"initial state exceeds {limit:g} in run {np.argmax(bad)}")
 
     n = len(starts)
-    stack = np.empty((n_steps + 1, 3, n))
-    stack[0] = starts.T
+    total = n_steps + 1
+    buf = np.empty((min(BLOCK_STEPS, total), 3, n))
+    buf[0] = starts.T
+    prev = buf[0]
     a, b, c, d, mid, acc = (np.empty((3, n)) for _ in range(6))
     squares = np.empty((2, n))
     sq_y, sq_z = squares
@@ -300,38 +292,39 @@ def _integrate_stack(starts: np.ndarray, n_steps: int, dt: float) -> Trajectory:
         mul(minus_2x, yz, out_yz)
 
     (a_x, a_yz), (b_x, b_yz), (c_x, c_yz), (d_x, d_yz) = ((v[0], v[1:]) for v in (a, b, c, d))
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        for prev, prev_x, prev_yz, cur in zip(stack[:-1], stack[:-1, 0], stack[:-1, 1:], stack[1:]):
-            field(prev_x, prev_yz, a_x, a_yz)
-            mul(a, half, mid)
-            add(mid, prev, mid)
-            field(mid_x, mid_yz, b_x, b_yz)
-            mul(b, half, mid)
-            add(mid, prev, mid)
-            field(mid_x, mid_yz, c_x, c_yz)
-            mul(c, full, mid)
-            add(mid, prev, mid)
-            field(mid_x, mid_yz, d_x, d_yz)
-            # prev + sixth (a + 2 (b + c) + d)
-            add(b, c, acc)
-            mul(acc, two, acc)
-            add(acc, a, acc)
-            add(acc, d, acc)
-            mul(acc, sixth, acc)
-            add(prev, acc, cur)
+    for offset in range(0, total, len(buf)):
+        block = buf[: total - offset]
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            for cur in block[1:] if offset == 0 else block:
+                field(prev[0], prev[1:], a_x, a_yz)
+                mul(a, half, mid)
+                add(mid, prev, mid)
+                field(mid_x, mid_yz, b_x, b_yz)
+                mul(b, half, mid)
+                add(mid, prev, mid)
+                field(mid_x, mid_yz, c_x, c_yz)
+                mul(c, full, mid)
+                add(mid, prev, mid)
+                field(mid_x, mid_yz, d_x, d_yz)
+                # prev + sixth (a + 2 (b + c) + d)
+                add(b, c, acc)
+                mul(acc, two, acc)
+                add(acc, a, acc)
+                add(acc, d, acc)
+                mul(acc, sixth, acc)
+                add(prev, acc, cur)
+                prev = cur
+        # NaN fails both comparisons; min and max allocate nothing
+        if not (-limit <= block.min() and block.max() <= limit):
+            step, run = np.argwhere(~(np.abs(block) <= limit).all(axis=1))[0]
+            raise StepTooLarge(f"state exceeded {limit:g} at t = {(offset + step) * dt:g} in run {run}")
+        yield block
 
-    # NaN fails both comparisons; min and max allocate nothing
-    if not (-limit <= stack.min() and stack.max() <= limit):
-        step, run = np.argwhere(~(np.abs(stack) <= limit).all(axis=1))[0]
-        raise StepTooLarge(f"state exceeded {limit:g} at t = {step * dt:g} in run {run}")
-    x, y, z = (stack[:, i].T for i in range(3))
-    return _trajectory(dt, stack.transpose(2, 0, 1), x, y, z)
 
-
-def _trajectory(dt: float, states: np.ndarray, x, y, z) -> Trajectory:
-    """Trajectory with H, S and k of the components x, y, z (time on the
-    last axis), each computed into its own output array: a stack of runs
-    makes no full-size temporaries."""
+def tracked_scalars(x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H = |l|^2 / 2, S = 2 lx and k = ly / lz (NaN wherever |lz| < 1e-12)
+    of the state components x, y, z, each computed into its own output
+    array: a stack of runs makes no full-size temporaries."""
     h = np.multiply(x, x)
     s = np.multiply(y, y)  # scratch until S is written
     h += s
@@ -343,10 +336,4 @@ def _trajectory(dt: float, states: np.ndarray, x, y, z) -> Trajectory:
     defined = k >= K_UNDEFINED_LZ
     k.fill(np.nan)
     np.divide(y, z, out=k, where=defined)
-    return Trajectory(
-        times=dt * np.arange(x.shape[-1]),
-        states=states,
-        h_values=h,
-        s_values=s,
-        k_values=k,
-    )
+    return h, s, k

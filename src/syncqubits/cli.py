@@ -21,13 +21,15 @@ byte-identical files.
 
 Exit codes: 0 success, 1 failed verification checks, 2 bad arguments or
 invalid input data, 3 runtime guard tripped (divergence, positivity loss),
-4 internal error (an unexpected exception, reported on one line).
+4 internal error (an unexpected exception, reported on one line), 141
+(128 + SIGPIPE) standard output closed early by its reader, as by ``| head``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -182,6 +184,7 @@ def _emit(chunks, out_path):
             fh.writelines(chunks)
         return sys.stdout
     sys.stdout.writelines(chunks)
+    sys.stdout.flush()  # a closed pipe fails here, not at exit
     return sys.stderr
 
 
@@ -390,6 +393,10 @@ def main(argv=None) -> int:
     except (StepTooLarge, PositivityLost) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # as the Python docs' note on SIGPIPE: the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InvalidParams, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

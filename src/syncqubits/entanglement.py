@@ -19,23 +19,11 @@ import numpy as np
 from .linalg import hermitian_eigensystem
 from .quantum import (
     PARAM_TOL,
-    InvalidParams,
     KernelBasis,
     StationaryParams,
     kernel_basis,
     stationary_state,
 )
-
-__all__ = [
-    "BadSubsystem",
-    "InvalidParams",
-    "PTSpectrumReport",
-    "SweepRow",
-    "cubic_roots",
-    "partial_transpose",
-    "ppt_analyze",
-    "sweep",
-]
 
 #: a state counts as separable when no transposed eigenvalue is below this
 SEPARABLE_TOL = 1e-10

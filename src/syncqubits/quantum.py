@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import step_count
+from .classical import BLOCK_STEPS, step_count
 from .linalg import tensor_product
 
 #: slack used when validating stationary-family coefficients
@@ -201,58 +201,70 @@ def _rk4_propagator(ops: OperatorSet, dt: float) -> np.ndarray:
     return taylor.reshape(dim, dim, dim, dim).transpose(1, 0, 3, 2).reshape(dim * dim, dim * dim)
 
 
+def _checked(rho0, ops: OperatorSet, t_final: float, dt: float) -> tuple[np.ndarray, int]:
+    """The validated initial state and the step count."""
+    rho = check_density_matrix(rho0)
+    if rho.shape != ops.jump.shape:
+        raise ValueError(f"state has shape {rho.shape}, the operators need {ops.jump.shape}")
+    return rho, step_count(t_final, dt)
+
+
 def evolve(rho0, ops: OperatorSet, t_final: float, dt: float) -> QuantumTrajectory:
     """Fixed-step RK4 trajectory of the master equation.
 
     Returns a :class:`QuantumTrajectory` with one time, state and lowest
-    eigenvalue per step, t = 0 included.  Each step applies the precomputed
-    RK4 propagator (:func:`_rk4_propagator`) to the flattened state, which
-    keeps it Hermitian and of unit trace up to roundoff.  After the run all
-    recorded states are checked in one batch: PositivityLost names the first
-    time a state stopped being finite or an eigenvalue fell below -1e-6 (the
-    practical symptom of a dt too large for the stiffest decay mode); the
-    eigenvalues of that check are the trajectory's ``min_eigenvalues``.
-    ValueError for an invalid ``rho0`` (:func:`check_density_matrix`), for
-    nonfinite or nonpositive dt / t_final or more than MAX_STEPS steps
-    (:func:`classical.step_count`).
+    eigenvalue per step, t = 0 included, collected from the blocks of
+    :func:`evolve_blocks`; its errors are the same.
     """
-    rho = check_density_matrix(rho0)
-    if rho.shape != ops.jump.shape:
-        raise ValueError(f"state has shape {rho.shape}, the operators need {ops.jump.shape}")
-    n_steps = step_count(t_final, dt)
-
-    step = _rk4_propagator(ops, dt).dot
+    rho, n_steps = _checked(rho0, ops, t_final, dt)
     dim = rho.shape[0]
     states = np.empty((n_steps + 1, dim, dim), dtype=complex)
-    states[0] = rho
-    flat = states.reshape(n_steps + 1, dim * dim)
+    lowest = np.empty(n_steps + 1)
+    blocks = evolve_blocks(rho, ops, t_final, dt)
+    for row, (block, block_lowest) in zip(range(0, n_steps + 1, BLOCK_STEPS), blocks):
+        states[row : row + len(block)] = block
+        lowest[row : row + len(block)] = block_lowest
+    return QuantumTrajectory(*(_readonly(a) for a in (np.arange(n_steps + 1) * dt, states, lowest)))
+
+
+def evolve_blocks(rho0, ops: OperatorSet, t_final: float, dt: float):
+    """Fixed-step RK4 run of the master equation, yielded as (states, lowest
+    eigenvalues) blocks from t = 0.  A block holds BLOCK_STEPS states but
+    the last, in a view of one reused buffer valid until the next block is
+    requested.  Each step applies the precomputed RK4 propagator
+    (:func:`_rk4_propagator`) to the flattened state, which keeps it
+    Hermitian and of unit trace up to roundoff.  Each block is checked
+    before it is yielded: PositivityLost names the first time in it that a
+    state stopped being finite or, all being finite, that an eigenvalue
+    fell below -1e-6 (the symptom of a dt too large for the stiffest decay
+    mode).  ValueError, once iteration begins, for an invalid ``rho0``
+    (:func:`check_density_matrix`) or steps (:func:`classical.step_count`).
+    """
+    rho, n_steps = _checked(rho0, ops, t_final, dt)
+    step = _rk4_propagator(ops, dt).dot
+    dim = rho.shape[0]
+    total = n_steps + 1
+    buf = np.empty((min(BLOCK_STEPS, total), dim, dim), dtype=complex)
+    flat = buf.reshape(len(buf), dim * dim)
+    flat[0] = rho.ravel()
     prev = flat[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        for cur in flat[1:]:
-            step(prev, out=cur)
-            prev = cur
-
-    finite = np.isfinite(flat.view(float)).all(axis=1)
-    if not finite.all():
-        raise PositivityLost(f"state diverged at t = {np.argmin(finite) * dt:g}")
-    lowest = np.linalg.eigvalsh(states)[:, 0]
-    bad = np.nonzero(lowest < POSITIVITY_ERROR)[0]
-    if bad.size:
-        raise PositivityLost(
-            f"eigenvalue {lowest[bad[0]]:.3e} at t = {bad[0] * dt:g}; reduce dt"
-        )
-    return QuantumTrajectory(
-        times=_readonly(np.arange(n_steps + 1) * dt),
-        states=_readonly(states),
-        min_eigenvalues=_readonly(lowest),
-    )
-
-
-def expectation_value(rho, op) -> float:
-    """Real part of tr(rho op); exact for Hermitian observables."""
-    r = np.asarray(rho, dtype=complex)
-    o = np.asarray(op, dtype=complex)
-    return float(np.trace(r @ o).real)
+    for offset in range(0, total, len(buf)):
+        rows = flat[: total - offset]
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            for cur in rows[1:] if offset == 0 else rows:
+                step(prev, out=cur)
+                prev = cur
+        finite = np.isfinite(rows.view(float)).all(axis=1)
+        if not finite.all():
+            raise PositivityLost(f"state diverged at t = {(offset + np.argmin(finite)) * dt:g}")
+        states = buf[: len(rows)]
+        lowest = np.linalg.eigvalsh(states)[:, 0]
+        bad = np.nonzero(lowest < POSITIVITY_ERROR)[0]
+        if bad.size:
+            raise PositivityLost(
+                f"eigenvalue {lowest[bad[0]]:.3e} at t = {(offset + bad[0]) * dt:g}; reduce dt"
+            )
+        yield states, lowest
 
 
 def ehrenfest_lx(rho, ops: OperatorSet) -> float:
@@ -295,11 +307,6 @@ class StationaryParams:
                 f"positivity needs a*b >= |c|^2, got a*b = {self.a * self.b!r}, "
                 f"|c|^2 = {abs(self.c) ** 2!r}"
             )
-
-    @classmethod
-    def from_weight(cls, a: float, c: complex = 0.0) -> "StationaryParams":
-        """Build with b = 1 - a supplied automatically."""
-        return cls(a=float(a), b=1.0 - float(a), c=c)
 
 
 def random_stationary_params(
@@ -373,15 +380,6 @@ def vec(mat) -> np.ndarray:
     """Column-stacking vectorization, the convention with
     vec(A X B) = kron(B.T, A) vec(X)."""
     return np.asarray(mat, dtype=complex).reshape(-1, order="F")
-
-
-def unvec(v) -> np.ndarray:
-    """Inverse of :func:`vec` for square matrices."""
-    a = np.asarray(v, dtype=complex).ravel()
-    dim = math.isqrt(a.size)
-    if dim * dim != a.size:
-        raise ValueError(f"length {a.size} is not a perfect square")
-    return a.reshape(dim, dim, order="F")
 
 
 def liouvillian_matrix(ops: OperatorSet) -> np.ndarray:

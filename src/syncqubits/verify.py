@@ -4,8 +4,8 @@
 :class:`CheckResult` each; the command-line ``verify`` subcommand prints
 them.  Tolerances are part of each check and are deliberately not
 configurable.  The expensive ingredients (an ensemble of long classical
-runs and a handful of long master-equation runs) are computed once and
-shared between the checks that need them.
+runs and a handful of long master-equation runs) are reduced block by block
+as they are integrated, so their memory does not grow with the run length.
 """
 
 from __future__ import annotations
@@ -68,16 +68,68 @@ def _classical_starts(rng, count=50):
     return np.array(starts)
 
 
+class _Reduction:
+    """Checks 8, 9 and 13's worst values over the blocks of a run or a stack
+    of runs.  :meth:`add` takes H's drift and S's largest one-step decrease
+    from blocks in time order (time on axis 0), carrying the last S over."""
+
+    def __init__(self):
+        self.h0 = self.s_last = self.last_state = None
+        self.h = self.dip = self.final = self.l2 = self.k = 0.0
+        self.lowest = np.inf
+
+    def add(self, h, s):
+        if self.h0 is None:
+            self.h0, self.s_last = h[:1], s[:1]
+        self.h = max(self.h, float(np.abs(h - self.h0).max()))
+        self.dip = max(self.dip, float(-np.diff(s, axis=0, prepend=self.s_last).min()))
+        self.s_last = s[-1:]
+
+
 def _classical_ensemble(rng, t_final=50.0, dt=1e-3):
     """Long runs from :func:`_classical_starts`, integrated as one stack."""
-    return classical.integrate(_classical_starts(rng), t_final, dt)
+    starts = _classical_starts(rng)
+    return _reduce_classical(starts, classical.integrate_blocks(starts, t_final, dt))
+
+
+def _reduce_classical(starts, blocks) -> _Reduction:
+    """(m, 3, n) state blocks of runs from ``starts`` reduced as in
+    :meth:`_Reduction.add`, plus the endpoint deviation from (|l|, 0, 0) and
+    the drift of |l|^2 and of k from each run's first defined k."""
+    run = _Reduction()
+    k0 = np.full(len(starts), np.nan)
+    for block in blocks:
+        h, s, k = classical.tracked_scalars(block[:, 0], block[:, 1], block[:, 2])
+        run.add(h, s)
+        run.l2 = max(run.l2, float(np.abs(2.0 * h - 2.0 * run.h0).max()))
+        # each run's first defined k in this block, NaN where it has none
+        first = k[np.argmax(~np.isnan(k), axis=0), np.arange(len(starts))]
+        k0 = np.where(np.isnan(k0), first, k0)
+        run.k = float(np.fmax.reduce(np.abs(k - k0), axis=None, initial=run.k))
+    for start, (lx, ly, lz) in zip(starts, block[-1].T):
+        run.final = max(run.final, abs(lx - float(np.linalg.norm(start))), abs(ly), abs(lz))
+    return run
 
 
 def _quantum_ensemble(ops, t_final=20.0, dt=1e-3):
     """Master-equation runs from the maximally mixed state and each of the
     four basis projectors."""
     labels = ("mixed", "basis:00", "basis:01", "basis:10", "basis:11")
-    return [quantum.evolve(quantum.labelled_state(label), ops, t_final, dt) for label in labels]
+    starts = (quantum.labelled_state(label) for label in labels)
+    return [_reduce_quantum(quantum.evolve_blocks(rho, ops, t_final, dt), ops) for rho in starts]
+
+
+def _reduce_quantum(blocks, ops) -> _Reduction:
+    """(states, lowest eigenvalues) blocks of one run reduced as in
+    :meth:`_Reduction.add` with H = <l^2>/2 and S = 2<lx>, plus the last
+    state and the lowest eigenvalue."""
+    run = _Reduction()
+    for states, lowest in blocks:
+        h = 0.5 * np.einsum("tij,ji->t", states, ops.l_squared).real
+        run.add(h, 2.0 * np.einsum("tij,ji->t", states, ops.lx).real)
+        run.lowest = min(run.lowest, float(lowest.min()))
+    run.last_state = states[-1].copy()
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -180,39 +232,19 @@ def _check_singlet_corner():
 def _check_classical_convergence(runs):
     """8: 50 random classical states reach (|l|, 0, 0) by t = 50 while
     conserving |l|^2 and the ratio k."""
-    worst_final = 0.0
-    worst_l2 = 0.0
-    worst_k = 0.0
-    for states, h_values, k_values in zip(runs.states, runs.h_values, runs.k_values):
-        length = float(np.linalg.norm(states[0]))
-        lx, ly, lz = states[-1]
-        worst_final = max(worst_final, abs(lx - length), abs(ly), abs(lz))
-        l_sq = 2.0 * h_values
-        worst_l2 = max(worst_l2, float(np.abs(l_sq - l_sq[0]).max()))
-        k = k_values[~np.isnan(k_values)]
-        if k.size:
-            worst_k = max(worst_k, float(np.abs(k - k[0]).max()))
-    passed = worst_final <= 1e-5 and worst_l2 <= 1e-8 and worst_k <= 1e-6
+    passed = runs.final <= 1e-5 and runs.l2 <= 1e-8 and runs.k <= 1e-6
     return _result(
         8,
         passed,
-        f"worst endpoint deviation {worst_final:.2e} (tol 1e-5), "
-        f"|l^2| drift {worst_l2:.2e} (tol 1e-8), k drift {worst_k:.2e} (tol 1e-6)",
+        f"worst endpoint deviation {runs.final:.2e} (tol 1e-5), "
+        f"|l^2| drift {runs.l2:.2e} (tol 1e-8), k drift {runs.k:.2e} (tol 1e-6)",
     )
 
 
-def _check_monotone_invariants(classical_runs, quantum_runs, ops):
+def _check_monotone_invariants(classical_runs, quantum_runs):
     """9: H stays constant and S never decreases, classically and quantumly."""
-    worst_h = 0.0
-    worst_dip = 0.0
-    for h, s in zip(classical_runs.h_values, classical_runs.s_values):
-        worst_h = max(worst_h, float(np.abs(h - h[0]).max()))
-        worst_dip = max(worst_dip, float(-np.diff(s).min()))
-    for run in quantum_runs:
-        h = 0.5 * np.einsum("tij,ji->t", run.states, ops.l_squared).real
-        s = 2.0 * np.einsum("tij,ji->t", run.states, ops.lx).real
-        worst_h = max(worst_h, float(np.abs(h - h[0]).max()))
-        worst_dip = max(worst_dip, float(-np.diff(s).min()))
+    worst_h = max(run.h for run in (classical_runs, *quantum_runs))
+    worst_dip = max(run.dip for run in (classical_runs, *quantum_runs))
     passed = worst_h <= 1e-8 and worst_dip <= 1e-10
     return _result(
         9,
@@ -269,12 +301,8 @@ def _check_liouvillian_kernel(ops, basis):
 def _check_quantum_convergence(runs, basis):
     """13: long master-equation runs land on the stationary family and stay
     positive the whole way."""
-    worst_residual = 0.0
-    worst_eig = np.inf
-    for run in runs:
-        fit = quantum.project_to_stationary(run.states[-1], basis)
-        worst_residual = max(worst_residual, fit.residual)
-        worst_eig = min(worst_eig, float(run.min_eigenvalues.min()))
+    worst_residual = max(quantum.project_to_stationary(r.last_state, basis).residual for r in runs)
+    worst_eig = min(r.lowest for r in runs)
     passed = worst_residual <= 1e-8 and worst_eig >= -1e-8
     return _result(
         13,
@@ -300,7 +328,7 @@ def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         _check_entanglement_verdicts(rng, basis),
         _check_singlet_corner(),
         _check_classical_convergence(classical_runs),
-        _check_monotone_invariants(classical_runs, quantum_runs, ops),
+        _check_monotone_invariants(classical_runs, quantum_runs),
         _check_field_equivalence(rng),
         _check_ehrenfest_identity(rng, ops),
         _check_liouvillian_kernel(ops, basis),

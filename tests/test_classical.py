@@ -6,17 +6,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from syncqubits import classical
 from syncqubits.classical import (
+    BLOCK_STEPS,
     MAX_STEPS,
     StepTooLarge,
     classical_field,
     default_quasithermo,
     dissipative_field,
-    finite_difference_gradient,
     integrate,
+    integrate_blocks,
     quasithermo_field,
     schwinger_map,
-    schwinger_map_polar,
     sync_jump,
     sync_jump_grad,
 )
@@ -38,12 +39,18 @@ def test_schwinger_map_values():
     assert np.allclose(schwinger_map(1.0, 0.0), [0.0, 0.0, 0.5], atol=1e-15)
 
 
+def _finite_difference_gradient(f, point, step=1e-5):
+    """Central-difference gradient of a scalar (possibly complex) function."""
+    p = np.asarray(point, dtype=float)
+    return np.array([(f(p + step * e) - f(p - step * e)) / (2.0 * step) for e in np.eye(p.size)])
+
+
 def test_schwinger_map_polar_phase_difference(rng):
     # ly = r1 r2 sin(phi2 - phi1), so it vanishes exactly at phase lock
     for _ in range(20):
         r1, r2 = rng.uniform(0.1, 2.0, size=2)
         p1, p2 = rng.uniform(-np.pi, np.pi, size=2)
-        l = schwinger_map_polar(r1, p1, r2, p2)
+        l = schwinger_map(r1 * np.exp(1j * p1), r2 * np.exp(1j * p2))
         assert abs(l[1] - r1 * r2 * math.sin(p2 - p1)) < 1e-12
         assert abs(l[0] - r1 * r2 * math.cos(p2 - p1)) < 1e-12
 
@@ -51,7 +58,7 @@ def test_schwinger_map_polar_phase_difference(rng):
 def test_sync_jump_and_gradient(rng):
     point = np.array([0.3, -1.2, 0.7])
     assert sync_jump(point) == complex(0.7, 1.2)
-    num = finite_difference_gradient(sync_jump, point)
+    num = _finite_difference_gradient(sync_jump, point)
     assert np.abs(num - sync_jump_grad(point)).max() < 1e-9
 
 
@@ -85,8 +92,9 @@ def test_quasithermo_field_parallel_gradients_vanish():
 
 def test_default_quasithermo_gradients(rng):
     fns = default_quasithermo()
-    points = rng.uniform(-2.0, 2.0, size=(20, 3))
-    assert fns.gradient_errors(points) < 1e-6
+    for p in rng.uniform(-2.0, 2.0, size=(20, 3)):
+        for func, grad in ((fns.h, fns.grad_h), (fns.s, fns.grad_s)):
+            assert np.abs(grad(p) - _finite_difference_gradient(func, p)).max() < 1e-6
 
 
 def test_integrate_fixed_point_is_constant():
@@ -274,3 +282,60 @@ def test_rk4_keeps_length_and_ratio(directions, radius):
         k = k[~np.isnan(k)]
         if k.size:
             assert np.abs(k - k[0]).max() <= 1e-9 * abs(k[0])
+
+
+# ---------------------------------------------------------------------------
+# the block generator behind the stack
+
+
+def _block_sizes(n_steps, block=BLOCK_STEPS):
+    """Rows per block of an n_steps run: full blocks, then the rest."""
+    full, rest = divmod(n_steps + 1, block)
+    return [block] * full + ([rest] if rest else [])
+
+
+@pytest.mark.parametrize("n_steps", [BLOCK_STEPS - 1, BLOCK_STEPS, 2 * BLOCK_STEPS + 1])
+def test_blocks_collect_to_the_whole_run(n_steps):
+    starts = np.array([[0.0, 0.6, 0.8], [-0.9, 0.1, -0.3], [0.2, 0.5, 0.0]])
+    t_final = n_steps * 1e-3
+    views = list(integrate_blocks(starts, t_final, 1e-3))
+    # one reused buffer, so only the last block is still intact here
+    assert all(np.shares_memory(v, views[0]) for v in views)
+    blocks = [b.copy() for b in integrate_blocks(starts, t_final, 1e-3)]
+    assert [len(b) for b in blocks] == _block_sizes(n_steps)
+    stack = integrate(starts, t_final, 1e-3)
+    assert np.array_equal(np.concatenate(blocks).transpose(2, 0, 1), stack.states)
+    # and the one-start float loop, the reference, agrees bit for bit
+    for i, start in enumerate(starts):
+        _assert_run_equal(stack, i, integrate(start, t_final, 1e-3))
+
+
+@pytest.mark.parametrize("block_steps", [2, 3, BLOCK_STEPS])
+def test_divergence_named_alike_in_any_block(monkeypatch, block_steps):
+    # (0, 3, 4) passes the limit at its second step, t = 1: in the second
+    # block of two rows, and at the end of the first block of three
+    monkeypatch.setattr(classical, "BLOCK_STEPS", block_steps)
+    starts = [[0.0, 0.6, 0.8], [0.0, 3.0, 4.0]]
+    message = r"^state exceeded 1e\+06 at t = 1 in run 1$"
+    with pytest.raises(StepTooLarge, match=message):
+        integrate(starts, 5.0, 0.5)
+    blocks = integrate_blocks(starts, 5.0, 0.5)
+    if block_steps == 2:
+        assert len(next(blocks)) == 2  # t = 0 and 0.5 pass
+    with pytest.raises(StepTooLarge, match=message):
+        next(blocks)
+
+
+@pytest.mark.parametrize(
+    "starts, t_final, message",
+    [
+        ([0.0, 0.6, 0.8], 1.0, r"shape \(n, 3\)"),
+        ([[0.0, 0.6, 0.8]], 1e9, "MAX_STEPS"),
+        ([[np.nan, 0.6, 0.8]], 1.0, "finite"),
+    ],
+    ids=["one-start", "too-many-steps", "nonfinite"],
+)
+def test_integrate_blocks_rejects_bad_arguments(starts, t_final, message):
+    # checked when the first block is asked for, before anything is allocated
+    with pytest.raises(ValueError, match=message):
+        next(integrate_blocks(starts, t_final, 1e-3))

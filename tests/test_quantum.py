@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syncqubits import quantum
+from syncqubits.classical import BLOCK_STEPS
 from syncqubits.quantum import (
     InvalidParams,
     PositivityLost,
@@ -17,7 +19,7 @@ from syncqubits.quantum import (
     density_matrix_to_json,
     ehrenfest_lx,
     evolve,
-    expectation_value,
+    evolve_blocks,
     kernel_basis,
     labelled_state,
     lindblad_rhs,
@@ -26,7 +28,6 @@ from syncqubits.quantum import (
     random_density_matrix,
     random_stationary_params,
     stationary_state,
-    unvec,
     vec,
 )
 
@@ -119,9 +120,10 @@ def test_absorber_is_positive_semidefinite(ops):
 
 
 def test_expectation_value(ops):
+    # <lz> = tr(rho lz) on |11> is exactly -1
     rho = np.zeros((4, 4), dtype=complex)
     rho[3, 3] = 1.0
-    assert expectation_value(rho, ops.lz) == -1.0
+    assert np.trace(rho @ ops.lz).real == -1.0
 
 
 def test_stationary_params_validation():
@@ -132,7 +134,6 @@ def test_stationary_params_validation():
         StationaryParams(0.3, 0.7, 0.5)  # a b = 0.21 < 0.25
     with pytest.raises(InvalidParams):
         StationaryParams(-0.1, 1.1, 0.0)
-    assert StationaryParams.from_weight(0.25).b == 0.75
 
 
 @pytest.mark.parametrize(
@@ -365,9 +366,15 @@ def test_evolve_stays_hermitian_without_correction(ops, rng):
     assert np.abs(states - states.conj().transpose(0, 2, 1)).max() <= 1e-12
 
 
+def _unvec(v):
+    """Inverse of vec for a square matrix."""
+    dim = int(np.sqrt(v.size))
+    return v.reshape(dim, dim, order="F")
+
+
 def test_vec_unvec_round_trip(rng):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.array_equal(unvec(vec(m)), m)
+    assert np.array_equal(_unvec(vec(m)), m)
     # column stacking: vec of A X B equals kron(B.T, A) vec(X)
     a, x, b = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(3))
     assert np.abs(vec(a @ x @ b) - np.kron(b.T, a) @ vec(x)).max() < 1e-12
@@ -379,7 +386,7 @@ def test_liouvillian_matches_rhs(ops, rng):
         h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = h + h.conj().T
         direct = lindblad_rhs(h, ops)
-        assert np.abs(unvec(lmat @ vec(h)) - direct).max() < 1e-12
+        assert np.abs(_unvec(lmat @ vec(h)) - direct).max() < 1e-12
 
 
 def test_liouvillian_kernel_structure(ops, basis):
@@ -437,3 +444,65 @@ def test_random_density_matrix_is_valid(rng):
     for _ in range(10):
         rho = check_density_matrix(random_density_matrix(rng))
         assert np.linalg.eigvalsh(rho).min() > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the block generator behind evolve
+
+
+def _whole_run(rho0, ops, n_steps, dt):
+    """The propagator loop over one preallocated stack of every state."""
+    step = quantum._rk4_propagator(ops, dt).dot
+    flat = np.empty((n_steps + 1, 16), dtype=complex)
+    flat[0] = rho0.ravel()
+    for prev, cur in zip(flat[:-1], flat[1:]):
+        step(prev, out=cur)
+    return flat.reshape(-1, 4, 4)
+
+
+@pytest.mark.parametrize("n_steps", [BLOCK_STEPS - 1, BLOCK_STEPS, 2 * BLOCK_STEPS + 1])
+@pytest.mark.parametrize("label", ["mixed", "basis:01"])
+def test_blocks_collect_to_the_whole_run(ops, label, n_steps):
+    rho0 = labelled_state(label)
+    t_final = n_steps * 1e-3
+    whole = _whole_run(rho0, ops, n_steps, 1e-3)
+    traj = evolve(rho0, ops, t_final, 1e-3)
+    assert np.array_equal(traj.states, whole)
+    # eigvalsh block by block equals one batch over the whole run
+    assert np.array_equal(traj.min_eigenvalues, np.linalg.eigvalsh(whole)[:, 0])
+    blocks = [(s.copy(), low) for s, low in evolve_blocks(rho0, ops, t_final, 1e-3)]
+    full, rest = divmod(n_steps + 1, BLOCK_STEPS)
+    assert [len(s) for s, _ in blocks] == [BLOCK_STEPS] * full + ([rest] if rest else [])
+    assert np.array_equal(np.concatenate([s for s, _ in blocks]), whole)
+    assert np.array_equal(np.concatenate([low for _, low in blocks]), traj.min_eigenvalues)
+
+
+@pytest.mark.parametrize("block_steps", [2, 4, 5])
+def test_positivity_loss_named_alike_in_any_block(ops, monkeypatch, block_steps):
+    # at dt = 0.41 an eigenvalue first falls below -1e-6 at step 6, and at
+    # dt = 1, with that floor out of the way, the state stops being finite
+    # after hundreds of steps: both in a later block of each size tried here
+    def message(dt, t_final):
+        with pytest.raises(PositivityLost) as exc:
+            evolve(np.eye(4) / 4.0, ops, t_final, dt)
+        return str(exc.value)
+
+    floor = quantum.POSITIVITY_ERROR
+    eigenvalue = message(0.41, 10.0)
+    assert eigenvalue.endswith(" at t = 2.46; reduce dt")
+    monkeypatch.setattr(quantum, "POSITIVITY_ERROR", -np.inf)
+    divergence = message(1.0, 1000.0)
+    assert divergence.startswith("state diverged at t = ")
+    assert float(divergence.rsplit("= ", 1)[1]) > 5.0
+    monkeypatch.setattr(quantum, "BLOCK_STEPS", block_steps)
+    assert message(1.0, 1000.0) == divergence
+    monkeypatch.setattr(quantum, "POSITIVITY_ERROR", floor)
+    assert message(0.41, 10.0) == eigenvalue
+
+
+def test_evolve_blocks_rejects_bad_arguments(ops):
+    # checked when the first block is asked for, before anything is allocated
+    with pytest.raises(ValueError, match="trace"):
+        next(evolve_blocks(np.eye(4) / 2.0, ops, 1.0, 1e-3))
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        next(evolve_blocks(np.eye(4) / 4.0, ops, 1e9, 1e-3))
