@@ -18,7 +18,6 @@ from .classical import (
     schwinger_map,
 )
 from .entanglement import (
-    BadSubsystem,
     PTSpectrumReport,
     SweepRow,
     cubic_roots,

@@ -1,12 +1,16 @@
 """Separability analysis of the stationary family via partial transposition.
 
 For two qubits, positivity of the partial transpose decides separability
-completely, so the sign of the smallest transposed eigenvalue is a full
-verdict and the total weight of the negative part (the negativity)
-quantifies the entanglement.  For real coupling c the transposed spectrum
-is also available in closed form: one eigenvalue is b/2 exactly, the other
-three are the roots of a cubic whose coefficients are polynomial in
-(a, b, c), and for every b > 0 exactly one of those roots is negative.
+completely, and the transposed state has at most one negative eigenvalue
+(Sanpera, Tarrach & Vidal, PRA 58, 826, 1998), so the state is entangled
+iff det(rho^T_B) < 0 (Augusiak, Demianowicz & Horodecki, PRA 77, 030301(R),
+2008).  On the stationary family that determinant is exactly -b^4/16, for
+complex c too, so a state is separable iff b = 0; the total weight of the
+negative eigenvalues (the negativity) quantifies the entanglement.  For
+real coupling c the transposed spectrum is also available in closed form:
+one eigenvalue is b/2 exactly, the other three are the roots of a cubic
+whose coefficients are polynomial in (a, b, c), and for every b > 0
+exactly one of those roots is negative.
 """
 
 from __future__ import annotations
@@ -17,48 +21,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import hermitian_eigensystem
-from .quantum import (
-    PARAM_TOL,
-    KernelBasis,
-    StationaryParams,
-    kernel_basis,
-    stationary_state,
-)
-
-#: a state counts as separable when no transposed eigenvalue is below this
-SEPARABLE_TOL = 1e-10
+from .quantum import PARAM_TOL, StationaryParams, stationary_state
 
 #: |Im c| at or below this is treated as real for the closed-form route
 REAL_C_TOL = 1e-12
 
-#: closed-form and numerical spectra must agree this well, or something is broken
+#: closed-form and numerical spectra (and determinants) must agree this well,
+#: or something is broken
 CLOSED_FORM_AGREEMENT = 1e-9
 
 #: most points per axis sweep() accepts; it analyses up to MAX_GRID**2 states
 MAX_GRID = 1001
 
 
-class BadSubsystem(ValueError):
-    """Subsystem index other than 1 or 2."""
+def partial_transpose(rho) -> np.ndarray:
+    """Transpose the indices of qubit 2 of a 4x4 two-qubit matrix.
 
-
-def partial_transpose(rho, subsystem: int = 2) -> np.ndarray:
-    """Transpose the indices of one qubit of a 4x4 two-qubit matrix.
-
-    Entries are only moved, never recomputed, so applying the same
-    transposition twice gives back the input exactly.
+    Entries are only moved, never recomputed, so transposing twice gives
+    back the input exactly.
     """
     r = np.asarray(rho, dtype=complex)
     if r.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {r.shape}")
-    if subsystem not in (1, 2):
-        raise BadSubsystem(f"subsystem must be 1 or 2, got {subsystem!r}")
-    blocks = r.reshape(2, 2, 2, 2)
-    if subsystem == 1:
-        swapped = blocks.transpose(2, 1, 0, 3)
-    else:
-        swapped = blocks.transpose(0, 3, 2, 1)
-    return swapped.reshape(4, 4).copy()
+    return r.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4).copy()
 
 
 def _real_cubic_roots(c2: float, c1: float, c0: float, disc: float) -> np.ndarray:
@@ -127,16 +112,21 @@ class PTSpectrumReport:
     closed_form_eigenvalues: np.ndarray | None
 
 
-def ppt_analyze(params: StationaryParams, basis: KernelBasis | None = None) -> PTSpectrumReport:
+def ppt_analyze(params: StationaryParams) -> PTSpectrumReport:
     """Build the stationary state, transpose qubit 2, and report its spectrum.
 
-    For real c the closed-form spectrum is computed independently and must
-    match the numerical one within 1e-9; disagreement raises RuntimeError,
-    since it would mean a construction bug rather than bad input.
+    ``separable`` is the exact verdict b <= 0: b = 0 is the one separable
+    point, and a b in [-PARAM_TOL, 0], which StationaryParams admits as its
+    roundoff, reads separable too.  The numerical spectrum is cross-checked
+    within 1e-9: its product against det = -b^4/16 and, for real c, the
+    spectrum itself against the independently computed closed form.
+    Disagreement raises RuntimeError, since it would mean a construction bug
+    rather than bad input.
     """
-    rho = stationary_state(params, basis)
-    spectrum = hermitian_eigensystem(partial_transpose(rho, subsystem=2))
-    w = spectrum.eigenvalues
+    w = hermitian_eigensystem(partial_transpose(stationary_state(params))).eigenvalues
+    det_gap = abs(float(np.prod(w)) + params.b ** 4 / 16.0)
+    if det_gap > CLOSED_FORM_AGREEMENT:
+        raise RuntimeError(f"determinant disagrees with -b^4/16 by {det_gap:.3e}")
     closed = None
     if abs(params.c.imag) <= REAL_C_TOL:
         closed = np.sort(np.append(cubic_roots(params), 0.5 * params.b))
@@ -150,7 +140,7 @@ def ppt_analyze(params: StationaryParams, basis: KernelBasis | None = None) -> P
         eigenvalues=w,
         min_eigenvalue=float(w[0]),
         negativity=negativity,
-        separable=bool(w[0] >= -SEPARABLE_TOL),
+        separable=params.b <= 0.0,
         closed_form_eigenvalues=closed,
     )
 
@@ -175,14 +165,13 @@ def sweep(grid_n: int) -> list[SweepRow]:
     """
     if not 2 <= grid_n <= MAX_GRID:
         raise ValueError(f"grid_n must be between 2 and MAX_GRID = {MAX_GRID}, got {grid_n}")
-    basis = kernel_basis()
     rows = []
     for a in np.linspace(0.0, 1.0, grid_n):
         b = 1.0 - a
         for c in np.linspace(-0.5, 0.5, grid_n):
             if c * c > a * b + PARAM_TOL:
                 continue
-            report = ppt_analyze(StationaryParams(float(a), float(b), complex(c)), basis)
+            report = ppt_analyze(StationaryParams(float(a), float(b), complex(c)))
             rows.append(
                 SweepRow(
                     a=float(a),

@@ -11,7 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: largest |m - m+| entry hermitian_eigensystem accepts
 HERMITIAN_TOL = 1e-10
+
+#: null_space counts a singular value as zero at this fraction of the largest
 NULL_SPACE_TOL = 1e-10
 
 
@@ -52,35 +55,33 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(_as_matrix(a), _as_matrix(b))
 
 
-def hermitian_eigensystem(m, tol: float = HERMITIAN_TOL) -> SpectrumReport:
+def hermitian_eigensystem(m) -> SpectrumReport:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises NotHermitian when the symmetry error exceeds ``tol``.  The
+    Raises NotHermitian when the symmetry error exceeds HERMITIAN_TOL.  The
     reconstruction V diag(w) V+ matches the input to machine precision for
     the matrix sizes this package deals in.
     """
     a = _as_matrix(m)
     _require_square(a)
     err = float(np.abs(a - a.conj().T).max())
-    if err > tol:
-        raise NotHermitian(f"symmetry error {err:.3e} exceeds tolerance {tol:.3e}")
+    if err > HERMITIAN_TOL:
+        raise NotHermitian(f"symmetry error {err:.3e} exceeds tolerance {HERMITIAN_TOL:.3e}")
     w, v = np.linalg.eigh(a)
     return SpectrumReport(eigenvalues=w, eigenvectors=v)
 
 
-def null_space(m, tol: float = NULL_SPACE_TOL) -> list[np.ndarray]:
+def null_space(m) -> list[np.ndarray]:
     """Orthonormal basis of the kernel of a square matrix, via SVD.
 
     A singular direction counts as null when its singular value is at most
-    ``tol`` times the largest one, so the test is insensitive to overall
+    NULL_SPACE_TOL times the largest one, so the test is insensitive to overall
     scale; the zero matrix returns a basis of the whole space.
     """
     a = _as_matrix(m)
     _require_square(a)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     _, s, vh = np.linalg.svd(a)
-    cutoff = tol * float(s[0])
+    cutoff = NULL_SPACE_TOL * float(s[0])
     return [vh[i].conj() for i in range(a.shape[0]) if s[i] <= cutoff]
 
 

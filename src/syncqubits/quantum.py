@@ -112,11 +112,16 @@ def build_operators() -> OperatorSet:
     return OperatorSet(*(_readonly(m) for m in (lx, ly, lz, l_squared, jump, jump_dagger)))
 
 
+#: the two dark states of the jump operator, as read-only vectors
+KERNEL_BASIS = KernelBasis(
+    psi1=_readonly(np.full(4, 0.5, dtype=complex)),
+    psi2=_readonly(np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)),
+)
+
+
 def kernel_basis() -> KernelBasis:
-    """The two dark states of the jump operator, as read-only vectors."""
-    psi1 = _readonly(np.full(4, 0.5, dtype=complex))
-    psi2 = _readonly(np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0))
-    return KernelBasis(psi1=psi1, psi2=psi2)
+    """The two dark states of the jump operator, :data:`KERNEL_BASIS`."""
+    return KERNEL_BASIS
 
 
 def labelled_state(label: str) -> np.ndarray:
@@ -134,17 +139,12 @@ def labelled_state(label: str) -> np.ndarray:
     return rho
 
 
-def check_density_matrix(
-    rho,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-    eig_floor: float = -1e-9,
-) -> np.ndarray:
+def check_density_matrix(rho) -> np.ndarray:
     """Validate a density matrix and return it as a fresh complex array.
 
     Checks that it is a nonempty square matrix of finite entries, then
-    Hermiticity, unit trace and positivity (eigenvalues no lower than
-    ``eig_floor``); raises ValueError on any violation.
+    Hermiticity and unit trace (both within 1e-10) and positivity (no
+    eigenvalue below -1e-9); raises ValueError on any violation.
     """
     r = np.array(rho, dtype=complex)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
@@ -154,20 +154,21 @@ def check_density_matrix(
     if not np.isfinite(r).all():
         raise ValueError("density matrix entries must be finite")
     herm = float(np.abs(r - r.conj().T).max())
-    if herm > herm_tol:
+    if herm > 1e-10:
         raise ValueError(f"not Hermitian: deviation {herm:.3e}")
     tr = complex(np.trace(r))
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"trace must be 1, got {tr}")
     lowest = float(np.linalg.eigvalsh(r)[0])
-    if lowest < eig_floor:
+    if lowest < -1e-9:
         raise ValueError(f"not positive: lowest eigenvalue {lowest:.3e}")
     return r
 
 
-def random_density_matrix(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    """Random full-rank density matrix A A+ / tr(A A+), A complex Gaussian."""
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank two-qubit density matrix A A+ / tr(A A+), A a 4x4
+    complex Gaussian."""
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
 
@@ -234,10 +235,10 @@ def evolve_blocks(rho0, ops: OperatorSet, t_final: float, dt: float):
     requested.  Each step applies the precomputed RK4 propagator
     (:func:`_rk4_propagator`) to the flattened state, which keeps it
     Hermitian and of unit trace up to roundoff.  Each block is checked
-    before it is yielded: PositivityLost names the first time in it that a
-    state stopped being finite or, all being finite, that an eigenvalue
-    fell below -1e-6 (the symptom of a dt too large for the stiffest decay
-    mode).  ValueError, once iteration begins, for an invalid ``rho0``
+    before it is yielded: PositivityLost names the first time in it that
+    an eigenvalue fell below -1e-6 (the symptom of a dt too large for the
+    stiffest decay mode) or that a state stopped being finite, whichever
+    comes first.  ValueError, once iteration begins, for an invalid ``rho0``
     (:func:`check_density_matrix`) or steps (:func:`classical.step_count`).
     """
     rho, n_steps = _checked(rho0, ops, t_final, dt)
@@ -255,16 +256,16 @@ def evolve_blocks(rho0, ops: OperatorSet, t_final: float, dt: float):
                 step(prev, out=cur)
                 prev = cur
         finite = np.isfinite(rows.view(float)).all(axis=1)
-        if not finite.all():
-            raise PositivityLost(f"state diverged at t = {(offset + np.argmin(finite)) * dt:g}")
-        states = buf[: len(rows)]
-        lowest = np.linalg.eigvalsh(states)[:, 0]
+        n_finite = len(rows) if finite.all() else int(np.argmin(finite))
+        lowest = np.linalg.eigvalsh(buf[:n_finite])[:, 0]
         bad = np.nonzero(lowest < POSITIVITY_ERROR)[0]
         if bad.size:
             raise PositivityLost(
                 f"eigenvalue {lowest[bad[0]]:.3e} at t = {(offset + bad[0]) * dt:g}; reduce dt"
             )
-        yield states, lowest
+        if n_finite < len(rows):
+            raise PositivityLost(f"state diverged at t = {(offset + n_finite) * dt:g}")
+        yield buf[: len(rows)], lowest
 
 
 def ehrenfest_lx(rho, ops: OperatorSet) -> float:
@@ -327,18 +328,17 @@ def random_stationary_params(
     return StationaryParams(a, b, c)
 
 
-def _kernel_combination(a: float, b: float, c: complex, basis: KernelBasis) -> np.ndarray:
-    p1 = np.outer(basis.psi1, basis.psi1.conj())
-    p2 = np.outer(basis.psi2, basis.psi2.conj())
-    cross = np.outer(basis.psi1, basis.psi2.conj())
+def _kernel_combination(a: float, b: float, c: complex) -> np.ndarray:
+    psi1, psi2 = KERNEL_BASIS.psi1, KERNEL_BASIS.psi2
+    p1 = np.outer(psi1, psi1.conj())
+    p2 = np.outer(psi2, psi2.conj())
+    cross = np.outer(psi1, psi2.conj())
     return a * p1 + b * p2 + c * cross + np.conj(c) * cross.conj().T
 
 
-def stationary_state(params: StationaryParams, basis: KernelBasis | None = None) -> np.ndarray:
+def stationary_state(params: StationaryParams) -> np.ndarray:
     """Density matrix a P1 + b P2 + (c |psi1><psi2| + h.c.) in the kernel."""
-    if basis is None:
-        basis = kernel_basis()
-    return _kernel_combination(params.a, params.b, params.c, basis)
+    return _kernel_combination(params.a, params.b, params.c)
 
 
 @dataclass(frozen=True)
@@ -356,23 +356,22 @@ class StationaryFit:
     residual: float
 
 
-def project_to_stationary(rho, basis: KernelBasis | None = None) -> StationaryFit:
+def project_to_stationary(rho) -> StationaryFit:
     """Overlap coefficients of ``rho`` with the stationary family.
 
     The overlaps alone do not determine where the evolution actually ends
     up (they are not conserved), so the fit is an empirical report about
     ``rho`` itself, typically the last state of a long run.
     """
-    if basis is None:
-        basis = kernel_basis()
+    psi1, psi2 = KERNEL_BASIS.psi1, KERNEL_BASIS.psi2
     r = np.asarray(rho, dtype=complex)
-    a = float((basis.psi1.conj() @ r @ basis.psi1).real)
-    b = float((basis.psi2.conj() @ r @ basis.psi2).real)
-    c = complex(basis.psi1.conj() @ r @ basis.psi2)
+    a = float((psi1.conj() @ r @ psi1).real)
+    b = float((psi2.conj() @ r @ psi2).real)
+    c = complex(psi1.conj() @ r @ psi2)
     total = a + b
     if total <= 0.0:
         return StationaryFit(a=a, b=b, c=c, residual=float(np.abs(r).max()))
-    fitted = _kernel_combination(a / total, b / total, c / total, basis)
+    fitted = _kernel_combination(a / total, b / total, c / total)
     return StationaryFit(a=a, b=b, c=c, residual=float(np.abs(r - fitted).max()))
 
 

@@ -86,10 +86,11 @@ class _Reduction:
         self.s_last = s[-1:]
 
 
-def _classical_ensemble(rng, t_final=50.0, dt=1e-3):
-    """Long runs from :func:`_classical_starts`, integrated as one stack."""
+def _classical_ensemble(rng):
+    """Runs to t = 50 (dt = 1e-3) from :func:`_classical_starts`, integrated
+    as one stack."""
     starts = _classical_starts(rng)
-    return _reduce_classical(starts, classical.integrate_blocks(starts, t_final, dt))
+    return _reduce_classical(starts, classical.integrate_blocks(starts, 50.0, 1e-3))
 
 
 def _reduce_classical(starts, blocks) -> _Reduction:
@@ -111,12 +112,12 @@ def _reduce_classical(starts, blocks) -> _Reduction:
     return run
 
 
-def _quantum_ensemble(ops, t_final=20.0, dt=1e-3):
-    """Master-equation runs from the maximally mixed state and each of the
-    four basis projectors."""
+def _quantum_ensemble(ops):
+    """Master-equation runs to t = 20 (dt = 1e-3) from the maximally mixed
+    state and each of the four basis projectors."""
     labels = ("mixed", "basis:00", "basis:01", "basis:10", "basis:11")
     starts = (quantum.labelled_state(label) for label in labels)
-    return [_reduce_quantum(quantum.evolve_blocks(rho, ops, t_final, dt), ops) for rho in starts]
+    return [_reduce_quantum(quantum.evolve_blocks(rho, ops, 20.0, 1e-3), ops) for rho in starts]
 
 
 def _reduce_quantum(blocks, ops) -> _Reduction:
@@ -146,69 +147,70 @@ def _check_jump_matrix(ops):
     return _result(1, built and composed, "entrywise exact" if built and composed else "entries differ")
 
 
-def _check_kernel(ops, basis):
+def _check_kernel(ops):
     """2: the jump operator's kernel is exactly the two dark states."""
     kern = null_space(ops.jump)
     if len(kern) != 2:
         return _result(2, False, f"kernel dimension {len(kern)}, expected 2")
+    basis = quantum.KERNEL_BASIS
     angle = float(principal_angles(kern, [basis.psi1, basis.psi2]).max())
     return _result(2, angle <= 1e-10, f"kernel dim 2, worst principal angle {angle:.2e} (tol 1e-10)")
 
 
-def _check_stationary_spectrum(rng, basis):
+def _check_stationary_spectrum(rng):
     """3: stationary states have two zero eigenvalues and two roots of
     x^2 - x + (a b - |c|^2), for 100 random parameter sets."""
     worst = 0.0
     for i in range(100):
         params = quantum.random_stationary_params(rng, real_c=(i % 2 == 0))
-        w = np.linalg.eigvalsh(quantum.stationary_state(params, basis))
+        w = np.linalg.eigvalsh(quantum.stationary_state(params))
         disc = max(1.0 - 4.0 * (params.a * params.b - abs(params.c) ** 2), 0.0)
         roots = np.sort([0.5 * (1.0 - np.sqrt(disc)), 0.5 * (1.0 + np.sqrt(disc))])
         worst = max(worst, float(np.abs(w[:2]).max()), float(np.abs(w[2:] - roots).max()))
     return _result(3, worst <= 1e-10, f"worst spectral deviation {worst:.2e} (tol 1e-10)")
 
 
-def _check_pt_eigenvector(rng, basis):
+def _check_pt_eigenvector(rng):
     """4: (1, 0, 0, -1)/sqrt(2) is an eigenvector of the transposed state
     with eigenvalue b/2, for 100 random real-c parameter sets."""
     v = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0)
     worst = 0.0
     for _ in range(100):
         params = quantum.random_stationary_params(rng)
-        pt = entanglement.partial_transpose(quantum.stationary_state(params, basis))
+        pt = entanglement.partial_transpose(quantum.stationary_state(params))
         worst = max(worst, float(np.abs(pt @ v - 0.5 * params.b * v).max()))
     return _result(4, worst <= 1e-12, f"worst eigenvector residual {worst:.2e} (tol 1e-12)")
 
 
-def _check_closed_form_spectrum(rng, basis):
+def _check_closed_form_spectrum(rng):
     """5: closed-form and numerical transposed spectra agree, 200 samples."""
     worst = 0.0
     for _ in range(200):
         params = quantum.random_stationary_params(rng)
-        pt = entanglement.partial_transpose(quantum.stationary_state(params, basis))
+        pt = entanglement.partial_transpose(quantum.stationary_state(params))
         numeric = np.linalg.eigvalsh(pt)
         closed = np.sort(np.append(entanglement.cubic_roots(params), 0.5 * params.b))
         worst = max(worst, float(np.abs(numeric - closed).max()))
     return _result(5, worst <= 1e-9, f"worst spectrum gap {worst:.2e} (tol 1e-9)")
 
 
-def _check_entanglement_verdicts(rng, basis):
+def _check_entanglement_verdicts(rng):
     """6: every stationary state with b > 0 is entangled; b = 0 is the one
     separable point, with spectrum {1, 0, 0, 0}."""
     failures = []
     largest_min = -np.inf
     for b in np.linspace(0.02, 1.0, 50):
-        report = entanglement.ppt_analyze(quantum.StationaryParams(1.0 - b, b, 0.0), basis)
+        report = entanglement.ppt_analyze(quantum.StationaryParams(1.0 - b, b, 0.0))
         largest_min = max(largest_min, report.min_eigenvalue)
         if not report.min_eigenvalue < -1e-12:
             failures.append(f"b = {b:g} not entangled")
     for _ in range(200):
         params = quantum.random_stationary_params(rng, max_a=1.0 - 1e-3)
-        report = entanglement.ppt_analyze(params, basis)
+        report = entanglement.ppt_analyze(params)
         largest_min = max(largest_min, report.min_eigenvalue)
         if not report.min_eigenvalue < -1e-12:
             failures.append(f"a = {params.a:g}, c = {params.c.real:g} not entangled")
-    corner = entanglement.ppt_analyze(quantum.StationaryParams(1.0, 0.0, 0.0), basis)
+    corner = entanglement.ppt_analyze(quantum.StationaryParams(1.0, 0.0, 0.0))
     corner_gap = float(np.abs(corner.eigenvalues - np.array([0.0, 0.0, 0.0, 1.0])).max())
     if not corner.separable or corner_gap > 1e-10:
         failures.append(f"b = 0 corner wrong (gap {corner_gap:.2e})")
@@ -283,12 +285,13 @@ def _check_ehrenfest_identity(rng, ops):
     return _result(11, worst <= 1e-12, f"worst identity gap {worst:.2e} (tol 1e-12)")
 
 
-def _check_liouvillian_kernel(ops, basis):
+def _check_liouvillian_kernel(ops):
     """12: the 16x16 generator has a four-dimensional kernel spanned by the
     vectorized dark-state outer products."""
     kern = null_space(quantum.liouvillian_matrix(ops))
     if len(kern) != 4:
         return _result(12, False, f"kernel dimension {len(kern)}, expected 4")
+    basis = quantum.KERNEL_BASIS
     span = [
         quantum.vec(np.outer(u, v.conj()))
         for u in (basis.psi1, basis.psi2)
@@ -298,10 +301,10 @@ def _check_liouvillian_kernel(ops, basis):
     return _result(12, angle <= 1e-8, f"kernel dim 4, worst principal angle {angle:.2e} (tol 1e-8)")
 
 
-def _check_quantum_convergence(runs, basis):
+def _check_quantum_convergence(runs):
     """13: long master-equation runs land on the stationary family and stay
     positive the whole way."""
-    worst_residual = max(quantum.project_to_stationary(r.last_state, basis).residual for r in runs)
+    worst_residual = max(quantum.project_to_stationary(r.last_state).residual for r in runs)
     worst_eig = min(r.lowest for r in runs)
     passed = worst_residual <= 1e-8 and worst_eig >= -1e-8
     return _result(
@@ -316,21 +319,20 @@ def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run the thirteen checks in order and return their results."""
     rng = np.random.default_rng(seed)
     ops = quantum.build_operators()
-    basis = quantum.kernel_basis()
     classical_runs = _classical_ensemble(rng)
     quantum_runs = _quantum_ensemble(ops)
     return [
         _check_jump_matrix(ops),
-        _check_kernel(ops, basis),
-        _check_stationary_spectrum(rng, basis),
-        _check_pt_eigenvector(rng, basis),
-        _check_closed_form_spectrum(rng, basis),
-        _check_entanglement_verdicts(rng, basis),
+        _check_kernel(ops),
+        _check_stationary_spectrum(rng),
+        _check_pt_eigenvector(rng),
+        _check_closed_form_spectrum(rng),
+        _check_entanglement_verdicts(rng),
         _check_singlet_corner(),
         _check_classical_convergence(classical_runs),
         _check_monotone_invariants(classical_runs, quantum_runs),
         _check_field_equivalence(rng),
         _check_ehrenfest_identity(rng, ops),
-        _check_liouvillian_kernel(ops, basis),
-        _check_quantum_convergence(quantum_runs, basis),
+        _check_liouvillian_kernel(ops),
+        _check_quantum_convergence(quantum_runs),
     ]

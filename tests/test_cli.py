@@ -467,6 +467,11 @@ def test_ppt_command(capsys):
     gap = np.abs(np.array(payload["closed_form_eigenvalues"]) - payload["eigenvalues"]).max()
     assert gap < 1e-9
 
+    # b = 1e-5: the lowest eigenvalue is only -2.5e-11, and the verdict exact
+    code, out, _ = run_cli(["ppt", "--a", "0.99999"], capsys)
+    assert code == 0
+    assert json.loads(out)["separable"] is False
+
 
 def test_sweep_deterministic_output(capsys, tmp_path):
     f1 = tmp_path / "one.csv"

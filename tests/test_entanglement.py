@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from syncqubits import entanglement
 from syncqubits.entanglement import (
     MAX_GRID,
-    BadSubsystem,
     cubic_roots,
     partial_transpose,
     ppt_analyze,
@@ -25,35 +26,33 @@ def test_partial_transpose_identity():
     assert np.array_equal(partial_transpose(np.eye(4) / 4.0), np.eye(4) / 4.0)
 
 
-@given(
-    parts=st.lists(st.floats(), min_size=32, max_size=32),
-    subsystem=st.sampled_from([1, 2]),
-)
-def test_partial_transpose_is_involution(parts, subsystem):
+@given(parts=st.lists(st.floats(), min_size=32, max_size=32))
+def test_partial_transpose_is_involution(parts):
     # entries are only moved, so twice is the identity bit for bit, NaN included
     m = np.array(parts).view(complex).reshape(4, 4)
-    twice = partial_transpose(partial_transpose(m, subsystem), subsystem)
+    twice = partial_transpose(partial_transpose(m))
     assert twice.tobytes() == m.tobytes()
 
 
 def test_partial_transpose_moves_coherences():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 3] = 1.0  # |00><11|
-    out = partial_transpose(rho, subsystem=2)
+    out = partial_transpose(rho)
     assert out[1, 2] == 1.0  # becomes |01><10|
     assert out[0, 3] == 0.0
 
 
 def test_partial_transpose_subsystems_share_spectrum(rng):
+    # transposing qubit 1 instead, done here by hand, is the full transpose
+    # of transposing qubit 2, so the spectra agree
     rho = random_density_matrix(rng)
-    w1 = np.linalg.eigvalsh(partial_transpose(rho, 1))
-    w2 = np.linalg.eigvalsh(partial_transpose(rho, 2))
+    w1 = np.linalg.eigvalsh(rho.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4))
+    w2 = np.linalg.eigvalsh(partial_transpose(rho))
     assert np.abs(w1 - w2).max() < 1e-10
+    assert np.abs(w2 - np.linalg.eigvalsh(rho)).max() > 0.01
 
 
 def test_partial_transpose_rejects_bad_input():
-    with pytest.raises(BadSubsystem):
-        partial_transpose(np.eye(4), subsystem=3)
     with pytest.raises(ValueError):
         partial_transpose(np.eye(3))
 
@@ -64,11 +63,11 @@ def test_singlet_spectrum():
     assert np.abs(w - [-0.5, 0.5, 0.5, 0.5]).max() < 1e-12
 
 
-def test_pt_eigenvector_b_half(rng, basis):
+def test_pt_eigenvector_b_half(rng):
     v = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0)
     for _ in range(50):
         params = random_stationary_params(rng)
-        pt = partial_transpose(stationary_state(params, basis))
+        pt = partial_transpose(stationary_state(params))
         assert np.abs(pt @ v - 0.5 * params.b * v).max() < 1e-12
 
 
@@ -85,11 +84,11 @@ def test_cubic_roots_corners():
 @example(a=1e-8, t=0.0)  # next to it, where the coefficients fix the roots only to 1e-8
 @example(a=0.5, t=1.0)  # on the boundary ab = c^2
 @example(a=1.0, t=0.0)  # the separable corner, roots 0, 0, 1
-def test_cubic_roots_match_numerical_spectrum(basis, a, t):
+def test_cubic_roots_match_numerical_spectrum(a, t):
     # c = t sqrt(ab) sweeps the whole valid set; t = +-1 is its boundary
     b = 1.0 - a
     params = StationaryParams(a, b, t * math.sqrt(a * b))
-    numeric = np.linalg.eigvalsh(partial_transpose(stationary_state(params, basis)))
+    numeric = np.linalg.eigvalsh(partial_transpose(stationary_state(params)))
     closed = np.sort(np.append(cubic_roots(params), 0.5 * params.b))
     assert np.abs(numeric - closed).max() < 1e-9
 
@@ -130,6 +129,32 @@ def test_ppt_analyze_generic_states_entangled(rng):
         assert not report.separable
         assert report.min_eigenvalue < -1e-12
         assert abs(report.eigenvalues.sum() - 1.0) < 1e-10
+
+
+@settings(deadline=None)
+@given(b=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0), phase=st.floats(0.0, 2.0 * math.pi))
+@example(b=1e-5, t=0.0, phase=0.0)  # ppt --a 0.99999, once reported separable
+@example(b=1e-5, t=1.0, phase=1.0)
+@example(b=0.0, t=0.0, phase=0.0)  # the separable corner
+@example(b=1.0, t=0.0, phase=0.0)  # the pure singlet
+def test_pt_determinant_decides_the_verdict(b, t, phase):
+    # det(rho^T_B) = -b^4/16 on the whole family, complex c included, so
+    # b = 0 is the one separable point however small b gets
+    a = 1.0 - b
+    report = ppt_analyze(StationaryParams(a, b, t * math.sqrt(a * b) * cmath.exp(1j * phase)))
+    assert abs(np.prod(report.eigenvalues) + b**4 / 16.0) <= 1e-15
+    assert report.separable == (b == 0.0)
+
+
+def test_ppt_analyze_guards_the_determinant(monkeypatch):
+    # a state built with the wrong singlet weight fails the cross-check,
+    # also for complex c, where there is no closed form to compare with
+    def wrong(params):
+        return stationary_state(StationaryParams(params.a - 0.1, params.b + 0.1, params.c))
+
+    monkeypatch.setattr(entanglement, "stationary_state", wrong)
+    with pytest.raises(RuntimeError, match="^determinant disagrees with -b\\^4/16 by "):
+        ppt_analyze(StationaryParams(0.7, 0.3, 0.1j))
 
 
 def test_ppt_analyze_complex_c_has_no_closed_form():

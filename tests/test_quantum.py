@@ -70,6 +70,14 @@ def test_operators_read_only(ops):
         ops.jump[0, 0] = 5.0
 
 
+def test_kernel_basis_is_one_read_only_instance(basis):
+    assert kernel_basis() is quantum.KERNEL_BASIS is basis
+    with pytest.raises(ValueError):
+        basis.psi1[0] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.psi2 = basis.psi1
+
+
 def test_kernel_basis_annihilated(ops, basis):
     assert np.abs(ops.jump @ basis.psi1).max() == 0.0
     assert np.abs(ops.jump @ basis.psi2).max() == 0.0
@@ -152,13 +160,13 @@ def test_stationary_params_rejects_nonfinite(a, b, c, name):
 
 
 def test_stationary_state_corners(basis):
-    uniform = stationary_state(StationaryParams(1.0, 0.0, 0.0), basis)
+    uniform = stationary_state(StationaryParams(1.0, 0.0, 0.0))
     assert np.abs(uniform - 0.25).max() == 0.0
-    singlet = stationary_state(StationaryParams(0.0, 1.0, 0.0), basis)
+    singlet = stationary_state(StationaryParams(0.0, 1.0, 0.0))
     assert np.abs(singlet - np.outer(basis.psi2, basis.psi2.conj())).max() == 0.0
 
 
-def test_stationary_state_entry_pattern(rng, basis):
+def test_stationary_state_entry_pattern(rng):
     # entries follow the a/4, b/2, c/(2 sqrt 2) pattern worked out by hand
     for _ in range(20):
         params = random_stationary_params(rng)
@@ -174,48 +182,48 @@ def test_stationary_state_entry_pattern(rng, basis):
                 [a4, a4 + cp, a4 - cp, a4],
             ]
         )
-        assert np.abs(stationary_state(params, basis) - expected).max() < 1e-14
+        assert np.abs(stationary_state(params) - expected).max() < 1e-14
 
 
-def test_stationary_state_is_stationary(ops, rng, basis):
+def test_stationary_state_is_stationary(ops, rng):
     for i in range(50):
         params = random_stationary_params(rng, real_c=(i % 2 == 0))
-        rho = stationary_state(params, basis)
+        rho = stationary_state(params)
         check_density_matrix(rho)
         assert np.abs(lindblad_rhs(rho, ops)).max() < 1e-12
 
 
-def test_stationary_spectrum_quadratic(rng, basis):
-    w = np.linalg.eigvalsh(stationary_state(StationaryParams(0.5, 0.5, 0.0), basis))
+def test_stationary_spectrum_quadratic(rng):
+    w = np.linalg.eigvalsh(stationary_state(StationaryParams(0.5, 0.5, 0.0)))
     assert np.abs(w - [0.0, 0.0, 0.5, 0.5]).max() < 1e-12
     for _ in range(20):
         params = random_stationary_params(rng, real_c=False)
-        w = np.linalg.eigvalsh(stationary_state(params, basis))
+        w = np.linalg.eigvalsh(stationary_state(params))
         det = params.a * params.b - abs(params.c) ** 2
         disc = math.sqrt(max(1.0 - 4.0 * det, 0.0))
         assert np.abs(w[:2]).max() < 1e-10
         assert np.abs(w[2:] - [0.5 * (1 - disc), 0.5 * (1 + disc)]).max() < 1e-10
 
 
-def test_project_round_trip(basis):
+def test_project_round_trip():
     params = StationaryParams(0.3, 0.7, 0.1 + 0.05j)
-    fit = project_to_stationary(stationary_state(params, basis), basis)
+    fit = project_to_stationary(stationary_state(params))
     assert abs(fit.a - 0.3) < 1e-14
     assert abs(fit.b - 0.7) < 1e-14
     assert abs(fit.c - (0.1 + 0.05j)) < 1e-14
     assert fit.residual < 1e-14
 
 
-def test_project_mixed_state_far_from_family(basis):
-    fit = project_to_stationary(np.eye(4) / 4.0, basis)
+def test_project_mixed_state_far_from_family():
+    fit = project_to_stationary(np.eye(4) / 4.0)
     assert abs(fit.a - 0.25) < 1e-14
     assert abs(fit.b - 0.25) < 1e-14
     assert fit.residual > 0.1
 
 
-def test_project_state_orthogonal_to_kernel(basis):
+def test_project_state_orthogonal_to_kernel():
     v = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
-    fit = project_to_stationary(np.outer(v, v.conj()), basis)
+    fit = project_to_stationary(np.outer(v, v.conj()))
     assert fit.a < 1e-14 and fit.b < 1e-14
     assert abs(fit.residual - 0.5) < 1e-14
 
@@ -310,15 +318,20 @@ def test_evolve_rejects_too_many_steps(ops):
         evolve(np.eye(4) / 4.0, ops, 1e9, 1e-3)
 
 
-def test_evolve_divergence_names_first_bad_time(ops):
-    dt = 10.0
-    with pytest.raises(PositivityLost, match="diverged") as exc:
-        evolve(np.eye(4) / 4.0, ops, 2000.0, dt)
+def test_evolve_divergence_names_first_bad_time(ops, monkeypatch):
+    # at dt = 1 an eigenvalue is far below -1e-6 after one step, hundreds of
+    # steps before the state stops being finite in the same block: the
+    # earlier failure is the one named
+    with pytest.raises(PositivityLost, match=r"^eigenvalue -\S+ at t = 1; reduce dt$"):
+        evolve(np.eye(4) / 4.0, ops, 3000.0, 1.0)
+    # with that floor out of the way, the first state that is not finite
+    monkeypatch.setattr(quantum, "POSITIVITY_ERROR", -np.inf)
+    with pytest.raises(PositivityLost, match="^state diverged at t = ") as exc:
+        evolve(np.eye(4) / 4.0, ops, 3000.0, 1.0)
     t_bad = float(str(exc.value).rsplit("= ", 1)[1])
-    assert 0.0 < t_bad < 2000.0
-    # one step earlier every state is still finite, only far from positive
-    with pytest.raises(PositivityLost, match="reduce dt"):
-        evolve(np.eye(4) / 4.0, ops, t_bad - dt, dt)
+    assert 1.0 < t_bad < 3000.0
+    # one step earlier every state is still finite
+    assert np.isfinite(evolve(np.eye(4) / 4.0, ops, t_bad - 1.0, 1.0).states).all()
 
 
 def _rk4_reference(rho, ops, dt, n_steps):
