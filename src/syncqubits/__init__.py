@@ -19,7 +19,7 @@ from .classical import (
 )
 from .entanglement import (
     PTSpectrumReport,
-    SweepRow,
+    SweepTable,
     cubic_roots,
     partial_transpose,
     ppt_analyze,
@@ -38,6 +38,7 @@ from .quantum import (
     InvalidParams,
     KernelBasis,
     OperatorSet,
+    ParamStack,
     PositivityLost,
     QuantumTrajectory,
     StationaryFit,

@@ -31,12 +31,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
 from .classical import StepTooLarge, integrate
-from .entanglement import SweepRow, ppt_analyze, sweep
+from .entanglement import ppt_analyze, sweep
 from .linalg import hermitian_eigensystem
 from .quantum import (
     InvalidParams,
@@ -356,9 +355,8 @@ def _cmd_ppt(cfg) -> int:
 
 
 def _cmd_sweep(cfg) -> int:
-    rows = sweep(cfg["grid"])
-    columns = {f.name: [getattr(r, f.name) for r in rows] for f in fields(SweepRow)}
-    _emit(_table_chunks(columns, cfg["format"], records=True), cfg["out"])
+    table = sweep(cfg["grid"])
+    _emit(_table_chunks(table.columns(), cfg["format"], records=True), cfg["out"])
     return 0
 
 

@@ -11,6 +11,11 @@ real coupling c the transposed spectrum is also available in closed form:
 one eigenvalue is b/2 exactly, the other three are the roots of a cubic
 whose coefficients are polynomial in (a, b, c), and for every b > 0
 exactly one of those roots is negative.
+
+The analysis takes one point (a StationaryParams) or a stack of points (a
+ParamStack), and runs a stack as whole arrays with one eigensolver call,
+bit for bit equal to analysing its points one at a time; :func:`sweep`
+analyses one value of a per stack.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigensystem
-from .quantum import PARAM_TOL, StationaryParams, stationary_state
+from .linalg import NotHermitian, hermitian_eigensystem
+from .quantum import PARAM_TOL, ParamStack, StationaryParams, point_label, stationary_state
 
 #: |Im c| at or below this is treated as real for the closed-form route
 REAL_C_TOL = 1e-12
@@ -35,63 +40,72 @@ MAX_GRID = 1001
 
 
 def partial_transpose(rho) -> np.ndarray:
-    """Transpose the indices of qubit 2 of a 4x4 two-qubit matrix.
+    """Transpose the indices of qubit 2 of a 4x4 two-qubit matrix, or of
+    each matrix of a stack (..., 4, 4).
 
     Entries are only moved, never recomputed, so transposing twice gives
     back the input exactly.
     """
     r = np.asarray(rho, dtype=complex)
-    if r.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {r.shape}")
-    return r.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4).copy()
+    if r.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 matrices, got shape {r.shape}")
+    lead = r.shape[:-2]
+    return r.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(lead + (4, 4)).copy()
 
 
-def _real_cubic_roots(c2: float, c1: float, c0: float, disc: float) -> np.ndarray:
+def _real_cubic_roots(c2, c1, c0, disc) -> np.ndarray:
     """Ascending roots of x^3 + c2 x^2 + c1 x + c0, all known to be real,
-    given the cubic's discriminant ``disc``.
+    given the cubic's discriminant ``disc``: shape (3,), or (..., 3) for
+    arguments that are arrays of one shape.
 
     Uses the trigonometric form with the angle taken by atan2 from the
     discriminant and q, not by arccos from q alone: near a double root (the
     a = 0 corner has one) the arccos argument sits next to -1, where its
-    rounding error of 1e-16 moves the roots by 1e-8.  A nonnegative
-    depressed p only occurs for a triple root on this domain.
+    rounding error of 1e-16 moves the roots by 1e-8.  The angle is taken by
+    math.atan2 per element, whose bits numpy's vectorised arctan2 does not
+    always reproduce, and powers by np.float_power, which matches Python's
+    ``**``.  A nonnegative depressed p only occurs for a triple root on
+    this domain.
     """
     p = c1 - c2 * c2 / 3.0
-    q = 2.0 * c2 ** 3 / 27.0 - c2 * c1 / 3.0 + c0
+    q = 2.0 * np.float_power(c2, 3) / 27.0 - c2 * c1 / 3.0 + c0
     shift = -c2 / 3.0
-    if p >= 0.0:
-        return np.full(3, shift - np.cbrt(q))
-    m = 2.0 * math.sqrt(-p / 3.0)
-    phi = math.atan2(math.sqrt(max(disc, 0.0) / 27.0), -q) / 3.0
+    m = 2.0 * np.sqrt(np.maximum(-p / 3.0, 0.0))
+    y = np.sqrt(np.maximum(disc, 0.0) / 27.0)
+    angle = map(math.atan2, np.ravel(y).tolist(), np.ravel(-q).tolist())
+    phi = np.reshape(list(angle), np.shape(q)) / 3.0
     third = 2.0 * math.pi / 3.0
-    roots = shift + m * np.cos([phi, phi - third, phi - 2.0 * third])
-    return np.sort(roots)
+    trig = shift + m * np.cos([phi, phi - third, phi - 2.0 * third])
+    roots = np.where(p >= 0.0, shift - np.cbrt(q), trig)
+    return np.sort(np.moveaxis(roots, 0, -1), axis=-1)
 
 
-def cubic_roots(params: StationaryParams) -> np.ndarray:
+def cubic_roots(params: StationaryParams | ParamStack) -> np.ndarray:
     """Ascending closed-form eigenvalues of the transposed state, minus the
-    b/2 eigenvalue that splits off exactly.
+    b/2 eigenvalue that splits off exactly: shape (3,), or (..., 3) for a
+    ParamStack.
 
     Only defined for real c; for b > 0 exactly one root is negative.  The
     discriminant is evaluated as a polynomial in (a, b, c) rather than from
     the rounded coefficients, which keeps it accurate where it vanishes.
     """
-    if abs(params.c.imag) > REAL_C_TOL:
+    if (np.abs(params.c.imag) > REAL_C_TOL).any():
         raise ValueError("closed-form roots are only available for real c")
     a, b, c = params.a, params.b, params.c.real
     u = c * c
     coeff2 = -(a + 0.5 * b)
     coeff1 = -(0.25 * b * b + u - 0.5 * a * b)
-    coeff0 = b ** 3 / 8.0
+    aa, b3, b4 = a * a, np.float_power(b, 3), np.float_power(b, 4)
+    coeff0 = b3 / 8.0
     disc = 0.25 * (
-        a * a * (a * b - 2.0 * u) ** 2
-        + a * a * b ** 4
+        aa * np.float_power(a * b - 2.0 * u, 2)
+        + aa * b4
         + 10.0 * a * a * b * b * u
-        - 2.0 * a * b ** 3 * u
+        - 2.0 * a * b3 * u
         - 20.0 * a * b * u * u
-        + 8.0 * b ** 4 * u
+        + 8.0 * b4 * u
         + 13.0 * b * b * u * u
-        + 16.0 * u ** 3
+        + 16.0 * np.float_power(u, 3)
     )
     return _real_cubic_roots(coeff2, coeff1, coeff0, disc)
 
@@ -112,8 +126,53 @@ class PTSpectrumReport:
     closed_form_eigenvalues: np.ndarray | None
 
 
+def _at(params, index: tuple) -> str:
+    """The point at ``index`` of a stack, or the one point, for a message."""
+    return point_label(np.asarray(params.a)[index].item(), np.asarray(params.c)[index].item())
+
+
+def _guard(gap: np.ndarray, params, what: str) -> None:
+    """RuntimeError naming the first point whose gap exceeds CLOSED_FORM_AGREEMENT."""
+    bad = np.asarray(gap > CLOSED_FORM_AGREEMENT)
+    if bad.any():
+        index = np.unravel_index(bad.argmax(), bad.shape)
+        raise RuntimeError(f"{what} by {gap[index]:.3e} at {_at(params, index)}")
+
+
+def _pt_spectra(params: StationaryParams | ParamStack):
+    """Ascending spectra (4,) or (..., 4) of the partially transposed
+    states, with one eigensolver call, and their closed form when every c
+    is real (else None).
+
+    The product of each spectrum is checked against det = -b^4/16 and, for
+    real c, the spectrum against the independently computed closed form,
+    both within CLOSED_FORM_AGREEMENT.  Disagreement raises RuntimeError,
+    since it would mean a construction bug rather than bad input.  It and
+    the eigensolver's NotHermitian name the first failing point.
+    """
+    try:
+        w = hermitian_eigensystem(partial_transpose(stationary_state(params))).eigenvalues
+    except NotHermitian as exc:
+        raise NotHermitian(f"{exc} at {_at(params, exc.index)}", exc.index) from None
+    b = np.asarray(params.b)
+    det_gap = np.abs(np.prod(w, axis=-1) + np.float_power(b, 4) / 16.0)
+    _guard(det_gap, params, "determinant disagrees with -b^4/16")
+    if (np.abs(params.c.imag) > REAL_C_TOL).any():
+        return w, None
+    closed = np.sort(np.concatenate([cubic_roots(params), 0.5 * b[..., None]], axis=-1), axis=-1)
+    _guard(np.abs(closed - w).max(axis=-1), params, "closed-form spectrum disagrees with the numerical one")
+    return w, closed
+
+
+def _negativity(w: np.ndarray) -> np.ndarray:
+    """-(sum of the negative eigenvalues) along the last axis: -0.0 when
+    there are none, as the negated empty sum."""
+    return -np.where(w < 0.0, w, 0.0).sum(axis=-1)
+
+
 def ppt_analyze(params: StationaryParams) -> PTSpectrumReport:
-    """Build the stationary state, transpose qubit 2, and report its spectrum.
+    """Build the stationary state, transpose qubit 2, and report its spectrum:
+    the one-point case of the stacked analysis :func:`sweep` runs.
 
     ``separable`` is the exact verdict b <= 0: b = 0 is the one separable
     point, and a b in [-PARAM_TOL, 0], which StationaryParams admits as its
@@ -123,62 +182,55 @@ def ppt_analyze(params: StationaryParams) -> PTSpectrumReport:
     Disagreement raises RuntimeError, since it would mean a construction bug
     rather than bad input.
     """
-    w = hermitian_eigensystem(partial_transpose(stationary_state(params))).eigenvalues
-    det_gap = abs(float(np.prod(w)) + params.b ** 4 / 16.0)
-    if det_gap > CLOSED_FORM_AGREEMENT:
-        raise RuntimeError(f"determinant disagrees with -b^4/16 by {det_gap:.3e}")
-    closed = None
-    if abs(params.c.imag) <= REAL_C_TOL:
-        closed = np.sort(np.append(cubic_roots(params), 0.5 * params.b))
-        gap = float(np.abs(closed - w).max())
-        if gap > CLOSED_FORM_AGREEMENT:
-            raise RuntimeError(
-                f"closed-form spectrum disagrees with the numerical one by {gap:.3e}"
-            )
-    negativity = float(-w[w < 0.0].sum())
+    w, closed = _pt_spectra(params)
     return PTSpectrumReport(
         eigenvalues=w,
         min_eigenvalue=float(w[0]),
-        negativity=negativity,
+        negativity=float(_negativity(w)),
         separable=params.b <= 0.0,
         closed_form_eigenvalues=closed,
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point of the (a, c) entanglement sweep."""
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """The (a, c) entanglement sweep as five read-only columns of equal
+    length, one row per grid point; ``len()`` is the row count."""
 
-    a: float
-    c: float
-    min_pt_eigenvalue: float
-    negativity: float
-    separable: bool
+    a: np.ndarray
+    c: np.ndarray
+    min_pt_eigenvalue: np.ndarray
+    negativity: np.ndarray
+    separable: np.ndarray
+
+    def __post_init__(self):
+        for column in vars(self).values():
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def columns(self) -> dict:
+        """Column name -> column, in table order."""
+        return dict(vars(self))
 
 
-def sweep(grid_n: int) -> list[SweepRow]:
+def sweep(grid_n: int) -> SweepTable:
     """PPT verdicts over a uniform grid of a in [0, 1], real c in [-1/2, 1/2].
 
     Grid points with c^2 > a (1 - a) admit no state and are skipped; rows
-    come back in row-major order (a outer, c inner), deterministically.
-    ValueError unless 2 <= grid_n <= MAX_GRID.
+    come in row-major order (a outer, c inner), deterministically.  Each
+    value of a is analysed as one stack of its valid c values, with one
+    eigensolver call.  ValueError unless 2 <= grid_n <= MAX_GRID.
     """
     if not 2 <= grid_n <= MAX_GRID:
         raise ValueError(f"grid_n must be between 2 and MAX_GRID = {MAX_GRID}, got {grid_n}")
+    c_axis = np.linspace(-0.5, 0.5, grid_n)
     rows = []
     for a in np.linspace(0.0, 1.0, grid_n):
         b = 1.0 - a
-        for c in np.linspace(-0.5, 0.5, grid_n):
-            if c * c > a * b + PARAM_TOL:
-                continue
-            report = ppt_analyze(StationaryParams(float(a), float(b), complex(c)))
-            rows.append(
-                SweepRow(
-                    a=float(a),
-                    c=float(c),
-                    min_pt_eigenvalue=report.min_eigenvalue,
-                    negativity=report.negativity,
-                    separable=report.separable,
-                )
-            )
-    return rows
+        c = c_axis[c_axis * c_axis <= a * b + PARAM_TOL]
+        points = ParamStack(a, b, c)
+        w, _ = _pt_spectra(points)
+        rows.append((points.a, c, w[:, 0], _negativity(w), points.b <= 0.0))
+    return SweepTable(*(np.concatenate(column) for column in zip(*rows)))

@@ -19,7 +19,12 @@ NULL_SPACE_TOL = 1e-10
 
 
 class NotHermitian(ValueError):
-    """Raised when a matrix fails its Hermitian symmetry check."""
+    """Raised when a matrix fails its Hermitian symmetry check; ``index`` is
+    the stack index of the first failing matrix, () for a single matrix."""
+
+    def __init__(self, message: str, index: tuple = ()):
+        super().__init__(message)
+        self.index = index
 
 
 class DimMismatch(ValueError):
@@ -31,7 +36,8 @@ class SpectrumReport:
     """Hermitian eigendecomposition.
 
     ``eigenvalues`` are real and ascending; column i of ``eigenvectors`` is
-    the orthonormal eigenvector paired with eigenvalue i.
+    the orthonormal eigenvector paired with eigenvalue i.  A stack of
+    matrices gives a stack of both, along the same leading axes.
     """
 
     eigenvalues: np.ndarray
@@ -46,7 +52,7 @@ def _as_matrix(m) -> np.ndarray:
 
 
 def _require_square(a: np.ndarray) -> None:
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-2] != a.shape[-1]:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
 
 
@@ -56,17 +62,26 @@ def tensor_product(a, b) -> np.ndarray:
 
 
 def hermitian_eigensystem(m) -> SpectrumReport:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
+    stack (..., n, n), with one LAPACK call.
 
-    Raises NotHermitian when the symmetry error exceeds HERMITIAN_TOL.  The
-    reconstruction V diag(w) V+ matches the input to machine precision for
-    the matrix sizes this package deals in.
+    Raises NotHermitian for the first matrix whose symmetry error exceeds
+    HERMITIAN_TOL.  The reconstruction V diag(w) V+ matches the input to
+    machine precision for the matrix sizes this package deals in.
     """
-    a = _as_matrix(m)
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] == 0:
+        raise DimMismatch(f"expected nonempty matrices, got shape {a.shape}")
     _require_square(a)
-    err = float(np.abs(a - a.conj().T).max())
-    if err > HERMITIAN_TOL:
-        raise NotHermitian(f"symmetry error {err:.3e} exceeds tolerance {HERMITIAN_TOL:.3e}")
+    err = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = err > HERMITIAN_TOL
+    if bad.any():
+        index = tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
+        where = f" in matrix {index}" if index else ""
+        raise NotHermitian(
+            f"symmetry error {err[index]:.3e} exceeds tolerance {HERMITIAN_TOL:.3e}{where}",
+            index,
+        )
     w, v = np.linalg.eigh(a)
     return SpectrumReport(eigenvalues=w, eigenvectors=v)
 

@@ -278,6 +278,49 @@ def ehrenfest_lx(rho, ops: OperatorSet) -> float:
     return float(2.0 * np.trace(r @ (ops.jump_dagger @ ops.jump)).real)
 
 
+def point_label(a: float, c: complex) -> str:
+    """Names one point of a stack in an error message; a real c prints as a float."""
+    return f"(a, c) = ({a!r}, {c.real if c.imag == 0.0 else c!r})"
+
+
+def _check_params(a, b, c) -> None:
+    """Raise InvalidParams unless every point (a, b, c) is a stationary
+    state: all three finite, a + b = 1, both nonnegative and a b >= |c|^2,
+    all within PARAM_TOL.  Takes scalars or arrays of one shape; for arrays
+    the message names the first failing point."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = {
+            "a": a,
+            "b": b,
+            "c": c,
+            "total": a + b,
+            "ab": a * b,
+            "c2": np.float_power(np.hypot(c.real, c.imag), 2),  # abs(c) ** 2 bit for bit
+        }
+        faults = (
+            (~np.isfinite(a), "a must be finite, got {a!r}"),
+            (~np.isfinite(b), "b must be finite, got {b!r}"),
+            (~np.isfinite(c), "c must be finite, got {c!r}"),
+            (np.abs(values["total"] - 1.0) > PARAM_TOL, "a + b must equal 1, got {total!r}"),
+            ((a < -PARAM_TOL) | (b < -PARAM_TOL), "a and b must be nonnegative, got {a!r}, {b!r}"),
+            (
+                values["ab"] + PARAM_TOL < values["c2"],
+                "positivity needs a*b >= |c|^2, got a*b = {ab!r}, |c|^2 = {c2!r}",
+            ),
+        )
+    bad = np.logical_or.reduce([mask for mask, _ in faults])
+    if not bad.any():
+        return
+    i = np.unravel_index(np.argmax(bad), bad.shape)
+    at = {name: v[i].item() for name, v in values.items()}
+    message = next(text for mask, text in faults if mask[i]).format(**at)
+    if bad.ndim:
+        message += " at " + point_label(at["a"], at["c"])
+    raise InvalidParams(message)
+
+
 @dataclass(frozen=True)
 class StationaryParams:
     """Coefficients (a, b, c) of a stationary density matrix.
@@ -296,18 +339,33 @@ class StationaryParams:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "c", complex(self.c))
-        for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
-            if not np.isfinite(value):
-                raise InvalidParams(f"{name} must be finite, got {value!r}")
-        if abs(self.a + self.b - 1.0) > PARAM_TOL:
-            raise InvalidParams(f"a + b must equal 1, got {self.a + self.b!r}")
-        if self.a < -PARAM_TOL or self.b < -PARAM_TOL:
-            raise InvalidParams(f"a and b must be nonnegative, got {self.a!r}, {self.b!r}")
-        if self.a * self.b + PARAM_TOL < abs(self.c) ** 2:
-            raise InvalidParams(
-                f"positivity needs a*b >= |c|^2, got a*b = {self.a * self.b!r}, "
-                f"|c|^2 = {abs(self.c) ** 2!r}"
-            )
+        _check_params(self.a, self.b, self.c)
+
+
+@dataclass(frozen=True, eq=False)
+class ParamStack:
+    """Coefficients of a stack of stationary states, validated elementwise
+    as StationaryParams is.
+
+    ``a``, ``b`` (float) and ``c`` (complex) are read-only arrays of one
+    shape, broadcast from the arguments; InvalidParams names the first
+    failing point.  The functions that take a StationaryParams accept a
+    ParamStack too and return one result per point along leading axes.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+
+    def __post_init__(self):
+        arrays = np.broadcast_arrays(
+            np.asarray(self.a, dtype=float),
+            np.asarray(self.b, dtype=float),
+            np.asarray(self.c, dtype=complex),
+        )
+        for name, x in zip(("a", "b", "c"), arrays):
+            object.__setattr__(self, name, _readonly(x.copy()))
+        _check_params(self.a, self.b, self.c)
 
 
 def random_stationary_params(
@@ -328,16 +386,20 @@ def random_stationary_params(
     return StationaryParams(a, b, c)
 
 
-def _kernel_combination(a: float, b: float, c: complex) -> np.ndarray:
+def _kernel_combination(a, b, c) -> np.ndarray:
+    """a P1 + b P2 + (c |psi1><psi2| + h.c.); arrays of one shape S give a
+    stack of shape S + (4, 4)."""
     psi1, psi2 = KERNEL_BASIS.psi1, KERNEL_BASIS.psi2
-    p1 = np.outer(psi1, psi1.conj())
-    p2 = np.outer(psi2, psi2.conj())
-    cross = np.outer(psi1, psi2.conj())
+    p1 = psi1[:, None] * psi1.conj()
+    p2 = psi2[:, None] * psi2.conj()
+    cross = psi1[:, None] * psi2.conj()
+    a, b, c = (np.asarray(x)[..., None, None] for x in (a, b, c))
     return a * p1 + b * p2 + c * cross + np.conj(c) * cross.conj().T
 
 
-def stationary_state(params: StationaryParams) -> np.ndarray:
-    """Density matrix a P1 + b P2 + (c |psi1><psi2| + h.c.) in the kernel."""
+def stationary_state(params: StationaryParams | ParamStack) -> np.ndarray:
+    """Density matrix a P1 + b P2 + (c |psi1><psi2| + h.c.) in the kernel,
+    or the (..., 4, 4) stack of them for a ParamStack."""
     return _kernel_combination(params.a, params.b, params.c)
 
 

@@ -448,6 +448,14 @@ def test_nonfinite_params_exit_code(capsys, argv, message):
     assert err == message
 
 
+@pytest.mark.parametrize("command", ["stationary", "ppt"])
+def test_overflowing_coupling_exit_code(capsys, command):
+    # |c|^2 overflows to inf: refused as input, not an internal error
+    code, _, err = run_cli([command, "--a", "0.5", "--c-re", "1e200"], capsys)
+    assert code == 2
+    assert err == "error: positivity needs a*b >= |c|^2, got a*b = 0.25, |c|^2 = inf\n"
+
+
 def test_ppt_command(capsys):
     code, out, _ = run_cli(["ppt", "--a", "0"], capsys)
     assert code == 0

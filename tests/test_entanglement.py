@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from syncqubits import entanglement
+from syncqubits import cli, entanglement
 from syncqubits.entanglement import (
     MAX_GRID,
     cubic_roots,
@@ -14,7 +14,10 @@ from syncqubits.entanglement import (
     ppt_analyze,
     sweep,
 )
+from syncqubits.linalg import NotHermitian, SpectrumReport
 from syncqubits.quantum import (
+    PARAM_TOL,
+    ParamStack,
     StationaryParams,
     random_density_matrix,
     random_stationary_params,
@@ -174,26 +177,216 @@ def test_negativity_decays_with_singlet_weight():
 
 
 def test_sweep_grid():
-    rows = sweep(11)
+    table = sweep(11)
     # the full c range only survives near a = 1/2; corners keep c = 0 only
-    assert all(r.c * r.c <= r.a * (1.0 - r.a) + 1e-12 for r in rows)
-    by_point = {(round(r.a, 6), round(r.c, 6)): r for r in rows}
-    assert by_point[(1.0, 0.0)].separable
-    assert abs(by_point[(0.0, 0.0)].negativity - 0.5) < 1e-10
-    for r in rows:
-        if r.a < 1.0:
-            assert not r.separable
-            assert r.min_pt_eigenvalue < 0.0
+    assert np.all(table.c * table.c <= table.a * (1.0 - table.a) + 1e-12)
+    by_point = {
+        (round(a, 6), round(c, 6)): i for i, (a, c) in enumerate(zip(table.a, table.c))
+    }
+    assert table.separable[by_point[(1.0, 0.0)]]
+    assert abs(table.negativity[by_point[(0.0, 0.0)]] - 0.5) < 1e-10
+    inner = table.a < 1.0
+    assert not table.separable[inner].any()
+    assert np.all(table.min_pt_eigenvalue[inner] < 0.0)
     # boundary points with c^2 = a (1 - a) are included
     assert (0.5, 0.5) in by_point and (0.5, -0.5) in by_point
 
 
 def test_sweep_deterministic_and_ordered():
-    rows_a = sweep(5)
-    rows_b = sweep(5)
-    assert rows_a == rows_b
-    a_values = [r.a for r in rows_a]
+    table_a = sweep(5)
+    table_b = sweep(5)
+    columns_a, columns_b = table_a.columns(), table_b.columns()
+    assert list(columns_a) == ["a", "c", "min_pt_eigenvalue", "negativity", "separable"]
+    assert all(columns_a[k].tobytes() == columns_b[k].tobytes() for k in columns_a)
+    a_values = list(table_a.a)
     assert a_values == sorted(a_values)
+
+
+def test_sweep_table_columns_are_read_only():
+    table = sweep(5)
+    assert len(table) == 13 == table.negativity.size
+    assert table.separable.dtype == bool
+    for column in table.columns().values():
+        with pytest.raises(ValueError):
+            column[0] = column[1]
+
+
+def _reference_sweep(grid_n):
+    """sweep's columns computed one grid point at a time."""
+    rows = []
+    for a in np.linspace(0.0, 1.0, grid_n):
+        b = 1.0 - a
+        for c in np.linspace(-0.5, 0.5, grid_n):
+            if c * c > a * b + PARAM_TOL:
+                continue
+            params = StationaryParams(float(a), float(b), complex(c))
+            w = np.linalg.eigh(partial_transpose(stationary_state(params)))[0]
+            rows.append((float(a), float(c), float(w[0]), float(-w[w < 0.0].sum()), params.b <= 0.0))
+    names = ["a", "c", "min_pt_eigenvalue", "negativity", "separable"]
+    return {name: [row[i] for row in rows] for i, name in enumerate(names)}
+
+
+@pytest.mark.parametrize("grid_n", [2, 3, 21, 41])
+def test_sweep_writes_the_per_point_text(grid_n):
+    # text, not np.array_equal, which cannot tell -0.0 (the b = 0 corner's
+    # negativity) from 0.0
+    reference = _reference_sweep(grid_n)
+    columns = sweep(grid_n).columns()
+    for fmt in ("csv", "json"):
+        expected = "".join(cli._table_chunks(reference, fmt, records=True))
+        assert "".join(cli._table_chunks(columns, fmt, records=True)) == expected
+
+
+def _perturb_eigenvalues(monkeypatch, points, factors):
+    """Scale the numerical PT spectrum of each (a, c) in ``points`` by ``factors``."""
+    targets = [
+        partial_transpose(stationary_state(StationaryParams(a, 1.0 - a, c))) for a, c in points
+    ]
+    solve = entanglement.hermitian_eigensystem
+
+    def perturbed(stack):
+        report = solve(stack)
+        w = report.eigenvalues.copy()
+        for target in targets:
+            w[np.all(stack == target, axis=(-2, -1))] *= factors
+        return SpectrumReport(eigenvalues=w, eigenvectors=report.eigenvectors)
+
+    monkeypatch.setattr(entanglement, "hermitian_eigensystem", perturbed)
+
+
+def test_sweep_negativity_without_negative_eigenvalues_is_minus_zero(monkeypatch):
+    # -(empty sum) is -0.0 and prints as -0; zeroing the b = 0 corner's three
+    # rounding-size negative eigenvalues leaves it none
+    _perturb_eigenvalues(monkeypatch, [(1.0, 0.0)], [0.0, 0.0, 0.0, 1.0])
+    assert "".join(cli._table_chunks(sweep(3).columns(), "csv")).endswith("\n1,0,-0,-0,true\n")
+
+
+def test_sweep_names_the_point_failing_the_determinant_check(monkeypatch):
+    # three failing points, two in one stack; the first in row-major order
+    # is named
+    failing = [(0.75, -0.25), (0.5, 0.25), (0.5, -0.25)]
+    _perturb_eigenvalues(monkeypatch, failing, [1.0, 1.0, 1.0, 1.01])
+    with pytest.raises(
+        RuntimeError,
+        match=r"^determinant disagrees with -b\^4/16 by \S+ at \(a, c\) = \(0\.5, -0\.25\)$",
+    ):
+        sweep(5)
+
+
+def test_sweep_names_the_point_failing_the_closed_form_check(monkeypatch):
+    # the product is kept, so only the closed-form comparison can see it
+    _perturb_eigenvalues(monkeypatch, [(0.5, 0.25)], [1.0, 1.0, 1.001, 1.0 / 1.001])
+    with pytest.raises(
+        RuntimeError,
+        match=r"^closed-form spectrum disagrees with the numerical one by \S+ "
+        r"at \(a, c\) = \(0\.5, 0\.25\)$",
+    ):
+        sweep(5)
+
+
+def test_sweep_names_the_point_failing_the_symmetry_check(monkeypatch):
+    transpose = entanglement.partial_transpose
+    target = transpose(stationary_state(StationaryParams(0.25, 0.75, 0.0)))
+
+    def broken(rho):
+        pt = transpose(rho)
+        pt[np.all(pt == target, axis=(-2, -1)), 0, 1] += 1e-6
+        return pt
+
+    monkeypatch.setattr(entanglement, "partial_transpose", broken)
+    with pytest.raises(NotHermitian, match=r"in matrix \(1,\) at \(a, c\) = \(0\.25, 0\.0\)$"):
+        sweep(5)
+
+
+def _scalar_cubic_roots(a, b, c):
+    """The closed-form roots as computed one point at a time in Python floats."""
+    u = c * c
+    c2 = -(a + 0.5 * b)
+    c1 = -(0.25 * b * b + u - 0.5 * a * b)
+    c0 = b ** 3 / 8.0
+    disc = 0.25 * (
+        a * a * (a * b - 2.0 * u) ** 2
+        + a * a * b ** 4
+        + 10.0 * a * a * b * b * u
+        - 2.0 * a * b ** 3 * u
+        - 20.0 * a * b * u * u
+        + 8.0 * b ** 4 * u
+        + 13.0 * b * b * u * u
+        + 16.0 * u ** 3
+    )
+    p = c1 - c2 * c2 / 3.0
+    q = 2.0 * c2 ** 3 / 27.0 - c2 * c1 / 3.0 + c0
+    shift = -c2 / 3.0
+    if p >= 0.0:
+        return np.full(3, shift - np.cbrt(q))
+    m = 2.0 * math.sqrt(-p / 3.0)
+    phi = math.atan2(math.sqrt(max(disc, 0.0) / 27.0), -q) / 3.0
+    third = 2.0 * math.pi / 3.0
+    return np.sort(shift + m * np.cos([phi, phi - third, phi - 2.0 * third]))
+
+
+@settings(deadline=None)
+@given(points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=20))
+@example(points=[(0.0, 0.0), (1e-8, 0.0), (0.5, 1.0), (1.0, 0.0), (0.3, 0.2 / math.sqrt(0.21))])
+def test_cubic_roots_reproduce_the_scalar_bits(points):
+    # ppt prints the closed form, so the array roots must equal the
+    # one-point Python computation bit for bit, stacked or not
+    a = np.array([p[0] for p in points])
+    b = 1.0 - a
+    c = np.array([p[1] for p in points]) * np.sqrt(a * b)
+    stacked = cubic_roots(ParamStack(a, b, c))
+    assert stacked.shape == (len(points), 3)
+    for k, (ak, bk, ck) in enumerate(zip(a.tolist(), b.tolist(), c.tolist())):
+        expected = _scalar_cubic_roots(ak, bk, ck).tobytes()
+        assert stacked[k].tobytes() == expected
+        assert cubic_roots(StationaryParams(ak, bk, ck)).tobytes() == expected
+
+
+def test_cubic_roots_reproduce_the_scalar_bits_on_random_points(rng):
+    # hypothesis favours round numbers, whose powers are exact; uniform
+    # draws reach the last-bit differences of numpy's vectorised pow
+    a = rng.uniform(0.0, 1.0, 2000)
+    b = 1.0 - a
+    c = rng.uniform(-1.0, 1.0, 2000) * np.sqrt(a * b)
+    stacked = cubic_roots(ParamStack(a, b, c))
+    expected = [_scalar_cubic_roots(*point) for point in zip(a.tolist(), b.tolist(), c.tolist())]
+    assert stacked.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("a, c", [(0.3, 0.2), (0.0, 0.0), (1e-8, 0.0), (0.99999, 0.0), (1.0, 0.0)])
+def test_ppt_closed_form_reproduces_the_scalar_bits(a, c):
+    params = StationaryParams(a, 1.0 - a, c)
+    expected = np.sort(np.append(_scalar_cubic_roots(a, 1.0 - a, c), 0.5 * (1.0 - a)))
+    assert ppt_analyze(params).closed_form_eigenvalues.tobytes() == expected.tobytes()
+
+
+def test_negativity_margin_on_the_sweep_grid():
+    # -lambda_min >= b^2/4 (observed, not proven); the slack covers eigh
+    # rounding as b -> 0
+    table = sweep(301)
+    b = 1.0 - table.a
+    assert np.all(-table.min_pt_eigenvalue >= b * b / 4.0 - 1e-14)
+
+
+@settings(deadline=None)
+@given(b=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0), phase=st.floats(0.0, 2.0 * math.pi))
+@example(b=1e-7, t=1.0, phase=0.0)
+@example(b=1.0, t=0.0, phase=0.0)
+def test_negativity_margin_over_the_valid_set(b, t, phase):
+    a = 1.0 - b
+    report = ppt_analyze(StationaryParams(a, b, t * math.sqrt(a * b) * cmath.exp(1j * phase)))
+    assert -report.min_eigenvalue >= b * b / 4.0 - 1e-14
+
+
+def test_stacked_analysis_matches_one_point_at_a_time(rng):
+    params = [random_stationary_params(rng, real_c=(k % 2 == 0)) for k in range(20)]
+    stack = ParamStack([p.a for p in params], [p.b for p in params], [p.c for p in params])
+    states = stationary_state(stack)
+    transposed = partial_transpose(states)
+    assert states.shape == transposed.shape == (20, 4, 4)
+    for k, p in enumerate(params):
+        assert states[k].tobytes() == stationary_state(p).tobytes()
+        assert transposed[k].tobytes() == partial_transpose(stationary_state(p)).tobytes()
 
 
 def test_sweep_rejects_tiny_grid():

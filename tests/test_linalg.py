@@ -90,6 +90,32 @@ def test_hermitian_eigensystem_rejects_nonhermitian():
         hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_eigensystem_stack_matches_one_at_a_time(rng):
+    stack = np.array([random_hermitian(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+    report = hermitian_eigensystem(stack)
+    assert report.eigenvalues.shape == (2, 3, 4)
+    assert report.eigenvectors.shape == (2, 3, 4, 4)
+    for i in np.ndindex(2, 3):
+        one = hermitian_eigensystem(stack[i])
+        assert report.eigenvalues[i].tobytes() == one.eigenvalues.tobytes()
+        assert report.eigenvectors[i].tobytes() == one.eigenvectors.tobytes()
+
+
+def test_hermitian_eigensystem_names_the_first_nonhermitian_matrix(rng):
+    stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
+    stack[3, 1, 0] += 1e-3
+    stack[2, 0, 1] += 1e-6
+    with pytest.raises(NotHermitian, match=r"^symmetry error 1\.000e-06 .* in matrix \(2,\)$") as info:
+        hermitian_eigensystem(stack)
+    assert info.value.index == (2,)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (5, 2, 3), (0, 0)])
+def test_hermitian_eigensystem_rejects_non_square_shapes(shape):
+    with pytest.raises(DimMismatch):
+        hermitian_eigensystem(np.zeros(shape))
+
+
 def test_null_space_of_jump():
     kern = null_space(JUMP)
     assert len(kern) == 2

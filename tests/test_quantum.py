@@ -11,6 +11,7 @@ from syncqubits import quantum
 from syncqubits.classical import BLOCK_STEPS
 from syncqubits.quantum import (
     InvalidParams,
+    ParamStack,
     PositivityLost,
     StationaryParams,
     build_operators,
@@ -24,6 +25,7 @@ from syncqubits.quantum import (
     labelled_state,
     lindblad_rhs,
     liouvillian_matrix,
+    point_label,
     project_to_stationary,
     random_density_matrix,
     random_stationary_params,
@@ -157,6 +159,40 @@ def test_stationary_params_rejects_nonfinite(a, b, c, name):
     # NaN passes every range comparison, so it must be caught first
     with pytest.raises(InvalidParams, match=f"^{name} must be finite"):
         StationaryParams(a, b, c)
+
+
+def test_param_stack_names_the_first_invalid_point():
+    with pytest.raises(
+        InvalidParams,
+        match=r"^positivity needs a\*b >= \|c\|\^2, got a\*b = 0\.21, \|c\|\^2 = 0\.25 "
+        r"at \(a, c\) = \(0\.3, 0\.5\)$",
+    ):
+        ParamStack([0.5, 0.3, 0.3], [0.5, 0.7, 0.7], [0.1, 0.5, 0.9])
+    stack = ParamStack(0.5, 0.5, [0.1, 0.2j])  # scalars broadcast
+    assert stack.a.shape == stack.b.shape == stack.c.shape == (2,)
+    assert stack.c.dtype == complex and not stack.a.flags.writeable
+
+
+@given(
+    a=st.one_of(st.floats(-0.1, 1.1), st.floats()),
+    re=st.one_of(st.floats(-0.6, 0.6), st.floats()),
+    im=st.one_of(st.just(0.0), st.floats(-0.6, 0.6), st.floats()),
+    drift=st.sampled_from([0.0, 1e-13, 1e-11]),
+)
+def test_param_stack_checks_each_point_as_stationary_params(a, re, im, drift):
+    # one set of conditions: a stack fails where StationaryParams does, with
+    # the same message plus the point; when the middle point is valid, the
+    # last one, with b < 0, is named
+    b = 1.0 - a + drift
+    c = complex(re, im)
+    expected = "a and b must be nonnegative, got 2.0, -1.0 at (a, c) = (2.0, 0.0)"
+    try:
+        StationaryParams(a, b, c)
+    except InvalidParams as exc:
+        expected = f"{exc} at {point_label(a, c)}"
+    with pytest.raises(InvalidParams) as info:
+        ParamStack([0.5, a, 2.0], [0.5, b, -1.0], [0.0, c, 0.0])
+    assert str(info.value) == expected
 
 
 def test_stationary_state_corners(basis):

@@ -21,7 +21,9 @@ def _quick_start() -> str:
 
 def test_readme_quick_start_runs(capsys):
     exec(compile(_quick_start(), "README.md quick start", "exec"), {})
-    assert "(50, 20001, 3) (50, 20001)\n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "(50, 20001, 3) (50, 20001)\n" in out
+    assert "7845 1\n" in out
 
 
 def test_cli_import_loads_numpy_only():
