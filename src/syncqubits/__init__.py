@@ -38,7 +38,6 @@ from .quantum import (
     InvalidParams,
     KernelBasis,
     OperatorSet,
-    ParamStack,
     PositivityLost,
     QuantumTrajectory,
     StationaryFit,

@@ -42,7 +42,6 @@ from .quantum import (
     PositivityLost,
     StationaryParams,
     build_operators,
-    check_density_matrix,
     density_matrix_from_json,
     density_matrix_to_json,
     evolve,
@@ -287,7 +286,7 @@ def _parse_initial_density(text: str) -> np.ndarray:
         raise ValueError(f"cannot read initial state {text!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{text!r} is not valid JSON: {exc}") from exc
-    return check_density_matrix(density_matrix_from_json(payload))
+    return density_matrix_from_json(payload)
 
 
 def _cmd_quantum_evolve(cfg) -> int:

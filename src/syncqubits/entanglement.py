@@ -12,10 +12,10 @@ one eigenvalue is b/2 exactly, the other three are the roots of a cubic
 whose coefficients are polynomial in (a, b, c), and for every b > 0
 exactly one of those roots is negative.
 
-The analysis takes one point (a StationaryParams) or a stack of points (a
-ParamStack), and runs a stack as whole arrays with one eigensolver call,
-bit for bit equal to analysing its points one at a time; :func:`sweep`
-analyses one value of a per stack.
+Every function here takes one point or a stack of points, both as a
+StationaryParams, and runs a stack as whole arrays with one eigensolver
+call, bit for bit equal to analysing its points one at a time;
+:func:`sweep` analyses one value of a per stack.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NotHermitian, hermitian_eigensystem
-from .quantum import PARAM_TOL, ParamStack, StationaryParams, point_label, stationary_state
+from .quantum import PARAM_TOL, StationaryParams, point_label, stationary_state
 
 #: |Im c| at or below this is treated as real for the closed-form route
 REAL_C_TOL = 1e-12
@@ -80,10 +80,10 @@ def _real_cubic_roots(c2, c1, c0, disc) -> np.ndarray:
     return np.sort(np.moveaxis(roots, 0, -1), axis=-1)
 
 
-def cubic_roots(params: StationaryParams | ParamStack) -> np.ndarray:
+def cubic_roots(params: StationaryParams) -> np.ndarray:
     """Ascending closed-form eigenvalues of the transposed state, minus the
     b/2 eigenvalue that splits off exactly: shape (3,), or (..., 3) for a
-    ParamStack.
+    stack.
 
     Only defined for real c; for b > 0 exactly one root is negative.  The
     discriminant is evaluated as a polynomial in (a, b, c) rather than from
@@ -114,15 +114,18 @@ def cubic_roots(params: StationaryParams | ParamStack) -> np.ndarray:
 class PTSpectrumReport:
     """Spectrum of a partially transposed stationary state plus the verdict.
 
-    ``closed_form_eigenvalues`` (b/2 joined with the cubic roots) is filled
-    for real c only; when present it has already been cross-checked against
-    the numerical spectrum.
+    ``eigenvalues`` are ascending, shape (4,).  ``closed_form_eigenvalues``
+    (b/2 joined with the cubic roots) is filled for real c only; when
+    present it has already been cross-checked against the numerical
+    spectrum.  For a stack every field gains its leading axes, the three
+    scalars becoming arrays, and the closed form is filled only if every c
+    is real.
     """
 
     eigenvalues: np.ndarray
-    min_eigenvalue: float
-    negativity: float
-    separable: bool
+    min_eigenvalue: float | np.ndarray
+    negativity: float | np.ndarray
+    separable: bool | np.ndarray
     closed_form_eigenvalues: np.ndarray | None
 
 
@@ -139,16 +142,24 @@ def _guard(gap: np.ndarray, params, what: str) -> None:
         raise RuntimeError(f"{what} by {gap[index]:.3e} at {_at(params, index)}")
 
 
-def _pt_spectra(params: StationaryParams | ParamStack):
-    """Ascending spectra (4,) or (..., 4) of the partially transposed
-    states, with one eigensolver call, and their closed form when every c
-    is real (else None).
+def _negativity(w: np.ndarray) -> np.ndarray:
+    """-(sum of the negative eigenvalues) along the last axis: -0.0 when
+    there are none, as the negated empty sum."""
+    return -np.where(w < 0.0, w, 0.0).sum(axis=-1)
 
-    The product of each spectrum is checked against det = -b^4/16 and, for
-    real c, the spectrum against the independently computed closed form,
-    both within CLOSED_FORM_AGREEMENT.  Disagreement raises RuntimeError,
-    since it would mean a construction bug rather than bad input.  It and
-    the eigensolver's NotHermitian name the first failing point.
+
+def ppt_analyze(params: StationaryParams) -> PTSpectrumReport:
+    """Build the stationary states, transpose qubit 2, and report their
+    spectra, with one eigensolver call for a stack.
+
+    ``separable`` is the exact verdict b <= 0: b = 0 is the one separable
+    point, and a b in [-PARAM_TOL, 0], which StationaryParams admits as its
+    roundoff, reads separable too.  The product of each spectrum is
+    cross-checked against det = -b^4/16 and, for real c, the spectrum
+    against the independently computed closed form, both within
+    CLOSED_FORM_AGREEMENT.  Disagreement raises RuntimeError, since it
+    would mean a construction bug rather than bad input.  It and the
+    eigensolver's NotHermitian name the first failing point.
     """
     try:
         w = hermitian_eigensystem(partial_transpose(stationary_state(params))).eigenvalues
@@ -157,36 +168,15 @@ def _pt_spectra(params: StationaryParams | ParamStack):
     b = np.asarray(params.b)
     det_gap = np.abs(np.prod(w, axis=-1) + np.float_power(b, 4) / 16.0)
     _guard(det_gap, params, "determinant disagrees with -b^4/16")
-    if (np.abs(params.c.imag) > REAL_C_TOL).any():
-        return w, None
-    closed = np.sort(np.concatenate([cubic_roots(params), 0.5 * b[..., None]], axis=-1), axis=-1)
-    _guard(np.abs(closed - w).max(axis=-1), params, "closed-form spectrum disagrees with the numerical one")
-    return w, closed
-
-
-def _negativity(w: np.ndarray) -> np.ndarray:
-    """-(sum of the negative eigenvalues) along the last axis: -0.0 when
-    there are none, as the negated empty sum."""
-    return -np.where(w < 0.0, w, 0.0).sum(axis=-1)
-
-
-def ppt_analyze(params: StationaryParams) -> PTSpectrumReport:
-    """Build the stationary state, transpose qubit 2, and report its spectrum:
-    the one-point case of the stacked analysis :func:`sweep` runs.
-
-    ``separable`` is the exact verdict b <= 0: b = 0 is the one separable
-    point, and a b in [-PARAM_TOL, 0], which StationaryParams admits as its
-    roundoff, reads separable too.  The numerical spectrum is cross-checked
-    within 1e-9: its product against det = -b^4/16 and, for real c, the
-    spectrum itself against the independently computed closed form.
-    Disagreement raises RuntimeError, since it would mean a construction bug
-    rather than bad input.
-    """
-    w, closed = _pt_spectra(params)
+    closed = None
+    if not (np.abs(params.c.imag) > REAL_C_TOL).any():
+        closed = np.sort(np.concatenate([cubic_roots(params), 0.5 * b[..., None]], axis=-1), axis=-1)
+        gap = np.abs(closed - w).max(axis=-1)
+        _guard(gap, params, "closed-form spectrum disagrees with the numerical one")
     return PTSpectrumReport(
         eigenvalues=w,
-        min_eigenvalue=float(w[0]),
-        negativity=float(_negativity(w)),
+        min_eigenvalue=w[..., 0][()],
+        negativity=_negativity(w)[()],
         separable=params.b <= 0.0,
         closed_form_eigenvalues=closed,
     )
@@ -230,7 +220,7 @@ def sweep(grid_n: int) -> SweepTable:
     for a in np.linspace(0.0, 1.0, grid_n):
         b = 1.0 - a
         c = c_axis[c_axis * c_axis <= a * b + PARAM_TOL]
-        points = ParamStack(a, b, c)
-        w, _ = _pt_spectra(points)
-        rows.append((points.a, c, w[:, 0], _negativity(w), points.b <= 0.0))
+        points = StationaryParams(a, b, c)
+        report = ppt_analyze(points)
+        rows.append((points.a, c, report.min_eigenvalue, report.negativity, report.separable))
     return SweepTable(*(np.concatenate(column) for column in zip(*rows)))

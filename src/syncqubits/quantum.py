@@ -321,41 +321,26 @@ def _check_params(a, b, c) -> None:
     raise InvalidParams(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationaryParams:
-    """Coefficients (a, b, c) of a stationary density matrix.
+    """Coefficients (a, b, c) of one stationary density matrix, or of a
+    stack of them.
 
     Validated on construction: all three finite, a + b = 1, both
     nonnegative, and a b >= |c|^2 (all within 1e-12), the exact conditions
     for unit trace and positivity.  ``c`` may be complex.  A violation
-    raises InvalidParams.
+    raises InvalidParams, naming the first failing point of a stack.
+
+    Scalar arguments give one point: ``a`` and ``b`` are then floats and
+    ``c`` a complex.  Array arguments give a stack: all three are broadcast
+    to one shape and kept as read-only arrays (float, float, complex), and
+    every function that takes a StationaryParams returns one result per
+    point along those leading axes.
     """
 
-    a: float
-    b: float
-    c: complex = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "c", complex(self.c))
-        _check_params(self.a, self.b, self.c)
-
-
-@dataclass(frozen=True, eq=False)
-class ParamStack:
-    """Coefficients of a stack of stationary states, validated elementwise
-    as StationaryParams is.
-
-    ``a``, ``b`` (float) and ``c`` (complex) are read-only arrays of one
-    shape, broadcast from the arguments; InvalidParams names the first
-    failing point.  The functions that take a StationaryParams accept a
-    ParamStack too and return one result per point along leading axes.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    a: float | np.ndarray
+    b: float | np.ndarray
+    c: complex | np.ndarray = 0.0
 
     def __post_init__(self):
         arrays = np.broadcast_arrays(
@@ -364,7 +349,7 @@ class ParamStack:
             np.asarray(self.c, dtype=complex),
         )
         for name, x in zip(("a", "b", "c"), arrays):
-            object.__setattr__(self, name, _readonly(x.copy()))
+            object.__setattr__(self, name, x.item() if x.ndim == 0 else _readonly(x.copy()))
         _check_params(self.a, self.b, self.c)
 
 
@@ -397,9 +382,9 @@ def _kernel_combination(a, b, c) -> np.ndarray:
     return a * p1 + b * p2 + c * cross + np.conj(c) * cross.conj().T
 
 
-def stationary_state(params: StationaryParams | ParamStack) -> np.ndarray:
+def stationary_state(params: StationaryParams) -> np.ndarray:
     """Density matrix a P1 + b P2 + (c |psi1><psi2| + h.c.) in the kernel,
-    or the (..., 4, 4) stack of them for a ParamStack."""
+    or the (..., 4, 4) stack of them for a stack of points."""
     return _kernel_combination(params.a, params.b, params.c)
 
 

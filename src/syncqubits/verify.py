@@ -53,11 +53,11 @@ def _result(number: int, passed: bool, detail: str) -> CheckResult:
 # shared ensembles
 
 
-def _classical_starts(rng, count=50):
-    """Random states with 1/2 <= |l| <= 2 as a (count, 3) stack, sampled
+def _classical_starts(rng):
+    """50 random states with 1/2 <= |l| <= 2 as a (50, 3) stack, sampled
     away from the measure-zero ly = lz = 0 line where nothing ever moves."""
     starts = []
-    while len(starts) < count:
+    while len(starts) < 50:
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         length = np.sqrt(rng.uniform(0.25, 4.0))
@@ -157,16 +157,21 @@ def _check_kernel(ops):
     return _result(2, angle <= 1e-10, f"kernel dim 2, worst principal angle {angle:.2e} (tol 1e-10)")
 
 
+def _stack(points) -> quantum.StationaryParams:
+    """Points drawn one by one, in order, as one stack."""
+    points = list(points)
+    return quantum.StationaryParams(*([getattr(p, name) for p in points] for name in "abc"))
+
+
 def _check_stationary_spectrum(rng):
     """3: stationary states have two zero eigenvalues and two roots of
     x^2 - x + (a b - |c|^2), for 100 random parameter sets."""
-    worst = 0.0
-    for i in range(100):
-        params = quantum.random_stationary_params(rng, real_c=(i % 2 == 0))
-        w = np.linalg.eigvalsh(quantum.stationary_state(params))
-        disc = max(1.0 - 4.0 * (params.a * params.b - abs(params.c) ** 2), 0.0)
-        roots = np.sort([0.5 * (1.0 - np.sqrt(disc)), 0.5 * (1.0 + np.sqrt(disc))])
-        worst = max(worst, float(np.abs(w[:2]).max()), float(np.abs(w[2:] - roots).max()))
+    params = _stack(quantum.random_stationary_params(rng, real_c=(i % 2 == 0)) for i in range(100))
+    w = np.linalg.eigvalsh(quantum.stationary_state(params))
+    c2 = np.float_power(np.hypot(params.c.real, params.c.imag), 2)  # abs(c) ** 2 bit for bit
+    disc = np.maximum(1.0 - 4.0 * (params.a * params.b - c2), 0.0)
+    roots = np.stack([0.5 * (1.0 - np.sqrt(disc)), 0.5 * (1.0 + np.sqrt(disc))], axis=-1)
+    worst = max(float(np.abs(w[:, :2]).max()), float(np.abs(w[:, 2:] - roots).max()))
     return _result(3, worst <= 1e-10, f"worst spectral deviation {worst:.2e} (tol 1e-10)")
 
 
@@ -174,42 +179,35 @@ def _check_pt_eigenvector(rng):
     """4: (1, 0, 0, -1)/sqrt(2) is an eigenvector of the transposed state
     with eigenvalue b/2, for 100 random real-c parameter sets."""
     v = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0)
-    worst = 0.0
-    for _ in range(100):
-        params = quantum.random_stationary_params(rng)
-        pt = entanglement.partial_transpose(quantum.stationary_state(params))
-        worst = max(worst, float(np.abs(pt @ v - 0.5 * params.b * v).max()))
+    params = _stack(quantum.random_stationary_params(rng) for _ in range(100))
+    pt = entanglement.partial_transpose(quantum.stationary_state(params))
+    worst = float(np.abs(pt @ v - 0.5 * params.b[:, None] * v).max())
     return _result(4, worst <= 1e-12, f"worst eigenvector residual {worst:.2e} (tol 1e-12)")
 
 
 def _check_closed_form_spectrum(rng):
     """5: closed-form and numerical transposed spectra agree, 200 samples."""
-    worst = 0.0
-    for _ in range(200):
-        params = quantum.random_stationary_params(rng)
-        pt = entanglement.partial_transpose(quantum.stationary_state(params))
-        numeric = np.linalg.eigvalsh(pt)
-        closed = np.sort(np.append(entanglement.cubic_roots(params), 0.5 * params.b))
-        worst = max(worst, float(np.abs(numeric - closed).max()))
+    params = _stack(quantum.random_stationary_params(rng) for _ in range(200))
+    numeric = np.linalg.eigvalsh(entanglement.partial_transpose(quantum.stationary_state(params)))
+    closed = np.concatenate([entanglement.cubic_roots(params), 0.5 * params.b[:, None]], axis=-1)
+    worst = float(np.abs(numeric - np.sort(closed, axis=-1)).max())
     return _result(5, worst <= 1e-9, f"worst spectrum gap {worst:.2e} (tol 1e-9)")
 
 
 def _check_entanglement_verdicts(rng):
     """6: every stationary state with b > 0 is entangled; b = 0 is the one
     separable point, with spectrum {1, 0, 0, 0}."""
-    failures = []
-    largest_min = -np.inf
-    for b in np.linspace(0.02, 1.0, 50):
-        report = entanglement.ppt_analyze(quantum.StationaryParams(1.0 - b, b, 0.0))
-        largest_min = max(largest_min, report.min_eigenvalue)
-        if not report.min_eigenvalue < -1e-12:
-            failures.append(f"b = {b:g} not entangled")
-    for _ in range(200):
-        params = quantum.random_stationary_params(rng, max_a=1.0 - 1e-3)
-        report = entanglement.ppt_analyze(params)
-        largest_min = max(largest_min, report.min_eigenvalue)
-        if not report.min_eigenvalue < -1e-12:
-            failures.append(f"a = {params.a:g}, c = {params.c.real:g} not entangled")
+    b = np.linspace(0.02, 1.0, 50)
+    line = entanglement.ppt_analyze(quantum.StationaryParams(1.0 - b, b, 0.0))
+    params = _stack(quantum.random_stationary_params(rng, max_a=1.0 - 1e-3) for _ in range(200))
+    spread = entanglement.ppt_analyze(params)
+    failures = [f"b = {x:g} not entangled" for x in b[~(line.min_eigenvalue < -1e-12)]]
+    missed = ~(spread.min_eigenvalue < -1e-12)
+    failures += [
+        f"a = {a:g}, c = {c.real:g} not entangled"
+        for a, c in zip(params.a[missed], params.c[missed])
+    ]
+    largest_min = float(max(line.min_eigenvalue.max(), spread.min_eigenvalue.max()))
     corner = entanglement.ppt_analyze(quantum.StationaryParams(1.0, 0.0, 0.0))
     corner_gap = float(np.abs(corner.eigenvalues - np.array([0.0, 0.0, 0.0, 1.0])).max())
     if not corner.separable or corner_gap > 1e-10:

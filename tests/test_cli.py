@@ -370,6 +370,21 @@ _ZEROS = ", ".join(["0"] * 16)
             "error: not a serialized density matrix: cannot convert float infinity to integer\n",
             id="infinite-dim",
         ),
+        pytest.param(
+            '{"dim": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}',
+            "error: trace must be 1, got (2+0j)\n",
+            id="trace",
+        ),
+        pytest.param(
+            '{"dim": 2, "re": [0.5, 0.5, 0, 0.5], "im": [0, 0, 0, 0]}',
+            "error: not Hermitian: deviation 5.000e-01\n",
+            id="not-hermitian",
+        ),
+        pytest.param(
+            '{"dim": 2, "re": [1.5, 0, 0, -0.5], "im": [0, 0, 0, 0]}',
+            "error: not positive: lowest eigenvalue -5.000e-01\n",
+            id="not-positive",
+        ),
     ],
 )
 def test_quantum_evolve_rejects_unusable_state_file(capsys, tmp_path, text, message):
@@ -379,6 +394,14 @@ def test_quantum_evolve_rejects_unusable_state_file(capsys, tmp_path, text, mess
     code, out, err = run_cli(["quantum-evolve", "--init", str(state_file)], capsys)
     assert code == 2
     assert (out, err) == ("", message)
+
+
+def test_quantum_evolve_checks_the_state_before_the_steps(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(density_matrix_to_json(np.eye(4))))  # trace 4
+    code, _, err = run_cli(["quantum-evolve", "--init", str(bad), "--dt", "nan"], capsys)
+    assert code == 2
+    assert err == "error: trace must be 1, got (4+0j)\n"
 
 
 def test_quantum_evolve_rejects_two_by_two_state(capsys, tmp_path):

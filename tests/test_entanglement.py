@@ -17,7 +17,6 @@ from syncqubits.entanglement import (
 from syncqubits.linalg import NotHermitian, SpectrumReport
 from syncqubits.quantum import (
     PARAM_TOL,
-    ParamStack,
     StationaryParams,
     random_density_matrix,
     random_stationary_params,
@@ -334,7 +333,7 @@ def test_cubic_roots_reproduce_the_scalar_bits(points):
     a = np.array([p[0] for p in points])
     b = 1.0 - a
     c = np.array([p[1] for p in points]) * np.sqrt(a * b)
-    stacked = cubic_roots(ParamStack(a, b, c))
+    stacked = cubic_roots(StationaryParams(a, b, c))
     assert stacked.shape == (len(points), 3)
     for k, (ak, bk, ck) in enumerate(zip(a.tolist(), b.tolist(), c.tolist())):
         expected = _scalar_cubic_roots(ak, bk, ck).tobytes()
@@ -348,7 +347,7 @@ def test_cubic_roots_reproduce_the_scalar_bits_on_random_points(rng):
     a = rng.uniform(0.0, 1.0, 2000)
     b = 1.0 - a
     c = rng.uniform(-1.0, 1.0, 2000) * np.sqrt(a * b)
-    stacked = cubic_roots(ParamStack(a, b, c))
+    stacked = cubic_roots(StationaryParams(a, b, c))
     expected = [_scalar_cubic_roots(*point) for point in zip(a.tolist(), b.tolist(), c.tolist())]
     assert stacked.tobytes() == np.array(expected).tobytes()
 
@@ -378,15 +377,59 @@ def test_negativity_margin_over_the_valid_set(b, t, phase):
     assert -report.min_eigenvalue >= b * b / 4.0 - 1e-14
 
 
+REPORT_FIELDS = ("eigenvalues", "min_eigenvalue", "negativity", "separable", "closed_form_eigenvalues")
+
+
+def _report_bits(report, index=...) -> list:
+    """Each field of a report, or of one point of a stacked report, as bytes
+    (None stays None), so that -0.0 and 0.0 differ."""
+    return [
+        None if field is None else np.asarray(field)[index].tobytes()
+        for field in (getattr(report, name) for name in REPORT_FIELDS)
+    ]
+
+
 def test_stacked_analysis_matches_one_point_at_a_time(rng):
     params = [random_stationary_params(rng, real_c=(k % 2 == 0)) for k in range(20)]
-    stack = ParamStack([p.a for p in params], [p.b for p in params], [p.c for p in params])
+    stack = StationaryParams([p.a for p in params], [p.b for p in params], [p.c for p in params])
     states = stationary_state(stack)
     transposed = partial_transpose(states)
     assert states.shape == transposed.shape == (20, 4, 4)
+    report = ppt_analyze(stack)
+    assert report.eigenvalues.shape == (20, 4)
+    assert report.min_eigenvalue.shape == report.negativity.shape == report.separable.shape == (20,)
+    assert report.closed_form_eigenvalues is None  # half the points have complex c
+    real_report = ppt_analyze(StationaryParams(stack.a[::2], stack.b[::2], stack.c[::2]))
+    assert real_report.closed_form_eigenvalues.shape == (10, 4)
     for k, p in enumerate(params):
         assert states[k].tobytes() == stationary_state(p).tobytes()
         assert transposed[k].tobytes() == partial_transpose(stationary_state(p)).tobytes()
+        one = ppt_analyze(p)
+        assert isinstance(one.min_eigenvalue, float) and isinstance(one.negativity, float)
+        assert type(one.separable) is bool
+        expected = _report_bits(one)
+        assert _report_bits(report, k)[:4] == expected[:4]
+        if k % 2 == 0:
+            assert _report_bits(real_report, k // 2) == expected
+        else:
+            assert one.closed_form_eigenvalues is None
+
+
+def test_stacked_analysis_keeps_two_leading_axes(rng):
+    params = [random_stationary_params(rng) for _ in range(12)]
+    a, b, c = (np.array([getattr(p, name) for p in params]) for name in "abc")
+    flat = ppt_analyze(StationaryParams(a, b, c))
+    grid = ppt_analyze(StationaryParams(a.reshape(3, 4), b.reshape(3, 4), c.reshape(3, 4)))
+    assert grid.eigenvalues.shape == grid.closed_form_eigenvalues.shape == (3, 4, 4)
+    assert grid.min_eigenvalue.shape == grid.negativity.shape == grid.separable.shape == (3, 4)
+    for name in REPORT_FIELDS:
+        got, want = getattr(grid, name), getattr(flat, name)
+        assert got.tobytes() == want.tobytes()
+    # a scalar broadcasts against an array: one a, b and a row of c values
+    row = ppt_analyze(StationaryParams(0.5, 0.5, [0.1, -0.2, 0.3]))
+    assert row.eigenvalues.shape == (3, 4)
+    for k, ck in enumerate([0.1, -0.2, 0.3]):
+        assert _report_bits(row, k) == _report_bits(ppt_analyze(StationaryParams(0.5, 0.5, ck)))
 
 
 def test_sweep_rejects_tiny_grid():

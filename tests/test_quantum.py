@@ -11,7 +11,6 @@ from syncqubits import quantum
 from syncqubits.classical import BLOCK_STEPS
 from syncqubits.quantum import (
     InvalidParams,
-    ParamStack,
     PositivityLost,
     StationaryParams,
     build_operators,
@@ -161,16 +160,41 @@ def test_stationary_params_rejects_nonfinite(a, b, c, name):
         StationaryParams(a, b, c)
 
 
-def test_param_stack_names_the_first_invalid_point():
+def test_stationary_params_point_holds_python_scalars():
+    params = StationaryParams(np.float64(0.5), np.array(0.5), 0)
+    assert type(params.a) is float and type(params.b) is float and type(params.c) is complex
+    assert (params.a, params.b, params.c) == (0.5, 0.5, 0j)
+
+
+def test_stationary_params_stack_names_the_first_invalid_point():
     with pytest.raises(
         InvalidParams,
         match=r"^positivity needs a\*b >= \|c\|\^2, got a\*b = 0\.21, \|c\|\^2 = 0\.25 "
         r"at \(a, c\) = \(0\.3, 0\.5\)$",
     ):
-        ParamStack([0.5, 0.3, 0.3], [0.5, 0.7, 0.7], [0.1, 0.5, 0.9])
-    stack = ParamStack(0.5, 0.5, [0.1, 0.2j])  # scalars broadcast
+        StationaryParams([0.5, 0.3, 0.3], [0.5, 0.7, 0.7], [0.1, 0.5, 0.9])
+    stack = StationaryParams(0.5, 0.5, [0.1, 0.2j])  # scalars broadcast
     assert stack.a.shape == stack.b.shape == stack.c.shape == (2,)
-    assert stack.c.dtype == complex and not stack.a.flags.writeable
+    assert stack.a.dtype == stack.b.dtype == float and stack.c.dtype == complex
+    assert not (stack.a.flags.writeable or stack.b.flags.writeable or stack.c.flags.writeable)
+
+
+def test_stationary_params_stack_copies_its_arguments():
+    a = np.array([0.5, 0.3])
+    stack = StationaryParams(a, 1.0 - a, 0.0)
+    a[0] = 7.0
+    assert stack.a.tolist() == [0.5, 0.3]
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(0.5j, 0.5), (0.5, 0.5 + 0j), ([0.5, 0.5j], [0.5, 0.5]), ([0.5, 0.5], [0.5 + 0j, 0.5])],
+    ids=["point-a", "point-b", "stack-a", "stack-b"],
+)
+def test_stationary_params_rejects_complex_weights(a, b):
+    # only c may be complex
+    with pytest.raises(TypeError):
+        StationaryParams(a, b, 0.0)
 
 
 @given(
@@ -179,8 +203,8 @@ def test_param_stack_names_the_first_invalid_point():
     im=st.one_of(st.just(0.0), st.floats(-0.6, 0.6), st.floats()),
     drift=st.sampled_from([0.0, 1e-13, 1e-11]),
 )
-def test_param_stack_checks_each_point_as_stationary_params(a, re, im, drift):
-    # one set of conditions: a stack fails where StationaryParams does, with
+def test_stationary_params_checks_a_stack_point_by_point(a, re, im, drift):
+    # one set of conditions: a stack fails where its point alone does, with
     # the same message plus the point; when the middle point is valid, the
     # last one, with b < 0, is named
     b = 1.0 - a + drift
@@ -191,7 +215,7 @@ def test_param_stack_checks_each_point_as_stationary_params(a, re, im, drift):
     except InvalidParams as exc:
         expected = f"{exc} at {point_label(a, c)}"
     with pytest.raises(InvalidParams) as info:
-        ParamStack([0.5, a, 2.0], [0.5, b, -1.0], [0.0, c, 0.0])
+        StationaryParams([0.5, a, 2.0], [0.5, b, -1.0], [0.0, c, 0.0])
     assert str(info.value) == expected
 
 

@@ -23,6 +23,7 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(_quick_start(), "README.md quick start", "exec"), {})
     out = capsys.readouterr().out
     assert "(50, 20001, 3) (50, 20001)\n" in out
+    assert "(2, 4) [0.1036, 0.5]\n" in out
     assert "7845 1\n" in out
 
 
