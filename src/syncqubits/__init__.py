@@ -7,11 +7,9 @@ them carries.
 """
 
 from .classical import (
-    QuasiThermoFunctions,
     StepTooLarge,
     Trajectory,
     classical_field,
-    default_quasithermo,
     dissipative_field,
     integrate,
     quasithermo_field,
@@ -32,7 +30,6 @@ from .linalg import (
     hermitian_eigensystem,
     null_space,
     principal_angles,
-    tensor_product,
 )
 from .quantum import (
     InvalidParams,

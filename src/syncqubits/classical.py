@@ -9,19 +9,22 @@ The state is the real triple l = (lx, ly, lz) obeying
 The flow conserves the squared length lx^2 + ly^2 + lz^2 and the ratio
 k = ly / lz while lx only ever grows, so every generic initial state relaxes
 to the synchronized point (|l|, 0, 0).  The same field can be produced two
-other ways, and all three agree identically:
+other ways, fixed like the flow itself, and all three agree identically:
 
-* from a complex coupling function r(l) as l x (i r grad(conj r) - h.c.),
+* from the coupling function r = lz - i ly as l x (i r grad(conj r) - h.c.),
   see :func:`dissipative_field`;
-* from a conserved H and a growing S alone as grad H x (grad S x grad H),
-  see :func:`quasithermo_field`.
+* from the conserved H = |l|^2 / 2 and the growing S = 2 lx alone as
+  grad H x (grad S x grad H), see :func:`quasithermo_field`.
+
+:func:`integrate` runs one start as a loop over Python floats;
+:func:`integrate_blocks` runs a stack of starts as one numpy block, yielded
+a block of time points at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,8 +35,8 @@ K_UNDEFINED_LZ = 1e-12
 DIVERGENCE_LIMIT = 1e6
 
 #: most steps one integrator call may take: it bounds the time of every run
-#: and the memory of integrate() and quantum.evolve(), which collect the whole
-#: run (here 24 MB of states per classical start and 256 MB per quantum run)
+#: and the memory of integrate() and quantum.evolve(), which collect one whole
+#: run (here 24 MB of classical states and 256 MB of quantum states)
 MAX_STEPS = 10**6
 
 #: time points per block of integrate_blocks() and quantum.evolve_blocks();
@@ -51,12 +54,8 @@ class Trajectory:
 
     ``states`` has one (lx, ly, lz) row per time; ``h_values`` holds
     |l|^2 / 2, ``s_values`` holds 2 lx, and ``k_values`` holds ly / lz with
-    NaN wherever |lz| < 1e-12 makes the ratio meaningless.
-
-    From one start the shapes are (T,) for ``times`` and the scalars and
-    (T, 3) for ``states``.  From a stack of n starts every array but
-    ``times`` gains a leading run axis: ``states`` is (n, T, 3) and the
-    scalars are (n, T), with run i in row i.
+    NaN wherever |lz| < 1e-12 makes the ratio meaningless.  ``states`` is
+    (T, 3) and the other arrays are (T,).
     """
 
     times: np.ndarray
@@ -83,58 +82,25 @@ def schwinger_map(z1: complex, z2: complex) -> np.ndarray:
     return np.array([cross.real, cross.imag, 0.5 * (abs(z1) ** 2 - abs(z2) ** 2)])
 
 
-def sync_jump(state) -> complex:
-    """The model's own coupling function, lz - i ly."""
-    l = np.asarray(state, dtype=float)
-    return complex(l[2], -l[1])
+def dissipative_field(state) -> np.ndarray:
+    """Relaxation field generated by the coupling function r = lz - i ly.
 
-
-def sync_jump_grad(state) -> np.ndarray:
-    """Gradient of :func:`sync_jump`, constant (0, -i, 1)."""
-    return np.array([0.0, -1.0j, 1.0])
-
-
-def dissipative_field(state, jump=sync_jump, jump_grad=sync_jump_grad) -> np.ndarray:
-    """Relaxation field generated by a complex coupling function.
-
-    The torque i r grad(conj r) - i conj(r) grad r is real whenever the
-    gradient is exact, and the field is its cross product with l.  With the
-    default coupling lz - i ly this reproduces :func:`classical_field`.
+    With its constant gradient (0, -i, 1) the torque
+    i r grad(conj r) - i conj(r) grad r is real, and the field is its cross
+    product with l; it reproduces :func:`classical_field`.
     """
     l = np.asarray(state, dtype=float)
-    r = complex(jump(l))
-    grad = np.asarray(jump_grad(l), dtype=complex)
+    r = complex(l[2], -l[1])
+    grad = np.array([0.0, -1.0j, 1.0])
     torque = -2.0 * (r * grad.conj()).imag
     return np.cross(l, torque)
 
 
-@dataclass(frozen=True)
-class QuasiThermoFunctions:
-    """A conserved scalar H and a growing scalar S with analytic gradients."""
-
-    h: Callable[[np.ndarray], float]
-    s: Callable[[np.ndarray], float]
-    grad_h: Callable[[np.ndarray], np.ndarray]
-    grad_s: Callable[[np.ndarray], np.ndarray]
-
-
-def default_quasithermo() -> QuasiThermoFunctions:
-    """H = |l|^2 / 2 and S = 2 lx, the pair the flow conserves and grows."""
-    return QuasiThermoFunctions(
-        h=lambda l: 0.5 * float(np.dot(l, l)),
-        s=lambda l: 2.0 * float(l[0]),
-        grad_h=lambda l: np.asarray(l, dtype=float).copy(),
-        grad_s=lambda l: np.array([2.0, 0.0, 0.0]),
-    )
-
-
-def quasithermo_field(state, fns: QuasiThermoFunctions | None = None) -> np.ndarray:
-    """Flow reconstructed from the scalar pair alone: grad H x (grad S x grad H)."""
-    if fns is None:
-        fns = default_quasithermo()
-    l = np.asarray(state, dtype=float)
-    gh = np.asarray(fns.grad_h(l), dtype=float)
-    gs = np.asarray(fns.grad_s(l), dtype=float)
+def quasithermo_field(state) -> np.ndarray:
+    """Flow reconstructed from H = |l|^2 / 2 and S = 2 lx alone, whose
+    gradients are l and (2, 0, 0): grad H x (grad S x grad H)."""
+    gh = np.asarray(state, dtype=float)
+    gs = np.array([2.0, 0.0, 0.0])
     return np.cross(gh, np.cross(gs, gh))
 
 
@@ -158,25 +124,17 @@ def step_count(t_final: float, dt: float) -> int:
     return n_steps
 
 
-def _checked(initial, t_final: float, dt: float) -> tuple[np.ndarray, int]:
-    """The start(s) as a float array of shape (3,) or (n, 3), and the step count."""
-    start = np.asarray(initial, dtype=float)
-    if start.shape != (3,) and not (start.ndim == 2 and start.shape[1] == 3 and len(start)):
-        raise ValueError(f"initial state must have shape (3,) or (n, 3), got shape {start.shape}")
+def _checked(start: np.ndarray, t_final: float, dt: float) -> int:
+    """The step count, once the start(s) are known to be finite."""
     if not np.all(np.isfinite(start)):
         raise ValueError("initial state must be finite")
-    return start, step_count(t_final, dt)
+    return step_count(t_final, dt)
 
 
 def integrate(initial, t_final: float, dt: float) -> Trajectory:
-    """Fixed-step RK4 integration of the synchronization flow.
-
-    ``initial`` is one start, shape (3,), or a stack of starts, shape
-    (n, 3), and its shape picks the path.  One start runs a loop over
-    Python floats, the fastest way to make a single run.  A stack collects
-    the blocks of :func:`integrate_blocks`, whose runs are bit-identical to
-    the one-start runs from their rows; the result then has a leading run
-    axis (see :class:`Trajectory`).
+    """Fixed-step RK4 integration of the synchronization flow from one
+    start, shape (3,), as a loop over Python floats, the fastest way to
+    make a single run.  A stack of starts runs in :func:`integrate_blocks`.
 
     Records the state after every step (the initial state included) along
     with H, S and k; the step count is round(t_final / dt), at most
@@ -184,20 +142,17 @@ def integrate(initial, t_final: float, dt: float) -> Trajectory:
     the recorded S is nondecreasing exactly, not just within tolerance.
 
     Raises StepTooLarge when any component exceeds 1e6 in magnitude or is
-    no longer a number (for a stack, naming the first run that did), and
-    ValueError for a bad shape, a nonfinite start, nonfinite or
-    nonpositive dt / t_final, or more than MAX_STEPS steps.
+    no longer a number, and ValueError for a shape other than (3,), a
+    nonfinite start, nonfinite or nonpositive dt / t_final, or more than
+    MAX_STEPS steps.
     """
-    start, n_steps = _checked(initial, t_final, dt)
-    if start.ndim == 2:
-        stack = np.empty((n_steps + 1, 3, len(start)))
-        blocks = integrate_blocks(start, t_final, dt)
-        for row, block in zip(range(0, n_steps + 1, BLOCK_STEPS), blocks):
-            stack[row : row + len(block)] = block
-        x, y, z = (stack[:, i].T for i in range(3))
-        states = stack.transpose(2, 0, 1)
-        return Trajectory(dt * np.arange(n_steps + 1), states, *tracked_scalars(x, y, z))
-
+    start = np.asarray(initial, dtype=float)
+    if start.shape != (3,):
+        raise ValueError(
+            f"initial state must have shape (3,), got shape {start.shape};"
+            " integrate_blocks runs a stack of starts"
+        )
+    n_steps = _checked(start, t_final, dt)
     lx, ly, lz = (float(v) for v in start)
     limit = DIVERGENCE_LIMIT
     if not (abs(lx) <= limit and abs(ly) <= limit and abs(lz) <= limit):
@@ -259,11 +214,13 @@ def integrate_blocks(starts, t_final: float, dt: float):
     is bit-identical to the one-start run from its row.  A block is a view
     of one reused buffer, valid until the next is requested, and is tested
     for divergence before it is yielded.  Errors as for :func:`integrate`,
-    raised once iteration begins, and ValueError for a start of shape (3,).
+    raised once iteration begins, naming the first run that failed, and
+    ValueError for any shape but (n, 3) with n >= 1.
     """
-    starts, n_steps = _checked(starts, t_final, dt)
-    if starts.ndim != 2:
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2 or starts.shape[1] != 3 or not len(starts):
         raise ValueError(f"starts must have shape (n, 3), got shape {starts.shape}")
+    n_steps = _checked(starts, t_final, dt)
     limit = DIVERGENCE_LIMIT
     bad = ~(np.abs(starts) <= limit).all(axis=1)
     if bad.any():

@@ -56,11 +56,6 @@ def _require_square(a: np.ndarray) -> None:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product; row (i1, i2) of the result maps to i1 * rows(b) + i2."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
 def hermitian_eigensystem(m) -> SpectrumReport:
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a
     stack (..., n, n), with one LAPACK call.

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import BLOCK_STEPS, step_count
-from .linalg import tensor_product
 
 #: slack used when validating stationary-family coefficients
 PARAM_TOL = 1e-12
@@ -96,16 +95,16 @@ def build_operators() -> OperatorSet:
     eye = np.eye(2, dtype=complex)
 
     def collective(s: np.ndarray) -> np.ndarray:
-        return 0.5 * (tensor_product(s, eye) + tensor_product(eye, s))
+        return 0.5 * (np.kron(s, eye) + np.kron(eye, s))
 
     lx = collective(SIGMA_X)
     ly = collective(SIGMA_Y)
     lz = collective(SIGMA_Z)
     l_squared = 0.5 * (
         3.0 * np.eye(4, dtype=complex)
-        + tensor_product(SIGMA_X, SIGMA_X)
-        + tensor_product(SIGMA_Y, SIGMA_Y)
-        + tensor_product(SIGMA_Z, SIGMA_Z)
+        + np.kron(SIGMA_X, SIGMA_X)
+        + np.kron(SIGMA_Y, SIGMA_Y)
+        + np.kron(SIGMA_Z, SIGMA_Z)
     )
     jump = lz - 1.0j * ly
     jump_dagger = jump.conj().T.copy()
@@ -221,7 +220,7 @@ def evolve(rho0, ops: OperatorSet, t_final: float, dt: float) -> QuantumTrajecto
     dim = rho.shape[0]
     states = np.empty((n_steps + 1, dim, dim), dtype=complex)
     lowest = np.empty(n_steps + 1)
-    blocks = evolve_blocks(rho, ops, t_final, dt)
+    blocks = _rk4_blocks(rho, n_steps, ops, dt)
     for row, (block, block_lowest) in zip(range(0, n_steps + 1, BLOCK_STEPS), blocks):
         states[row : row + len(block)] = block
         lowest[row : row + len(block)] = block_lowest
@@ -242,6 +241,11 @@ def evolve_blocks(rho0, ops: OperatorSet, t_final: float, dt: float):
     (:func:`check_density_matrix`) or steps (:func:`classical.step_count`).
     """
     rho, n_steps = _checked(rho0, ops, t_final, dt)
+    yield from _rk4_blocks(rho, n_steps, ops, dt)
+
+
+def _rk4_blocks(rho: np.ndarray, n_steps: int, ops: OperatorSet, dt: float):
+    """The blocks of :func:`evolve_blocks` from a validated state and step count."""
     step = _rk4_propagator(ops, dt).dot
     dim = rho.shape[0]
     total = n_steps + 1
@@ -328,8 +332,9 @@ class StationaryParams:
 
     Validated on construction: all three finite, a + b = 1, both
     nonnegative, and a b >= |c|^2 (all within 1e-12), the exact conditions
-    for unit trace and positivity.  ``c`` may be complex.  A violation
-    raises InvalidParams, naming the first failing point of a stack.
+    for unit trace and positivity.  ``c`` may be complex; a complex ``a``
+    or ``b`` raises TypeError.  A violation raises InvalidParams, naming
+    the first failing point of a stack.
 
     Scalar arguments give one point: ``a`` and ``b`` are then floats and
     ``c`` a complex.  Array arguments give a stack: all three are broadcast
@@ -343,6 +348,9 @@ class StationaryParams:
     c: complex | np.ndarray = 0.0
 
     def __post_init__(self):
+        for name in ("a", "b"):
+            if np.iscomplexobj(getattr(self, name)):  # before the cast drops the imaginary part
+                raise TypeError(f"{name} must be real, got {getattr(self, name)!r}")
         arrays = np.broadcast_arrays(
             np.asarray(self.a, dtype=float),
             np.asarray(self.b, dtype=float),

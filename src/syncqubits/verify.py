@@ -256,13 +256,12 @@ def _check_monotone_invariants(classical_runs, quantum_runs):
 def _check_field_equivalence(rng):
     """10: direct, coupling-function and quasithermodynamic forms of the
     classical field agree at 100 random points."""
-    fns = classical.default_quasithermo()
     worst = 0.0
     for _ in range(100):
         point = rng.uniform(-2.0, 2.0, size=3)
         direct = classical.classical_field(point)
         dissip = classical.dissipative_field(point)
-        quasi = classical.quasithermo_field(point, fns)
+        quasi = classical.quasithermo_field(point)
         worst = max(
             worst,
             float(np.abs(direct - dissip).max()),

@@ -12,14 +12,12 @@ from syncqubits.classical import (
     MAX_STEPS,
     StepTooLarge,
     classical_field,
-    default_quasithermo,
     dissipative_field,
     integrate,
     integrate_blocks,
     quasithermo_field,
     schwinger_map,
-    sync_jump,
-    sync_jump_grad,
+    tracked_scalars,
 )
 from syncqubits.verify import DEFAULT_SEED, _classical_starts
 
@@ -55,51 +53,47 @@ def test_schwinger_map_polar_phase_difference(rng):
         assert abs(l[0] - r1 * r2 * math.cos(p2 - p1)) < 1e-12
 
 
-def test_sync_jump_and_gradient(rng):
-    point = np.array([0.3, -1.2, 0.7])
-    assert sync_jump(point) == complex(0.7, 1.2)
-    num = _finite_difference_gradient(sync_jump, point)
-    assert np.abs(num - sync_jump_grad(point)).max() < 1e-9
-
-
 def test_dissipative_field_matches_direct(rng):
     for _ in range(100):
         point = rng.uniform(-2.0, 2.0, size=3)
         assert np.abs(dissipative_field(point) - classical_field(point)).max() < 1e-12
 
 
-def test_dissipative_field_custom_coupling():
-    # a constant coupling has zero gradient, hence no torque at all
-    silent = dissipative_field([1.0, 2.0, 3.0], lambda l: 1.0 + 2.0j, lambda l: np.zeros(3))
-    assert np.array_equal(silent, np.zeros(3))
-
-
 def test_quasithermo_field_matches_direct(rng):
-    fns = default_quasithermo()
     for _ in range(100):
         point = rng.uniform(-2.0, 2.0, size=3)
-        assert np.abs(quasithermo_field(point, fns) - classical_field(point)).max() < 1e-12
+        assert np.abs(quasithermo_field(point) - classical_field(point)).max() < 1e-12
 
 
-def test_quasithermo_field_parallel_gradients_vanish():
-    # S proportional to H gives a field of exact zeros
-    fns = default_quasithermo()
-    from syncqubits.classical import QuasiThermoFunctions
-
-    degenerate = QuasiThermoFunctions(h=fns.h, s=fns.h, grad_h=fns.grad_h, grad_s=fns.grad_h)
-    assert np.array_equal(quasithermo_field([0.4, -1.0, 2.0], degenerate), np.zeros(3))
+def _recorded(index):
+    """H (index 0) or S (index 1) as integrate records it, at one point."""
+    return lambda p: tracked_scalars(*np.asarray(p)[:, None])[index][0]
 
 
-def test_default_quasithermo_gradients(rng):
-    fns = default_quasithermo()
+def test_quasithermo_gradients_match_tracked_scalars(rng):
+    # the field is built from the gradients of the H and S that integrate
+    # records: l and (2, 0, 0)
     for p in rng.uniform(-2.0, 2.0, size=(20, 3)):
-        for func, grad in ((fns.h, fns.grad_h), (fns.s, fns.grad_s)):
-            assert np.abs(grad(p) - _finite_difference_gradient(func, p)).max() < 1e-6
+        grad_h = _finite_difference_gradient(_recorded(0), p)
+        grad_s = _finite_difference_gradient(_recorded(1), p)
+        assert np.abs(grad_h - p).max() < 1e-6
+        assert np.abs(grad_s - [2.0, 0.0, 0.0]).max() < 1e-6
+        field = np.cross(grad_h, np.cross(grad_s, grad_h))
+        assert np.abs(field - quasithermo_field(p)).max() < 1e-5
 
 
 def test_integrate_fixed_point_is_constant():
     traj = integrate([2.0, 0.0, 0.0], 1.0, 1e-2)
     assert np.abs(traj.states - np.array([2.0, 0.0, 0.0])).max() == 0.0
+
+
+def _collected(starts, t_final, dt):
+    """The blocks of integrate_blocks, copied and joined: (T, 3, n)."""
+    return np.concatenate([block.copy() for block in integrate_blocks(starts, t_final, dt)])
+
+
+def _first_block(starts, t_final, dt):
+    return next(integrate_blocks(starts, t_final, dt))
 
 
 def _closed_form(start, t):
@@ -118,8 +112,8 @@ def test_integrate_matches_closed_form(stacked, radius, lx0):
     start = np.array([lx0, 0.6 * rest, 0.8 * rest])
     if stacked:
         # the mirrored start runs beside it and has a closed form of its own
-        traj = integrate([start, -start], 2.0, 1e-3)
-        runs = [(start, traj.states[0]), (-start, traj.states[1])]
+        states = _collected([start, -start], 2.0, 1e-3)
+        runs = [(start, states[:, :, 0]), (-start, states[:, :, 1])]
     else:
         runs = [(start, integrate(start, 2.0, 1e-3).states)]
     t = 1e-3 * np.arange(2001)
@@ -168,15 +162,16 @@ def test_k_marker_nan_when_lz_zero():
 def test_integrate_divergence_guard(stacked):
     # at dt = 0.5 the start (0, 3, 4) is far outside RK4's stability region,
     # and its second step passes the limit
+    run = _first_block if stacked else integrate
     start = [0.0, 3.0, 4.0]
     initial = [[0.0, 0.6, 0.8], start] if stacked else start
     suffix = " in run 1" if stacked else ""
     with pytest.raises(StepTooLarge, match=rf"^state exceeded 1e\+06 at t = 1{suffix}$"):
-        integrate(initial, 5.0, 0.5)
+        run(initial, 5.0, 0.5)
     start = [2e6, 0.0, 1.0]
     initial = [[0.0, 0.6, 0.8], start] if stacked else start
     with pytest.raises(StepTooLarge, match=rf"^initial state exceeds 1e\+06{suffix}$"):
-        integrate(initial, 1.0, 1e-3)
+        run(initial, 1.0, 1e-3)
 
 
 def test_integrate_rejects_bad_arguments():
@@ -186,14 +181,18 @@ def test_integrate_rejects_bad_arguments():
         integrate([0.0, 0.6, 0.8], 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate([np.nan, 0.0, 0.0], 1.0, 1e-3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shape"):
         integrate([1.0, 2.0], 1.0, 1e-3)
     with pytest.raises(ValueError, match="shape"):
-        integrate([[1.0, 2.0], [0.5, 0.5]], 1.0, 1e-3)
-    with pytest.raises(ValueError, match="shape"):
-        integrate(np.empty((0, 3)), 1.0, 1e-3)
-    with pytest.raises(ValueError, match="finite"):
-        integrate([[0.0, 0.6, 0.8], [np.nan, 0.0, 1.0]], 1.0, 1e-3)
+        integrate(5.0, 1.0, 1e-3)
+
+
+@pytest.mark.parametrize("starts", [[[0.0, 0.6, 0.8]], [[0.0, 0.6, 0.8], [0.1, 0.2, 0.3]]])
+def test_integrate_refuses_a_stack(starts):
+    # one start only: a stack is integrate_blocks' input
+    message = r"^initial state must have shape \(3,\), got shape \(\d, 3\); integrate_blocks"
+    with pytest.raises(ValueError, match=message):
+        integrate(starts, 1.0, 1e-3)
 
 
 @pytest.mark.parametrize(
@@ -206,52 +205,53 @@ def test_integrate_rejects_nonfinite_steps(t_final, dt):
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
 def test_integrate_rejects_too_many_steps(stacked):
+    run = _first_block if stacked else integrate
     start = [0.0, 0.6, 0.8]
     initial = [start, start] if stacked else start
     # checked before anything is allocated: a 1e12-step run would need 24 TB
     with pytest.raises(ValueError, match="MAX_STEPS"):
-        integrate(initial, 1e9, 1e-3)
+        run(initial, 1e9, 1e-3)
     with pytest.raises(ValueError, match="MAX_STEPS"):
-        integrate(initial, (MAX_STEPS + 1) * 1e-3, 1e-3)
+        run(initial, (MAX_STEPS + 1) * 1e-3, 1e-3)
 
 
 # ---------------------------------------------------------------------------
-# a stack of starts against one-start runs
+# a stack of starts, run in blocks, against one-start runs
 
 
-def _assert_run_equal(stack, i, one):
-    """Run i of a stacked trajectory equals the one-start trajectory bit for bit."""
-    assert np.array_equal(stack.times, one.times)
-    for name in ("states", "h_values", "s_values", "k_values"):
-        assert np.array_equal(getattr(stack, name)[i], getattr(one, name), equal_nan=True), name
+def _assert_run_equal(states, i, one):
+    """Run i of collected blocks (T, 3, n) equals the one-start trajectory
+    bit for bit, and so do the scalars computed from it."""
+    assert np.array_equal(states[:, :, i], one.states)
+    scalars = tracked_scalars(*(states[:, j, i] for j in range(3)))
+    for name, values in zip(("h_values", "s_values", "k_values"), scalars):
+        assert np.array_equal(values, getattr(one, name), equal_nan=True), name
 
 
 def test_stack_layout():
-    traj = integrate([[0.1, 0.2, 0.3], [0.0, 0.6, 0.8]], 0.01, 1e-3)
-    assert traj.times.shape == (11,)
-    assert traj.states.shape == (2, 11, 3)
-    for values in (traj.h_values, traj.s_values, traj.k_values):
-        assert values.shape == (2, 11)
-    assert np.array_equal(traj.states[:, 0], [[0.1, 0.2, 0.3], [0.0, 0.6, 0.8]])
+    block = _first_block([[0.1, 0.2, 0.3], [0.0, 0.6, 0.8]], 0.01, 1e-3)
+    assert block.shape == (11, 3, 2)
+    assert np.array_equal(block[0].T, [[0.1, 0.2, 0.3], [0.0, 0.6, 0.8]])
 
 
 def test_stack_is_bit_identical_on_verify_starts():
     starts = _classical_starts(np.random.default_rng(DEFAULT_SEED))
-    stack = integrate(starts, 2.0, 1e-3)
+    states = _collected(starts, 2.0, 1e-3)
     for i, start in enumerate(starts):
-        _assert_run_equal(stack, i, integrate(start, 2.0, 1e-3))
+        _assert_run_equal(states, i, integrate(start, 2.0, 1e-3))
 
 
 def test_stack_edge_rows():
     # a fixed point on the ly = lz = 0 line, and an lz = 0 start whose k is
     # NaN throughout, beside an ordinary start
     starts = [[0.7, 0.0, 0.0], [0.2, 0.5, 0.0], [0.0, 0.6, 0.8]]
-    stack = integrate(starts, 1.0, 1e-3)
+    states = _collected(starts, 1.0, 1e-3)
     for i, start in enumerate(starts):
-        _assert_run_equal(stack, i, integrate(start, 1.0, 1e-3))
-    assert np.array_equal(stack.states[0], np.tile([0.7, 0.0, 0.0], (1001, 1)))
-    assert np.isnan(stack.k_values[:2]).all()
-    assert not np.isnan(stack.k_values[2, 0])
+        _assert_run_equal(states, i, integrate(start, 1.0, 1e-3))
+    assert np.array_equal(states[:, :, 0], np.tile([0.7, 0.0, 0.0], (1001, 1)))
+    k_values = tracked_scalars(*(states[:, j].T for j in range(3)))[2]
+    assert np.isnan(k_values[:2]).all()
+    assert not np.isnan(k_values[2, 0])
 
 
 @settings(max_examples=30, deadline=None)
@@ -260,9 +260,9 @@ def test_stack_edge_rows():
     dt=st.sampled_from([1e-3, 1e-2, 5e-2]),
 )
 def test_stack_matches_one_start_runs(starts, dt):
-    stack = integrate(starts, 20 * dt, dt)
+    states = _collected(starts, 20 * dt, dt)
     for i, start in enumerate(starts):
-        _assert_run_equal(stack, i, integrate(start, 20 * dt, dt))
+        _assert_run_equal(states, i, integrate(start, 20 * dt, dt))
 
 
 @settings(max_examples=20, deadline=None)
@@ -276,8 +276,9 @@ def test_rk4_keeps_length_and_ratio(directions, radius):
     # a subnormal ly or lz has no relative precision left to keep k to 1e-9;
     # from 1e-150 up they stay normal through the run
     assume(np.abs(directions[directions != 0.0]).min(initial=1.0) >= 1e-150)
-    traj = integrate(radius * directions / norms[:, None], 2.0, 1e-3)
-    for h, k in zip(traj.h_values, traj.k_values):
+    states = _collected(radius * directions / norms[:, None], 2.0, 1e-3)
+    h_values, _, k_values = tracked_scalars(*(states[:, j].T for j in range(3)))
+    for h, k in zip(h_values, k_values):
         assert np.abs(h - h[0]).max() <= 5e-9  # |l|^2 = 2 H within 1e-8
         k = k[~np.isnan(k)]
         if k.size:
@@ -285,7 +286,7 @@ def test_rk4_keeps_length_and_ratio(directions, radius):
 
 
 # ---------------------------------------------------------------------------
-# the block generator behind the stack
+# block boundaries and bad arguments
 
 
 def _block_sizes(n_steps, block=BLOCK_STEPS):
@@ -303,11 +304,10 @@ def test_blocks_collect_to_the_whole_run(n_steps):
     assert all(np.shares_memory(v, views[0]) for v in views)
     blocks = [b.copy() for b in integrate_blocks(starts, t_final, 1e-3)]
     assert [len(b) for b in blocks] == _block_sizes(n_steps)
-    stack = integrate(starts, t_final, 1e-3)
-    assert np.array_equal(np.concatenate(blocks).transpose(2, 0, 1), stack.states)
-    # and the one-start float loop, the reference, agrees bit for bit
+    # the one-start float loop, the reference, agrees bit for bit
+    states = np.concatenate(blocks)
     for i, start in enumerate(starts):
-        _assert_run_equal(stack, i, integrate(start, t_final, 1e-3))
+        _assert_run_equal(states, i, integrate(start, t_final, 1e-3))
 
 
 @pytest.mark.parametrize("block_steps", [2, 3, BLOCK_STEPS])
@@ -317,8 +317,6 @@ def test_divergence_named_alike_in_any_block(monkeypatch, block_steps):
     monkeypatch.setattr(classical, "BLOCK_STEPS", block_steps)
     starts = [[0.0, 0.6, 0.8], [0.0, 3.0, 4.0]]
     message = r"^state exceeded 1e\+06 at t = 1 in run 1$"
-    with pytest.raises(StepTooLarge, match=message):
-        integrate(starts, 5.0, 0.5)
     blocks = integrate_blocks(starts, 5.0, 0.5)
     if block_steps == 2:
         assert len(next(blocks)) == 2  # t = 0 and 0.5 pass
@@ -330,10 +328,13 @@ def test_divergence_named_alike_in_any_block(monkeypatch, block_steps):
     "starts, t_final, message",
     [
         ([0.0, 0.6, 0.8], 1.0, r"shape \(n, 3\)"),
+        ([[1.0, 2.0], [0.5, 0.5]], 1.0, r"shape \(n, 3\)"),
+        (np.empty((0, 3)), 1.0, r"shape \(n, 3\)"),
         ([[0.0, 0.6, 0.8]], 1e9, "MAX_STEPS"),
         ([[np.nan, 0.6, 0.8]], 1.0, "finite"),
+        ([[0.0, 0.6, 0.8], [np.nan, 0.0, 1.0]], 1.0, "finite"),
     ],
-    ids=["one-start", "too-many-steps", "nonfinite"],
+    ids=["one-start", "two-columns", "empty", "too-many-steps", "nonfinite", "nonfinite-row"],
 )
 def test_integrate_blocks_rejects_bad_arguments(starts, t_final, message):
     # checked when the first block is asked for, before anything is allocated

@@ -8,9 +8,7 @@ from syncqubits.linalg import (
     hermitian_eigensystem,
     null_space,
     principal_angles,
-    tensor_product,
 )
-from syncqubits.quantum import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 JUMP = 0.5 * np.array(
     [[2, -1, -1, 0], [1, 0, 0, -1], [1, 0, 0, -1], [0, 1, 1, -2]], dtype=complex
@@ -22,37 +20,6 @@ PSI2 = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 def random_hermitian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return a + a.conj().T
-
-
-def test_tensor_product_identity():
-    assert np.array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_product_ordering():
-    # first factor indexes the slow (left) qubit
-    left = tensor_product(SIGMA_Z, np.eye(2))
-    assert np.array_equal(np.diag(left), np.array([1, 1, -1, -1], dtype=complex))
-    right = tensor_product(np.eye(2), SIGMA_Z)
-    assert np.array_equal(np.diag(right), np.array([1, -1, 1, -1], dtype=complex))
-
-
-def test_tensor_product_collective_z():
-    lz = 0.5 * (tensor_product(SIGMA_Z, np.eye(2)) + tensor_product(np.eye(2), SIGMA_Z))
-    assert np.array_equal(lz, np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex))
-
-
-def test_tensor_product_associative(rng):
-    a = rng.integers(-3, 4, size=(2, 2)).astype(complex)
-    b = rng.integers(-3, 4, size=(2, 3)).astype(complex)
-    c = rng.integers(-3, 4, size=(3, 2)).astype(complex)
-    assert np.array_equal(
-        tensor_product(tensor_product(a, b), c), tensor_product(a, tensor_product(b, c))
-    )
-
-
-def test_tensor_product_rejects_empty():
-    with pytest.raises(DimMismatch):
-        tensor_product(np.zeros((0, 2)), np.eye(2))
 
 
 def test_hermitian_eigensystem_diagonal():

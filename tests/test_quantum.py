@@ -186,14 +186,25 @@ def test_stationary_params_stack_copies_its_arguments():
     assert stack.a.tolist() == [0.5, 0.3]
 
 
+# numpy's own cast would only warn and drop the imaginary part
+_CAST_WARNS = pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+
+
 @pytest.mark.parametrize(
     "a, b",
-    [(0.5j, 0.5), (0.5, 0.5 + 0j), ([0.5, 0.5j], [0.5, 0.5]), ([0.5, 0.5], [0.5 + 0j, 0.5])],
-    ids=["point-a", "point-b", "stack-a", "stack-b"],
+    [
+        (0.5j, 0.5),
+        (0.5, 0.5 + 0j),
+        ([0.5, 0.5j], [0.5, 0.5]),
+        ([0.5, 0.5], [0.5 + 0j, 0.5]),
+        pytest.param(np.complex128(0.5), 0.5, marks=_CAST_WARNS),
+        pytest.param(np.array([0.5 + 0.1j]), [0.5], marks=_CAST_WARNS),
+    ],
+    ids=["point-a", "point-b", "stack-a", "stack-b", "numpy-point", "numpy-stack"],
 )
 def test_stationary_params_rejects_complex_weights(a, b):
     # only c may be complex
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="must be real"):
         StationaryParams(a, b, 0.0)
 
 
@@ -362,6 +373,22 @@ def test_evolve_rejects_bad_input(ops):
         evolve(np.eye(4) / 4.0, ops, -1.0, 1e-3)
     with pytest.raises(ValueError, match="shape"):
         evolve(np.eye(2) / 2.0, ops, 1.0, 1e-3)  # a valid state, but of one qubit
+
+
+def test_evolve_validates_its_state_once(ops, monkeypatch):
+    calls = []
+
+    def counted(rho):
+        calls.append(rho)
+        return check_density_matrix(rho)
+
+    monkeypatch.setattr(quantum, "check_density_matrix", counted)
+    evolve(np.eye(4) / 4.0, ops, 0.01, 1e-3)
+    assert len(calls) == 1
+    # a bad state is still reported before bad steps
+    for run in (evolve, lambda *args: next(evolve_blocks(*args))):
+        with pytest.raises(ValueError, match="^trace must be 1"):
+            run(np.eye(4) / 2.0, ops, -1.0, 1e-3)
 
 
 @pytest.mark.parametrize(

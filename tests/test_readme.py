@@ -22,7 +22,7 @@ def _quick_start() -> str:
 def test_readme_quick_start_runs(capsys):
     exec(compile(_quick_start(), "README.md quick start", "exec"), {})
     out = capsys.readouterr().out
-    assert "(50, 20001, 3) (50, 20001)\n" in out
+    assert "20001 (3, 50)\n" in out
     assert "(2, 4) [0.1036, 0.5]\n" in out
     assert "7845 1\n" in out
 

@@ -107,7 +107,7 @@ def test_reductions_of_real_runs(ops, monkeypatch):
     starts = verify._classical_starts(np.random.default_rng(5))[:6]
     starts[0, 2] = 0.0  # k undefined the whole run
     run = verify._reduce_classical(starts, integrate_blocks(starts, 0.576, 1e-3))
-    whole = integrate(starts, 0.576, 1e-3).states.transpose(1, 2, 0)
+    whole = np.stack([integrate(start, 0.576, 1e-3).states for start in starts], axis=2)
     assert _classical_reduced(run) == _whole_classical(whole)
     for label in ("mixed", "basis:10"):
         rho0 = labelled_state(label)
