@@ -13,7 +13,6 @@ from .classical import (
     dissipative_field,
     integrate,
     quasithermo_field,
-    schwinger_map,
 )
 from .entanglement import (
     PTSpectrumReport,
@@ -26,7 +25,6 @@ from .entanglement import (
 from .linalg import (
     DimMismatch,
     NotHermitian,
-    SpectrumReport,
     hermitian_eigensystem,
     null_space,
     principal_angles,

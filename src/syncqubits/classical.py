@@ -1,6 +1,10 @@
 """Classical model of two coupled oscillators relaxing to phase synchrony.
 
-The state is the real triple l = (lx, ly, lz) obeying
+The state is the real triple l = (lx, ly, lz) of collective variables of
+the oscillator amplitudes z1 = r1 exp(i phi1) and z2 = r2 exp(i phi2):
+lx + i ly = conj(z1) z2 and lz = (|z1|^2 - |z2|^2) / 2, half the population
+imbalance.  So ly = r1 r2 sin(phi2 - phi1), and ly -> 0 marks phase
+locking.  The flow is
 
     dlx/dt =  2 (ly^2 + lz^2)
     dly/dt = -2 lx ly
@@ -69,17 +73,6 @@ def classical_field(state) -> np.ndarray:
     """Right-hand side of the synchronization equations."""
     lx, ly, lz = (float(x) for x in np.asarray(state, dtype=float))
     return np.array([2.0 * (ly * ly + lz * lz), -2.0 * lx * ly, -2.0 * lx * lz])
-
-
-def schwinger_map(z1: complex, z2: complex) -> np.ndarray:
-    """Collective variables of two oscillator amplitudes.
-
-    lx + i ly = conj(z1) z2 and lz is half the population imbalance; in
-    polar form ly = r1 r2 sin(phi2 - phi1), so ly -> 0 signals that the
-    phases have locked.
-    """
-    cross = np.conj(complex(z1)) * complex(z2)
-    return np.array([cross.real, cross.imag, 0.5 * (abs(z1) ** 2 - abs(z2) ** 2)])
 
 
 def dissipative_field(state) -> np.ndarray:

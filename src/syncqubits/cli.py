@@ -321,7 +321,7 @@ def _params_from(cfg) -> StationaryParams:
 def _cmd_stationary(cfg) -> int:
     params = _params_from(cfg)
     rho = stationary_state(params)
-    spectrum = hermitian_eigensystem(rho)
+    w, _ = hermitian_eigensystem(rho)
     disc = max(1.0 - 4.0 * (params.a * params.b - abs(params.c) ** 2), 0.0)
     payload = {
         "a": params.a,
@@ -329,7 +329,7 @@ def _cmd_stationary(cfg) -> int:
         "c_re": params.c.real,
         "c_im": params.c.imag,
         "rho": density_matrix_to_json(rho),
-        "eigenvalues": spectrum.eigenvalues.tolist(),
+        "eigenvalues": w.tolist(),
         "quadratic_roots": [0.5 * (1.0 - disc**0.5), 0.5 * (1.0 + disc**0.5)],
     }
     _emit([json.dumps(payload, indent=2) + "\n"], cfg["out"])

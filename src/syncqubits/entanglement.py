@@ -50,7 +50,7 @@ def partial_transpose(rho) -> np.ndarray:
     if r.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4 matrices, got shape {r.shape}")
     lead = r.shape[:-2]
-    return r.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(lead + (4, 4)).copy()
+    return r.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(lead + (4, 4))
 
 
 def _real_cubic_roots(c2, c1, c0, disc) -> np.ndarray:
@@ -162,7 +162,7 @@ def ppt_analyze(params: StationaryParams) -> PTSpectrumReport:
     eigensolver's NotHermitian name the first failing point.
     """
     try:
-        w = hermitian_eigensystem(partial_transpose(stationary_state(params))).eigenvalues
+        w, _ = hermitian_eigensystem(partial_transpose(stationary_state(params)))
     except NotHermitian as exc:
         raise NotHermitian(f"{exc} at {_at(params, exc.index)}", exc.index) from None
     b = np.asarray(params.b)

@@ -7,8 +7,6 @@ tiny (at most 16x16), so robust dense LAPACK routines are used throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 #: largest |m - m+| entry hermitian_eigensystem accepts
@@ -31,19 +29,6 @@ class DimMismatch(ValueError):
     """Raised when operand dimensions are incompatible."""
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Hermitian eigendecomposition.
-
-    ``eigenvalues`` are real and ascending; column i of ``eigenvectors`` is
-    the orthonormal eigenvector paired with eigenvalue i.  A stack of
-    matrices gives a stack of both, along the same leading axes.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.size == 0:
@@ -56,13 +41,16 @@ def _require_square(a: np.ndarray) -> None:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
 
 
-def hermitian_eigensystem(m) -> SpectrumReport:
+def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a
     stack (..., n, n), with one LAPACK call.
 
-    Raises NotHermitian for the first matrix whose symmetry error exceeds
-    HERMITIAN_TOL.  The reconstruction V diag(w) V+ matches the input to
-    machine precision for the matrix sizes this package deals in.
+    Returns ``np.linalg.eigh(m)`` itself, a pair to unpack as ``w, v``:
+    real ascending eigenvalues, and the orthonormal eigenvector of w[i] in
+    column i of v, along the input's leading axes.  Raises NotHermitian for
+    the first matrix whose symmetry error exceeds HERMITIAN_TOL.  The
+    reconstruction V diag(w) V+ matches the input to machine precision for
+    the matrix sizes this package deals in.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] == 0:
@@ -77,8 +65,7 @@ def hermitian_eigensystem(m) -> SpectrumReport:
             f"symmetry error {err[index]:.3e} exceeds tolerance {HERMITIAN_TOL:.3e}{where}",
             index,
         )
-    w, v = np.linalg.eigh(a)
-    return SpectrumReport(eigenvalues=w, eigenvectors=v)
+    return np.linalg.eigh(a)
 
 
 def null_space(m) -> list[np.ndarray]:

@@ -361,10 +361,11 @@ class StationaryParams:
         _check_params(self.a, self.b, self.c)
 
 
-def random_stationary_params(
+def random_stationary_coefficients(
     rng: np.random.Generator, real_c: bool = True, max_a: float = 1.0
-) -> StationaryParams:
-    """Uniform-ish sample from the valid parameter set.
+) -> tuple[float, float, complex]:
+    """Uniform-ish draw (a, b, c) from the valid parameter set, unvalidated:
+    :class:`StationaryParams` takes one draw, or many zipped into a stack.
 
     ``max_a`` < 1 keeps b = 1 - a bounded away from zero, which is handy
     when exercising claims that need a strictly positive singlet weight.
@@ -376,7 +377,7 @@ def random_stationary_params(
         c = complex(rng.uniform(-cap, cap))
     else:
         c = cap * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-    return StationaryParams(a, b, c)
+    return a, b, c
 
 
 def _kernel_combination(a, b, c) -> np.ndarray:
@@ -414,9 +415,10 @@ class StationaryFit:
 def project_to_stationary(rho) -> StationaryFit:
     """Overlap coefficients of ``rho`` with the stationary family.
 
-    The overlaps alone do not determine where the evolution actually ends
-    up (they are not conserved), so the fit is an empirical report about
-    ``rho`` itself, typically the last state of a long run.
+    The fit is a report about ``rho`` itself, typically the last state of
+    a long run.  Of the overlaps, b and c are conserved by the master
+    equation (J psi1 = J psi2 = J+ psi2 = 0) and only a changes, so a run
+    from rho0 ends at ``stationary_state(StationaryParams(1 - b0, b0, c0))``.
     """
     psi1, psi2 = KERNEL_BASIS.psi1, KERNEL_BASIS.psi2
     r = np.asarray(rho, dtype=complex)

@@ -16,7 +16,6 @@ from syncqubits.classical import (
     integrate,
     integrate_blocks,
     quasithermo_field,
-    schwinger_map,
     tracked_scalars,
 )
 from syncqubits.verify import DEFAULT_SEED, _classical_starts
@@ -31,26 +30,10 @@ def test_field_known_values():
     assert np.array_equal(classical_field([0.0, 0.0, 1.0]), [2.0, 0.0, 0.0])
 
 
-def test_schwinger_map_values():
-    assert np.allclose(schwinger_map(1.0, 1.0), [1.0, 0.0, 0.0], atol=1e-15)
-    assert np.allclose(schwinger_map(1.0, 1.0j), [0.0, 1.0, 0.0], atol=1e-15)
-    assert np.allclose(schwinger_map(1.0, 0.0), [0.0, 0.0, 0.5], atol=1e-15)
-
-
 def _finite_difference_gradient(f, point, step=1e-5):
     """Central-difference gradient of a scalar (possibly complex) function."""
     p = np.asarray(point, dtype=float)
     return np.array([(f(p + step * e) - f(p - step * e)) / (2.0 * step) for e in np.eye(p.size)])
-
-
-def test_schwinger_map_polar_phase_difference(rng):
-    # ly = r1 r2 sin(phi2 - phi1), so it vanishes exactly at phase lock
-    for _ in range(20):
-        r1, r2 = rng.uniform(0.1, 2.0, size=2)
-        p1, p2 = rng.uniform(-np.pi, np.pi, size=2)
-        l = schwinger_map(r1 * np.exp(1j * p1), r2 * np.exp(1j * p2))
-        assert abs(l[1] - r1 * r2 * math.sin(p2 - p1)) < 1e-12
-        assert abs(l[0] - r1 * r2 * math.cos(p2 - p1)) < 1e-12
 
 
 def test_dissipative_field_matches_direct(rng):

@@ -14,12 +14,12 @@ from syncqubits.entanglement import (
     ppt_analyze,
     sweep,
 )
-from syncqubits.linalg import NotHermitian, SpectrumReport
+from syncqubits.linalg import NotHermitian
 from syncqubits.quantum import (
     PARAM_TOL,
     StationaryParams,
     random_density_matrix,
-    random_stationary_params,
+    random_stationary_coefficients,
     stationary_state,
 )
 
@@ -54,6 +54,14 @@ def test_partial_transpose_subsystems_share_spectrum(rng):
     assert np.abs(w2 - np.linalg.eigvalsh(rho)).max() > 0.01
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4), (0, 4, 4)])
+def test_partial_transpose_never_shares_memory_with_its_input(shape):
+    rho = np.arange(math.prod(shape), dtype=complex).reshape(shape)
+    out = partial_transpose(rho)
+    assert out.shape == shape
+    assert not np.shares_memory(out, rho)
+
+
 def test_partial_transpose_rejects_bad_input():
     with pytest.raises(ValueError):
         partial_transpose(np.eye(3))
@@ -68,7 +76,7 @@ def test_singlet_spectrum():
 def test_pt_eigenvector_b_half(rng):
     v = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0)
     for _ in range(50):
-        params = random_stationary_params(rng)
+        params = StationaryParams(*random_stationary_coefficients(rng))
         pt = partial_transpose(stationary_state(params))
         assert np.abs(pt @ v - 0.5 * params.b * v).max() < 1e-12
 
@@ -102,7 +110,7 @@ def test_cubic_roots_need_real_c():
 
 def test_exactly_one_negative_root_for_positive_b(rng):
     for _ in range(200):
-        params = random_stationary_params(rng, max_a=1.0 - 1e-6)
+        params = StationaryParams(*random_stationary_coefficients(rng, max_a=1.0 - 1e-6))
         roots = cubic_roots(params)
         assert (roots < 0.0).sum() == 1
     roots = cubic_roots(StationaryParams(1.0, 0.0, 0.0))
@@ -126,7 +134,7 @@ def test_ppt_analyze_in_phase_corner_is_separable():
 
 def test_ppt_analyze_generic_states_entangled(rng):
     for _ in range(50):
-        params = random_stationary_params(rng, max_a=0.999)
+        params = StationaryParams(*random_stationary_coefficients(rng, max_a=0.999))
         report = ppt_analyze(params)
         assert not report.separable
         assert report.min_eigenvalue < -1e-12
@@ -244,11 +252,11 @@ def _perturb_eigenvalues(monkeypatch, points, factors):
     solve = entanglement.hermitian_eigensystem
 
     def perturbed(stack):
-        report = solve(stack)
-        w = report.eigenvalues.copy()
+        w, v = solve(stack)
+        w = w.copy()
         for target in targets:
             w[np.all(stack == target, axis=(-2, -1))] *= factors
-        return SpectrumReport(eigenvalues=w, eigenvectors=report.eigenvectors)
+        return w, v
 
     monkeypatch.setattr(entanglement, "hermitian_eigensystem", perturbed)
 
@@ -390,8 +398,9 @@ def _report_bits(report, index=...) -> list:
 
 
 def test_stacked_analysis_matches_one_point_at_a_time(rng):
-    params = [random_stationary_params(rng, real_c=(k % 2 == 0)) for k in range(20)]
-    stack = StationaryParams([p.a for p in params], [p.b for p in params], [p.c for p in params])
+    draws = [random_stationary_coefficients(rng, real_c=(k % 2 == 0)) for k in range(20)]
+    params = [StationaryParams(*draw) for draw in draws]
+    stack = StationaryParams(*zip(*draws))
     states = stationary_state(stack)
     transposed = partial_transpose(states)
     assert states.shape == transposed.shape == (20, 4, 4)
@@ -416,8 +425,7 @@ def test_stacked_analysis_matches_one_point_at_a_time(rng):
 
 
 def test_stacked_analysis_keeps_two_leading_axes(rng):
-    params = [random_stationary_params(rng) for _ in range(12)]
-    a, b, c = (np.array([getattr(p, name) for p in params]) for name in "abc")
+    a, b, c = (np.array(x) for x in zip(*(random_stationary_coefficients(rng) for _ in range(12))))
     flat = ppt_analyze(StationaryParams(a, b, c))
     grid = ppt_analyze(StationaryParams(a.reshape(3, 4), b.reshape(3, 4), c.reshape(3, 4)))
     assert grid.eigenvalues.shape == grid.closed_form_eigenvalues.shape == (3, 4, 4)

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncqubits import quantum
+from syncqubits.entanglement import ppt_analyze
 from syncqubits.classical import BLOCK_STEPS
 from syncqubits.quantum import (
     InvalidParams,
@@ -27,7 +28,7 @@ from syncqubits.quantum import (
     point_label,
     project_to_stationary,
     random_density_matrix,
-    random_stationary_params,
+    random_stationary_coefficients,
     stationary_state,
     vec,
 )
@@ -240,7 +241,7 @@ def test_stationary_state_corners(basis):
 def test_stationary_state_entry_pattern(rng):
     # entries follow the a/4, b/2, c/(2 sqrt 2) pattern worked out by hand
     for _ in range(20):
-        params = random_stationary_params(rng)
+        params = StationaryParams(*random_stationary_coefficients(rng))
         a4 = params.a / 4.0
         b2 = params.b / 2.0
         cp = params.c.real / (2.0 * math.sqrt(2.0))
@@ -258,7 +259,7 @@ def test_stationary_state_entry_pattern(rng):
 
 def test_stationary_state_is_stationary(ops, rng):
     for i in range(50):
-        params = random_stationary_params(rng, real_c=(i % 2 == 0))
+        params = StationaryParams(*random_stationary_coefficients(rng, real_c=i % 2 == 0))
         rho = stationary_state(params)
         check_density_matrix(rho)
         assert np.abs(lindblad_rhs(rho, ops)).max() < 1e-12
@@ -268,7 +269,7 @@ def test_stationary_spectrum_quadratic(rng):
     w = np.linalg.eigvalsh(stationary_state(StationaryParams(0.5, 0.5, 0.0)))
     assert np.abs(w - [0.0, 0.0, 0.5, 0.5]).max() < 1e-12
     for _ in range(20):
-        params = random_stationary_params(rng, real_c=False)
+        params = StationaryParams(*random_stationary_coefficients(rng, real_c=False))
         w = np.linalg.eigvalsh(stationary_state(params))
         det = params.a * params.b - abs(params.c) ** 2
         disc = math.sqrt(max(1.0 - 4.0 * det, 0.0))
@@ -297,6 +298,31 @@ def test_project_state_orthogonal_to_kernel():
     fit = project_to_stationary(np.outer(v, v.conj()))
     assert fit.a < 1e-14 and fit.b < 1e-14
     assert abs(fit.residual - 0.5) < 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(start=st.integers(0, 2**32 - 1))  # the seed of a random state, or a label
+@example(start="mixed")
+@example(start="basis:00")
+@example(start="basis:01")
+@example(start="basis:10")
+@example(start="basis:11")
+def test_run_ends_at_the_member_fixed_by_its_start(ops, basis, start):
+    # J psi1 = J psi2 = J+ psi2 = 0 conserves b and c, so a run from rho0
+    # ends at the member (1 - b0, b0, c0), entangled iff b0 > 0
+    if isinstance(start, str):
+        rho0 = labelled_state(start)
+    else:
+        rho0 = random_density_matrix(np.random.default_rng(start))
+    b0 = float((basis.psi2.conj() @ rho0 @ basis.psi2).real)
+    c0 = complex(basis.psi1.conj() @ rho0 @ basis.psi2)
+    for states, _ in evolve_blocks(rho0, ops, 20.0, 1e-2):
+        last = states[-1].copy()
+    predicted = StationaryParams(1.0 - b0, b0, c0)
+    assert np.abs(last - stationary_state(predicted)).max() <= 1e-10
+    report = ppt_analyze(predicted)
+    assert report.separable == (b0 <= 0.0)
+    assert report.separable or report.min_eigenvalue < 0.0
 
 
 def test_evolve_dark_state_constant(ops, basis):

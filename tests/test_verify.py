@@ -52,7 +52,7 @@ def _whole_quantum(states, lowest, ops):
 
 
 def _classical_reduced(run):
-    return run.final, run.l2, run.k, run.h, run.dip
+    return run.final, 2.0 * run.h, run.k, run.h, run.dip
 
 
 def _quantum_reduced(run):
@@ -156,7 +156,8 @@ def test_reduction_memory_does_not_grow_with_run_length(ops, monkeypatch, kind):
 def _loop_stationary_spectrum(rng):
     worst = 0.0
     for i in range(100):
-        params = quantum.random_stationary_params(rng, real_c=(i % 2 == 0))
+        coefficients = quantum.random_stationary_coefficients(rng, real_c=(i % 2 == 0))
+        params = quantum.StationaryParams(*coefficients)
         w = np.linalg.eigvalsh(quantum.stationary_state(params))
         disc = max(1.0 - 4.0 * (params.a * params.b - abs(params.c) ** 2), 0.0)
         roots = np.sort([0.5 * (1.0 - np.sqrt(disc)), 0.5 * (1.0 + np.sqrt(disc))])
@@ -168,7 +169,7 @@ def _loop_pt_eigenvector(rng):
     v = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0)
     worst = 0.0
     for _ in range(100):
-        params = quantum.random_stationary_params(rng)
+        params = quantum.StationaryParams(*quantum.random_stationary_coefficients(rng))
         pt = entanglement.partial_transpose(quantum.stationary_state(params))
         worst = max(worst, float(np.abs(pt @ v - 0.5 * params.b * v).max()))
     return verify._result(4, worst <= 1e-12, f"worst eigenvector residual {worst:.2e} (tol 1e-12)")
@@ -177,7 +178,7 @@ def _loop_pt_eigenvector(rng):
 def _loop_closed_form_spectrum(rng):
     worst = 0.0
     for _ in range(200):
-        params = quantum.random_stationary_params(rng)
+        params = quantum.StationaryParams(*quantum.random_stationary_coefficients(rng))
         pt = entanglement.partial_transpose(quantum.stationary_state(params))
         numeric = np.linalg.eigvalsh(pt)
         closed = np.sort(np.append(entanglement.cubic_roots(params), 0.5 * params.b))
@@ -194,7 +195,8 @@ def _loop_entanglement_verdicts(rng):
         if not report.min_eigenvalue < -1e-12:
             failures.append(f"b = {b:g} not entangled")
     for _ in range(200):
-        params = quantum.random_stationary_params(rng, max_a=1.0 - 1e-3)
+        coefficients = quantum.random_stationary_coefficients(rng, max_a=1.0 - 1e-3)
+        params = quantum.StationaryParams(*coefficients)
         report = entanglement.ppt_analyze(params)
         largest_min = max(largest_min, report.min_eigenvalue)
         if not report.min_eigenvalue < -1e-12:
@@ -246,22 +248,38 @@ def _every_fifth_nearly_separable(draw):
     count = itertools.count()
 
     def some_nearly_separable(rng, **kwargs):
-        params = draw(rng, **kwargs)
+        coefficients = draw(rng, **kwargs)
         k, skip = divmod(next(count), 5)
         b = 1e-12 * (k + 1)
-        return params if skip else quantum.StationaryParams(1.0 - b, b, 1e-7 * (k + 1))
+        return coefficients if skip else (1.0 - b, b, complex(1e-7 * (k + 1)))
 
     return some_nearly_separable
 
 
 def test_stacked_verdicts_name_failures_as_the_point_loop(monkeypatch):
-    draw = quantum.random_stationary_params
+    draw = quantum.random_stationary_coefficients
     results = []
     for check in (verify._check_entanglement_verdicts, _loop_entanglement_verdicts):
         nearly_separable = _every_fifth_nearly_separable(draw)
-        monkeypatch.setattr(quantum, "random_stationary_params", nearly_separable)
+        monkeypatch.setattr(quantum, "random_stationary_coefficients", nearly_separable)
         results.append(check(np.random.default_rng(3)))
     stacked, looped = results
     assert not stacked.passed
     assert len(set(stacked.detail.split("; "))) == 40
     assert stacked == looped
+
+
+def test_stacked_check_validates_its_draws_once(monkeypatch):
+    # the 100 draws of check 3 are validated as one stack, not one by one
+    calls = []
+    check_params = quantum._check_params
+
+    def counted(*args):
+        calls.append(args)
+        return check_params(*args)
+
+    monkeypatch.setattr(quantum, "_check_params", counted)
+    result = verify._check_stationary_spectrum(np.random.default_rng(verify.DEFAULT_SEED))
+    assert result.passed
+    assert len(calls) == 1
+    assert [np.shape(x) for x in calls[0]] == [(100,)] * 3
