@@ -20,9 +20,10 @@ other ways, fixed like the flow itself, and all three agree identically:
 * from the conserved H = |l|^2 / 2 and the growing S = 2 lx alone as
   grad H x (grad S x grad H), see :func:`quasithermo_field`.
 
-:func:`integrate` runs one start as a loop over Python floats;
-:func:`integrate_blocks` runs a stack of starts as one numpy block, yielded
-a block of time points at a time.
+:func:`trajectory_blocks` runs one start as a loop over Python floats and
+:func:`integrate_blocks` a stack of starts as one numpy block, both yielded
+a block of time points at a time; :func:`integrate` collects one start's
+run whole.
 """
 
 from __future__ import annotations
@@ -38,12 +39,14 @@ K_UNDEFINED_LZ = 1e-12
 #: any state component beyond this magnitude aborts integration
 DIVERGENCE_LIMIT = 1e6
 
-#: most steps one integrator call may take: it bounds the time of every run
-#: and the memory of integrate() and quantum.evolve(), which collect one whole
-#: run (here 24 MB of classical states and 256 MB of quantum states)
+#: most steps one integrator call may take.  It bounds the time of every
+#: run, and the memory of integrate() and quantum.evolve(), which collect a
+#: whole run: 24 MB of classical or 256 MB of quantum states at this limit.
+#: The block generators, and the command line's CSV exports, hold one block.
 MAX_STEPS = 10**6
 
-#: time points per block of integrate_blocks() and quantum.evolve_blocks();
+#: time points per block of trajectory_blocks(), integrate_blocks() and
+#: quantum.evolve_blocks(), and rows per block of the command line's tables;
 #: a reduction over the blocks holds one block, however long the run
 BLOCK_STEPS = 2048
 
@@ -126,18 +129,29 @@ def _checked(start: np.ndarray, t_final: float, dt: float) -> int:
 
 def integrate(initial, t_final: float, dt: float) -> Trajectory:
     """Fixed-step RK4 integration of the synchronization flow from one
-    start, shape (3,), as a loop over Python floats, the fastest way to
-    make a single run.  A stack of starts runs in :func:`integrate_blocks`.
+    start, shape (3,): the blocks of :func:`trajectory_blocks` collected
+    into one :class:`Trajectory`, with H, S and k for every state.  A
+    stack of starts runs in :func:`integrate_blocks`.  Errors as for
+    :func:`trajectory_blocks`.
+    """
+    states = np.concatenate(list(trajectory_blocks(initial, t_final, dt)))
+    return Trajectory(dt * np.arange(len(states)), states, *tracked_scalars(*states.T))
 
-    Records the state after every step (the initial state included) along
-    with H, S and k; the step count is round(t_final / dt), at most
-    MAX_STEPS.  Because every stage of the lx update is a sum of squares,
-    the recorded S is nondecreasing exactly, not just within tolerance.
 
-    Raises StepTooLarge when any component exceeds 1e6 in magnitude or is
-    no longer a number, and ValueError for a shape other than (3,), a
-    nonfinite start, nonfinite or nonpositive dt / t_final, or more than
-    MAX_STEPS steps.
+def trajectory_blocks(initial, t_final: float, dt: float):
+    """Fixed-step RK4 run of the synchronization flow from one start, shape
+    (3,), as a loop over Python floats, the fastest way to make a single
+    run.  Yields the states from the start on as (m, 3) blocks, m being
+    BLOCK_STEPS but in the last block; each block is a new array.
+
+    The step count is round(t_final / dt), at most MAX_STEPS.  Because
+    every stage of the lx update is a sum of squares, lx is nondecreasing
+    exactly, not just within tolerance.
+
+    Once iteration begins, raises StepTooLarge when any component exceeds
+    1e6 in magnitude or is no longer a number, and ValueError for a shape
+    other than (3,), a nonfinite start, nonfinite or nonpositive dt /
+    t_final, or more than MAX_STEPS steps.
     """
     start = np.asarray(initial, dtype=float)
     if start.shape != (3,):
@@ -151,63 +165,65 @@ def integrate(initial, t_final: float, dt: float) -> Trajectory:
     if not (abs(lx) <= limit and abs(ly) <= limit and abs(lz) <= limit):
         raise StepTooLarge(f"initial state exceeds {limit:g}")
 
-    xs = [lx]
-    ys = [ly]
-    zs = [lz]
     h = dt
     half = 0.5 * dt
     sixth = dt / 6.0
-    for i in range(1, n_steps + 1):
-        ax = 2.0 * (ly * ly + lz * lz)
-        ay = -2.0 * lx * ly
-        az = -2.0 * lx * lz
+    total = n_steps + 1
+    xs = [lx]
+    ys = [ly]
+    zs = [lz]
+    for offset in range(0, total, BLOCK_STEPS):
+        for i in range(max(offset, 1), min(offset + BLOCK_STEPS, total)):
+            ax = 2.0 * (ly * ly + lz * lz)
+            ay = -2.0 * lx * ly
+            az = -2.0 * lx * lz
 
-        x1 = lx + half * ax
-        y1 = ly + half * ay
-        z1 = lz + half * az
-        bx = 2.0 * (y1 * y1 + z1 * z1)
-        by = -2.0 * x1 * y1
-        bz = -2.0 * x1 * z1
+            x1 = lx + half * ax
+            y1 = ly + half * ay
+            z1 = lz + half * az
+            bx = 2.0 * (y1 * y1 + z1 * z1)
+            by = -2.0 * x1 * y1
+            bz = -2.0 * x1 * z1
 
-        x2 = lx + half * bx
-        y2 = ly + half * by
-        z2 = lz + half * bz
-        cx = 2.0 * (y2 * y2 + z2 * z2)
-        cy = -2.0 * x2 * y2
-        cz = -2.0 * x2 * z2
+            x2 = lx + half * bx
+            y2 = ly + half * by
+            z2 = lz + half * bz
+            cx = 2.0 * (y2 * y2 + z2 * z2)
+            cy = -2.0 * x2 * y2
+            cz = -2.0 * x2 * z2
 
-        x3 = lx + h * cx
-        y3 = ly + h * cy
-        z3 = lz + h * cz
-        dx = 2.0 * (y3 * y3 + z3 * z3)
-        dy = -2.0 * x3 * y3
-        dz = -2.0 * x3 * z3
+            x3 = lx + h * cx
+            y3 = ly + h * cy
+            z3 = lz + h * cz
+            dx = 2.0 * (y3 * y3 + z3 * z3)
+            dy = -2.0 * x3 * y3
+            dz = -2.0 * x3 * z3
 
-        lx += sixth * (ax + 2.0 * (bx + cx) + dx)
-        ly += sixth * (ay + 2.0 * (by + cy) + dy)
-        lz += sixth * (az + 2.0 * (bz + cz) + dz)
+            lx += sixth * (ax + 2.0 * (bx + cx) + dx)
+            ly += sixth * (ay + 2.0 * (by + cy) + dy)
+            lz += sixth * (az + 2.0 * (bz + cz) + dz)
 
-        if not (abs(lx) <= limit and abs(ly) <= limit and abs(lz) <= limit):
-            raise StepTooLarge(f"state exceeded {limit:g} at t = {i * dt:g}")
-        xs.append(lx)
-        ys.append(ly)
-        zs.append(lz)
-
-    x, y, z = (np.asarray(v) for v in (xs, ys, zs))
-    states = np.column_stack([x, y, z])
-    return Trajectory(dt * np.arange(n_steps + 1), states, *tracked_scalars(x, y, z))
+            if not (abs(lx) <= limit and abs(ly) <= limit and abs(lz) <= limit):
+                raise StepTooLarge(f"state exceeded {limit:g} at t = {i * dt:g}")
+            xs.append(lx)
+            ys.append(ly)
+            zs.append(lz)
+        yield np.column_stack([xs, ys, zs])
+        xs = []
+        ys = []
+        zs = []
 
 
 def integrate_blocks(starts, t_final: float, dt: float):
-    """The RK4 run of :func:`integrate` from a stack of starts, shape (n, 3),
-    yielded as (m, 3, n) blocks of states from the starts on; m is
-    BLOCK_STEPS but in the last block.  Each line of the loop repeats one
-    float operation of the one-start loop, operands swapped only where IEEE
-    arithmetic is commutative (x + half a becomes half a + x), so each run
-    is bit-identical to the one-start run from its row.  A block is a view
+    """The RK4 run of :func:`trajectory_blocks` from a stack of starts,
+    shape (n, 3), yielded as (m, 3, n) blocks of states from the starts on;
+    m is BLOCK_STEPS but in the last block.  Each line of the loop repeats
+    one float operation of the one-start loop, operands swapped only where
+    IEEE arithmetic is commutative (x + half a becomes half a + x), so each
+    run is bit-identical to the one-start run from its row.  A block is a view
     of one reused buffer, valid until the next is requested, and is tested
-    for divergence before it is yielded.  Errors as for :func:`integrate`,
-    raised once iteration begins, naming the first run that failed, and
+    for divergence before it is yielded.  Errors as for
+    :func:`trajectory_blocks`, naming the first run that failed, and
     ValueError for any shape but (n, 3) with n >= 1.
     """
     starts = np.asarray(starts, dtype=float)

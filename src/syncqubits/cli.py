@@ -11,11 +11,16 @@ verify           run the numbered self-checks and report PASS/FAIL
 
 Data goes to ``--out PATH`` when given, otherwise to standard output (the
 human-readable summary lines then move to standard error so piped data
-stays clean).  Tables are written as they are formatted, a fixed block of
-rows at a time, once the data is computed: a run that fails leaves no
-``--out`` file, and an export's memory does not grow with its text.  A
-JSON ``--config`` file may supply any long-option value, keyed by option
-name with underscores; explicit flags win over the file.
+stays clean).  Tables are computed and written a block of rows at a time.
+A CSV export's memory does not grow with the length of the run; JSON's
+object of lists needs whole columns, so it holds its columns, but never the
+states.  ``--out`` is written as a temporary file beside it that replaces
+it only once the run has succeeded: a run that fails leaves no file, or the
+old one as it was.  A path that is not a regular file, such as /dev/null,
+is written directly.  On standard output, a run that exits 3 may already
+have printed part of its table.  A JSON ``--config`` file may supply any
+long-option value, keyed by option name with underscores; explicit flags
+win over the file.
 Floats in CSV output carry 17 significant digits, so equal inputs produce
 byte-identical files.
 
@@ -28,13 +33,17 @@ invalid input data, 3 runtime guard tripped (divergence, positivity loss),
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
+import shutil
+import stat
 import sys
 
 import numpy as np
 
-from .classical import StepTooLarge, integrate
+from .classical import BLOCK_STEPS, StepTooLarge, tracked_scalars, trajectory_blocks
 from .entanglement import ppt_analyze, sweep
 from .linalg import hermitian_eigensystem
 from .quantum import (
@@ -44,7 +53,7 @@ from .quantum import (
     build_operators,
     density_matrix_from_json,
     density_matrix_to_json,
-    evolve,
+    evolve_blocks,
     labelled_state,
     project_to_stationary,
     stationary_state,
@@ -52,10 +61,6 @@ from .quantum import (
 from .verify import run_all
 
 _REQUIRED = object()
-
-#: rows per chunk of a CSV/JSON table: an export holds its columns and one
-#: block of text, however long the table
-BLOCK_ROWS = 4096
 
 _DEFAULTS = {
     "classical-sim": {
@@ -174,16 +179,49 @@ def _merge_config(args: argparse.Namespace, types: dict) -> dict:
     return values
 
 
+def _writes_in_place(path: str) -> bool:
+    """Whether ``path`` names something other than a regular file, such as
+    /dev/null or a pipe, which is written to directly, never replaced."""
+    try:
+        return not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        return False
+
+
 def _emit(chunks, out_path):
     """Write the data payload, an iterable of text chunks; returns the
-    stream summaries should use."""
-    if out_path:
-        with open(out_path, "w") as fh:
+    stream summaries should use.
+
+    A file is written as a temporary file beside it, which replaces it once
+    every chunk is written: a run that fails leaves no file, or the old one
+    as it was.  A symbolic link is followed to the file it names.
+    """
+    if not out_path:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return sys.stderr
+    target = os.path.realpath(out_path)
+    if _writes_in_place(target):
+        with open(target, "w") as fh:
             fh.writelines(chunks)
         return sys.stdout
-    sys.stdout.writelines(chunks)
-    sys.stdout.flush()  # a closed pipe fails here, not at exit
-    return sys.stderr
+    folder, name = os.path.split(target)
+    # opened by name, so a new file gets the mode a plain open gives it
+    temp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(temp, "x")
+    except OSError as exc:  # named by the path given, not the temporary one
+        raise OSError(exc.errno, exc.strerror, out_path) from None
+    try:
+        with fh:
+            with contextlib.suppress(FileNotFoundError):
+                shutil.copymode(target, temp)  # a file replaced keeps its mode
+            fh.writelines(chunks)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+    return sys.stdout
 
 
 def _parse_triple(text: str) -> list[float]:
@@ -210,11 +248,13 @@ def _json_values(col: np.ndarray) -> list:
     return col.tolist()
 
 
-def _blocks(arrays: list):
-    """Equal-length arrays cut into blocks of BLOCK_ROWS rows, each block a
-    list of column slices."""
-    for start in range(0, len(arrays[0]), BLOCK_ROWS):
-        yield [a[start : start + BLOCK_ROWS] for a in arrays]
+def _blocks(columns: dict):
+    """Equal-length columns cut into blocks of BLOCK_STEPS rows; a table
+    with no rows, as ``sweep --grid 2``, is one empty block, which still
+    names the columns."""
+    n_rows = len(next(iter(columns.values())))
+    for start in range(0, max(n_rows, 1), BLOCK_STEPS):
+        yield {name: col[start : start + BLOCK_STEPS] for name, col in columns.items()}
 
 
 def _joined(pieces):
@@ -223,20 +263,27 @@ def _joined(pieces):
         yield (", " if i else "") + piece
 
 
-def _table_chunks(columns: dict, fmt: str, records: bool = False):
-    """Equal-length columns as CSV or JSON text, yielded a block of rows at
-    a time, so a table is written as it is formatted.
+def _table_chunks(blocks, fmt: str, records: bool = False):
+    """A table given as blocks of rows, each a dict of equal-length column
+    arrays under the same names (only a lone block may be empty), as CSV or
+    JSON text yielded a block at a time, so a table is written as it is
+    computed.
 
     CSV has a header row, then one row per index: floats with 17
     significant digits, NaN as an empty field, bools as true/false.  JSON
     is one object of lists, or with ``records`` a list of row objects, with
-    NaN as null.  The joined text does not depend on BLOCK_ROWS.
+    NaN as null.  The object of lists needs whole columns, so it keeps a
+    copy of every block's columns until the last is in; the other layouts
+    hold one block.  The first block is computed before any text is
+    yielded, and the joined text does not depend on the block sizes.
     """
-    names = list(columns)
-    arrays = [np.asarray(col) for col in columns.values()]
+    blocks = iter(blocks)
+    first = next(blocks)
+    names = list(first)
+    blocks = ([np.asarray(c) for c in block.values()] for block in itertools.chain([first], blocks))
     if fmt == "csv":
         yield ",".join(names) + "\n"
-        for block in _blocks(arrays):
+        for block in blocks:
             specs, cells = zip(*map(_csv_cells, block))
             row = ",".join(specs) + "\n"
             yield "".join([row % values for values in zip(*cells)])
@@ -244,33 +291,48 @@ def _table_chunks(columns: dict, fmt: str, records: bool = False):
         yield "["
         yield from _joined(
             json.dumps([dict(zip(names, row)) for row in zip(*map(_json_values, block))])[1:-1]
-            for block in _blocks(arrays)
+            for block in blocks
         )
         yield "]\n"
     else:
+        kept = [[np.array(col) for col in block] for block in blocks]
         yield "{"
-        for i, (name, a) in enumerate(zip(names, arrays)):
+        for i, name in enumerate(names):
             yield (", " if i else "") + json.dumps(name) + ": ["
-            yield from _joined(json.dumps(_json_values(col))[1:-1] for (col,) in _blocks([a]))
+            yield from _joined(json.dumps(_json_values(cols[i]))[1:-1] for cols in kept)
             yield "]"
         yield "}\n"
 
 
 def _cmd_classical_sim(cfg) -> int:
     init = _parse_triple(cfg["init"])
-    traj = integrate(init, cfg["t_final"], cfg["dt"])
-    columns = {
-        "t": traj.times,
-        "lx": traj.states[:, 0],
-        "ly": traj.states[:, 1],
-        "lz": traj.states[:, 2],
-        "H": traj.h_values,
-        "S": traj.s_values,
-        "k": traj.k_values,
-    }
-    stream = _emit(_table_chunks(columns, cfg["format"]), cfg["out"])
-    lx, ly, lz = traj.states[-1]
-    max_dh = float(np.abs(traj.h_values - traj.h_values[0]).max())
+    dt = cfg["dt"]
+    final = None
+    max_dh = 0.0
+
+    def blocks():
+        nonlocal final, max_dh
+        row = 0
+        for states in trajectory_blocks(init, cfg["t_final"], dt):
+            x, y, z = states.T
+            h, s, k = tracked_scalars(x, y, z)
+            if not row:
+                h0 = h[0]
+            max_dh = max(max_dh, float(np.abs(h - h0).max()))
+            final = states[-1]
+            yield {
+                "t": dt * np.arange(row, row + len(states)),
+                "lx": x,
+                "ly": y,
+                "lz": z,
+                "H": h,
+                "S": s,
+                "k": k,
+            }
+            row += len(states)
+
+    stream = _emit(_table_chunks(blocks(), cfg["format"]), cfg["out"])
+    lx, ly, lz = final
     print(f"final state: lx={_fmt(lx)} ly={_fmt(ly)} lz={_fmt(lz)}", file=stream)
     print(f"max |dH|: {_fmt(max_dh)}", file=stream)
     return 0
@@ -292,19 +354,27 @@ def _parse_initial_density(text: str) -> np.ndarray:
 def _cmd_quantum_evolve(cfg) -> int:
     rho0 = _parse_initial_density(cfg["init"])
     ops = build_operators()
-    traj = evolve(rho0, ops, cfg["t_final"], cfg["dt"])
-    states = traj.states
-    columns = {
-        "t": traj.times,
-        "lx_avg": np.einsum("tij,ji->t", states, ops.lx).real,
-        "ly_avg": np.einsum("tij,ji->t", states, ops.ly).real,
-        "lz_avg": np.einsum("tij,ji->t", states, ops.lz).real,
-        "l2_avg": np.einsum("tij,ji->t", states, ops.l_squared).real,
-        "trace": np.einsum("tii->t", states).real,
-        "min_eig": traj.min_eigenvalues,
-    }
-    stream = _emit(_table_chunks(columns, cfg["format"]), cfg["out"])
-    fit = project_to_stationary(states[-1])
+    dt = cfg["dt"]
+    last = None
+
+    def blocks():
+        nonlocal last
+        row = 0
+        for states, lowest in evolve_blocks(rho0, ops, cfg["t_final"], dt):
+            last = states[-1].copy()  # the block's buffer is reused
+            yield {
+                "t": np.arange(row, row + len(states)) * dt,
+                "lx_avg": np.einsum("tij,ji->t", states, ops.lx).real,
+                "ly_avg": np.einsum("tij,ji->t", states, ops.ly).real,
+                "lz_avg": np.einsum("tij,ji->t", states, ops.lz).real,
+                "l2_avg": np.einsum("tij,ji->t", states, ops.l_squared).real,
+                "trace": np.einsum("tii->t", states).real,
+                "min_eig": lowest,
+            }
+            row += len(states)
+
+    stream = _emit(_table_chunks(blocks(), cfg["format"]), cfg["out"])
+    fit = project_to_stationary(last)
     print(
         f"stationary fit: a={_fmt(fit.a)} b={_fmt(fit.b)} "
         f"c_re={_fmt(fit.c.real)} c_im={_fmt(fit.c.imag)} residual={_fmt(fit.residual)}",
@@ -355,7 +425,7 @@ def _cmd_ppt(cfg) -> int:
 
 def _cmd_sweep(cfg) -> int:
     table = sweep(cfg["grid"])
-    _emit(_table_chunks(table.columns(), cfg["format"], records=True), cfg["out"])
+    _emit(_table_chunks(_blocks(table.columns()), cfg["format"], records=True), cfg["out"])
     return 0
 
 

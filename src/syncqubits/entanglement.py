@@ -44,13 +44,14 @@ def partial_transpose(rho) -> np.ndarray:
     each matrix of a stack (..., 4, 4).
 
     Entries are only moved, never recomputed, so transposing twice gives
-    back the input exactly.
+    back the input exactly.  The result is always a new, writeable array,
+    even for a broadcast input whose reshape alone would be a view.
     """
     r = np.asarray(rho, dtype=complex)
     if r.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4 matrices, got shape {r.shape}")
     lead = r.shape[:-2]
-    return r.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(lead + (4, 4))
+    return np.array(r.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -1)).reshape(lead + (4, 4))
 
 
 def _real_cubic_roots(c2, c1, c0, disc) -> np.ndarray:

@@ -17,6 +17,7 @@ from syncqubits.classical import (
     integrate_blocks,
     quasithermo_field,
     tracked_scalars,
+    trajectory_blocks,
 )
 from syncqubits.verify import DEFAULT_SEED, _classical_starts
 
@@ -287,10 +288,12 @@ def test_blocks_collect_to_the_whole_run(n_steps):
     assert all(np.shares_memory(v, views[0]) for v in views)
     blocks = [b.copy() for b in integrate_blocks(starts, t_final, 1e-3)]
     assert [len(b) for b in blocks] == _block_sizes(n_steps)
-    # the one-start float loop, the reference, agrees bit for bit
+    # the one-start float loop, the reference, agrees bit for bit, and
+    # yields blocks of the same sizes
     states = np.concatenate(blocks)
     for i, start in enumerate(starts):
         _assert_run_equal(states, i, integrate(start, t_final, 1e-3))
+        assert [len(b) for b in trajectory_blocks(start, t_final, 1e-3)] == _block_sizes(n_steps)
 
 
 @pytest.mark.parametrize("block_steps", [2, 3, BLOCK_STEPS])
@@ -299,12 +302,14 @@ def test_divergence_named_alike_in_any_block(monkeypatch, block_steps):
     # block of two rows, and at the end of the first block of three
     monkeypatch.setattr(classical, "BLOCK_STEPS", block_steps)
     starts = [[0.0, 0.6, 0.8], [0.0, 3.0, 4.0]]
-    message = r"^state exceeded 1e\+06 at t = 1 in run 1$"
-    blocks = integrate_blocks(starts, 5.0, 0.5)
-    if block_steps == 2:
-        assert len(next(blocks)) == 2  # t = 0 and 0.5 pass
-    with pytest.raises(StepTooLarge, match=message):
-        next(blocks)
+    for blocks, message in (
+        (integrate_blocks(starts, 5.0, 0.5), r"^state exceeded 1e\+06 at t = 1 in run 1$"),
+        (trajectory_blocks(starts[1], 5.0, 0.5), r"^state exceeded 1e\+06 at t = 1$"),
+    ):
+        if block_steps == 2:
+            assert len(next(blocks)) == 2  # t = 0 and 0.5 pass
+        with pytest.raises(StepTooLarge, match=message):
+            next(blocks)
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from syncqubits import cli
-from syncqubits.quantum import density_matrix_to_json
+from syncqubits import classical, cli, quantum
+from syncqubits.classical import BLOCK_STEPS, StepTooLarge, integrate
+from syncqubits.quantum import (
+    PositivityLost,
+    build_operators,
+    density_matrix_to_json,
+    evolve,
+    labelled_state,
+)
 
 
 def run_cli(args, capsys):
@@ -610,12 +617,106 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     ids=["divergence", "positivity-loss"],
 )
 def test_failed_run_writes_no_out_file(capsys, tmp_path, argv):
-    # the data is computed in full before the output file is opened
+    # the table goes to a temporary file that replaces --out only once the
+    # run has succeeded; a failure deletes it
     out_file = tmp_path / "data.csv"
     code, _, err = run_cli([*argv, "--out", str(out_file)], capsys)
     assert code == 3
     assert err.startswith("error:")
-    assert not out_file.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def _one_block_then(error, block):
+    """A block generator that yields one good block, then fails."""
+
+    def blocks(*args):
+        yield block
+        raise error("guard tripped in the second block")
+
+    return blocks
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command, name, failing",
+    [
+        (
+            "classical-sim",
+            "trajectory_blocks",
+            _one_block_then(StepTooLarge, np.array([[0.0, 0.6, 0.8]])),
+        ),
+        (
+            "quantum-evolve",
+            "evolve_blocks",
+            _one_block_then(PositivityLost, (np.eye(4)[None] / 4.0, np.array([0.25]))),
+        ),
+    ],
+    ids=["divergence", "positivity-loss"],
+)
+def test_run_failing_after_a_block_leaves_out_as_it_was(
+    capsys, tmp_path, monkeypatch, command, name, failing, fmt, existing
+):
+    monkeypatch.setattr(cli, name, failing)
+    out_file = tmp_path / "data.txt"
+    if existing:
+        out_file.write_bytes(b"old bytes\n")
+    code, out, err = run_cli([command, "--format", fmt, "--out", str(out_file)], capsys)
+    assert (code, out, err) == (3, "", "error: guard tripped in the second block\n")
+    assert [p.name for p in tmp_path.iterdir()] == (["data.txt"] if existing else [])
+    if existing:
+        assert out_file.read_bytes() == b"old bytes\n"
+
+
+def test_out_through_a_symlink_writes_its_target(capsys, tmp_path):
+    argv = ["classical-sim", "--t-final", "0.002"]
+    expected = run_cli(argv, capsys)[1]
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert run_cli([*argv, "--out", str(link)], capsys)[0] == 0
+    assert link.is_symlink()
+    assert target.read_text() == expected
+
+
+def test_out_file_gets_the_mode_of_a_plain_open(capsys, tmp_path):
+    # a new file gets the umask's mode, a file replaced keeps its own
+    existing = tmp_path / "existing.json"
+    existing.write_text("old\n")
+    existing.chmod(0o600)
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+        for path in (tmp_path / "data.json", existing):
+            assert run_cli(["ppt", "--a", "0.3", "--out", str(path)], capsys)[0] == 0
+    finally:
+        os.umask(old)
+    mode = os.stat(tmp_path / "data.json").st_mode
+    assert mode == os.stat(tmp_path / "plain.txt").st_mode
+    assert mode & 0o777 == 0o640
+    assert os.stat(existing).st_mode & 0o777 == 0o600
+    assert existing.read_text() != "old\n"
+
+
+def test_out_in_a_missing_folder_is_named_as_given(capsys, tmp_path):
+    out_file = str(tmp_path / "missing" / "data.json")
+    code, _, err = run_cli(["ppt", "--a", "0.3", "--out", out_file], capsys)
+    assert (code, err) == (2, f"error: [Errno 2] No such file or directory: {out_file!r}\n")
+
+
+def test_only_regular_files_are_replaced(tmp_path):
+    # decided by stat alone; nothing is opened
+    regular = tmp_path / "data.csv"
+    regular.write_text("")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    assert not cli._writes_in_place(str(regular))
+    assert not cli._writes_in_place(str(tmp_path / "missing.csv"))
+    assert cli._writes_in_place(str(fifo))
+    assert cli._writes_in_place(str(tmp_path))
+    assert cli._writes_in_place(os.devnull)
 
 
 def _reference_table(columns, fmt, records):
@@ -638,14 +739,14 @@ def _reference_table(columns, fmt, records):
 
 @pytest.mark.parametrize("fmt, records", [("csv", False), ("json", False), ("json", True)])
 def test_table_chunks_across_block_boundaries(fmt, records):
-    block = cli.BLOCK_ROWS
+    block = BLOCK_STEPS
     n = 2 * block + block // 2
     rng = np.random.default_rng(7)
     x = rng.standard_normal(n)
     x[[block - 1, block, 2 * block + 3]] = np.nan  # both sides of the first boundary
     x[[5, 2 * block]] = [-0.0, np.inf]
     columns = {"t": np.arange(n) * 0.1, "x": x, "up": x > 0}
-    chunks = list(cli._table_chunks(columns, fmt, records))
+    chunks = list(cli._table_chunks(cli._blocks(columns), fmt, records))
     expected = _reference_table(
         {name: np.asarray(col).tolist() for name, col in columns.items()}, fmt, records
     )
@@ -659,8 +760,9 @@ def test_table_chunks_across_block_boundaries(fmt, records):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_table_writer_memory_is_bounded(fmt):
-    # about 4 MB of text in ten blocks of rows; the writer holds one block
-    # of it at a time, while the text written whole traces 14-16 MB
+    # about 4 MB of text in twenty blocks of rows; the writer holds one
+    # block of it at a time (JSON's object of lists also a 1.6 MB copy of
+    # the columns), while the text written whole traces 14-16 MB
     rng = np.random.default_rng(3)
     columns = {f"c{i}": rng.standard_normal(40_000) for i in range(5)}
     written = []
@@ -674,9 +776,78 @@ def test_table_writer_memory_is_bounded(fmt):
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        cli._emit(counted(cli._table_chunks(columns, fmt)), os.devnull)
+        cli._emit(counted(cli._table_chunks(cli._blocks(columns), fmt)), os.devnull)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert sum(written) > 4_000_000
     assert peak < 3 * 2**20
+
+
+def _classical_columns(traj):
+    x, y, z = traj.states.T
+    return {
+        "t": traj.times,
+        "lx": x,
+        "ly": y,
+        "lz": z,
+        "H": traj.h_values,
+        "S": traj.s_values,
+        "k": traj.k_values,
+    }
+
+
+def _quantum_columns(traj, ops):
+    states = traj.states
+    return {
+        "t": traj.times,
+        "lx_avg": np.einsum("tij,ji->t", states, ops.lx).real,
+        "ly_avg": np.einsum("tij,ji->t", states, ops.ly).real,
+        "lz_avg": np.einsum("tij,ji->t", states, ops.lz).real,
+        "l2_avg": np.einsum("tij,ji->t", states, ops.l_squared).real,
+        "trace": np.einsum("tii->t", states).real,
+        "min_eig": traj.min_eigenvalues,
+    }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["classical-sim", "quantum-evolve"])
+def test_streamed_runs_match_the_whole_run_table(capsys, monkeypatch, command, fmt):
+    # 4,501 rows, three blocks of the integrators, against the table and
+    # summary of the whole run written at once; lz = 0 leaves k empty
+    if command == "classical-sim":
+        traj = integrate([1.0, 0.5, 0.0], 4.5, 1e-3)
+        columns = _classical_columns(traj)
+        h = traj.h_values
+        summary = (
+            "final state: lx={} ly={} lz={}\n".format(*map(cli._fmt, traj.states[-1]))
+            + f"max |dH|: {cli._fmt(np.abs(h - h[0]).max())}\n"
+        )
+        init = "1,0.5,0"
+    else:
+        ops = build_operators()
+        traj = evolve(labelled_state("basis:01"), ops, 4.5, 1e-3)
+        columns = _quantum_columns(traj, ops)
+        fit = quantum.project_to_stationary(traj.states[-1])
+        summary = (
+            f"stationary fit: a={cli._fmt(fit.a)} b={cli._fmt(fit.b)} "
+            f"c_re={cli._fmt(fit.c.real)} c_im={cli._fmt(fit.c.imag)} "
+            f"residual={cli._fmt(fit.residual)}\n"
+        )
+        init = "basis:01"
+    assert len(traj.times) > 2 * BLOCK_STEPS
+
+    def whole_run(*args):
+        raise AssertionError("the command line collected a whole run")
+
+    for module, name in ((classical, "integrate"), (quantum, "evolve")):
+        monkeypatch.setattr(module, name, whole_run)
+        monkeypatch.setattr(cli, name, whole_run, raising=False)
+    argv = [command, "--init", init, "--t-final", "4.5", "--dt", "1e-3", "--format", fmt]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    expected = _reference_table({k: v.tolist() for k, v in columns.items()}, fmt, False)
+    at = max(len(os.path.commonprefix([out, expected])) - 40, 0)
+    assert out[at : at + 80] == expected[at : at + 80]
+    assert len(out) == len(expected)
+    assert err == summary

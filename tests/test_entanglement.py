@@ -56,10 +56,16 @@ def test_partial_transpose_subsystems_share_spectrum(rng):
 
 @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4), (0, 4, 4)])
 def test_partial_transpose_never_shares_memory_with_its_input(shape):
-    rho = np.arange(math.prod(shape), dtype=complex).reshape(shape)
-    out = partial_transpose(rho)
-    assert out.shape == shape
-    assert not np.shares_memory(out, rho)
+    # a broadcast input has equal (zero) strides on its last two axes, so
+    # the transposed reshape alone would be a read-only view of it
+    for rho in (
+        np.arange(math.prod(shape), dtype=complex).reshape(shape),
+        np.broadcast_to(np.complex128(0.25), shape),
+    ):
+        out = partial_transpose(rho)
+        assert out.shape == shape
+        assert not np.shares_memory(out, rho)
+        assert out.flags.writeable
 
 
 def test_partial_transpose_rejects_bad_input():
@@ -240,8 +246,8 @@ def test_sweep_writes_the_per_point_text(grid_n):
     reference = _reference_sweep(grid_n)
     columns = sweep(grid_n).columns()
     for fmt in ("csv", "json"):
-        expected = "".join(cli._table_chunks(reference, fmt, records=True))
-        assert "".join(cli._table_chunks(columns, fmt, records=True)) == expected
+        expected = "".join(cli._table_chunks(cli._blocks(reference), fmt, records=True))
+        assert "".join(cli._table_chunks(cli._blocks(columns), fmt, records=True)) == expected
 
 
 def _perturb_eigenvalues(monkeypatch, points, factors):
@@ -265,7 +271,8 @@ def test_sweep_negativity_without_negative_eigenvalues_is_minus_zero(monkeypatch
     # -(empty sum) is -0.0 and prints as -0; zeroing the b = 0 corner's three
     # rounding-size negative eigenvalues leaves it none
     _perturb_eigenvalues(monkeypatch, [(1.0, 0.0)], [0.0, 0.0, 0.0, 1.0])
-    assert "".join(cli._table_chunks(sweep(3).columns(), "csv")).endswith("\n1,0,-0,-0,true\n")
+    text = "".join(cli._table_chunks(cli._blocks(sweep(3).columns()), "csv"))
+    assert text.endswith("\n1,0,-0,-0,true\n")
 
 
 def test_sweep_names_the_point_failing_the_determinant_check(monkeypatch):

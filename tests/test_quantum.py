@@ -325,6 +325,31 @@ def test_run_ends_at_the_member_fixed_by_its_start(ops, basis, start):
     assert report.separable or report.min_eigenvalue < 0.0
 
 
+@pytest.mark.parametrize("label", ["basis:00", "basis:01", "basis:10", "basis:11", "mixed"])
+def test_run_approaches_its_member_at_the_slowest_rate(ops, basis, label):
+    # L's spectrum is {0 x4, -2 x8, -4 x4}: the distance to the member fixed
+    # by the start falls by e^-4 per 2 time units once the rate -4 modes have
+    # faded; the mixed start has no weight on the rate -2 modes and falls faster
+    rho0 = labelled_state(label)
+    b0 = float((basis.psi2.conj() @ rho0 @ basis.psi2).real)
+    c0 = complex(basis.psi1.conj() @ rho0 @ basis.psi2)
+    member = stationary_state(StationaryParams(1.0 - b0, b0, c0))
+    rows = (2000, 4000, 6000)  # t = 2, 4, 6
+    distance = {}
+    row = 0
+    for states, _ in evolve_blocks(rho0, ops, 6.0, 1e-3):
+        for r in rows:
+            if row <= r < row + len(states):
+                distance[r] = np.linalg.norm(states[r - row] - member)
+        row += len(states)
+    ratios = np.array([distance[4000] / distance[2000], distance[6000] / distance[4000]])
+    ratios /= math.exp(-4.0)
+    if label == "mixed":
+        assert ratios.max() <= 1.02
+    else:
+        assert np.abs(ratios - 1.0).max() <= 0.02
+
+
 def test_evolve_dark_state_constant(ops, basis):
     rho0 = np.outer(basis.psi2, basis.psi2.conj())
     traj = evolve(rho0, ops, 2.0, 1e-3)
