@@ -22,8 +22,9 @@ other ways, fixed like the flow itself, and all three agree identically:
 
 :func:`trajectory_blocks` runs one start as a loop over Python floats and
 :func:`integrate_blocks` a stack of starts as one numpy block, both yielded
-a block of time points at a time; :func:`integrate` collects one start's
-run whole.
+a block of at most BLOCK_STEPS states at a time (BLOCK_STEPS time points of
+one start, BLOCK_STEPS // n of n starts); :func:`integrate` collects one
+start's run whole.
 """
 
 from __future__ import annotations
@@ -45,9 +46,11 @@ DIVERGENCE_LIMIT = 1e6
 #: The block generators, and the command line's CSV exports, hold one block.
 MAX_STEPS = 10**6
 
-#: time points per block of trajectory_blocks(), integrate_blocks() and
-#: quantum.evolve_blocks(), and rows per block of the command line's tables;
-#: a reduction over the blocks holds one block, however long the run
+#: states per block: time points per block of trajectory_blocks() and
+#: quantum.evolve_blocks(), BLOCK_STEPS // n (at least one) of an n-run
+#: integrate_blocks() stack, and rows per block of the command line's
+#: tables; a reduction over the blocks holds one block, however long the
+#: run and however wide the stack
 BLOCK_STEPS = 2048
 
 
@@ -217,14 +220,16 @@ def trajectory_blocks(initial, t_final: float, dt: float):
 def integrate_blocks(starts, t_final: float, dt: float):
     """The RK4 run of :func:`trajectory_blocks` from a stack of starts,
     shape (n, 3), yielded as (m, 3, n) blocks of states from the starts on;
-    m is BLOCK_STEPS but in the last block.  Each line of the loop repeats
-    one float operation of the one-start loop, operands swapped only where
-    IEEE arithmetic is commutative (x + half a becomes half a + x), so each
-    run is bit-identical to the one-start run from its row.  A block is a view
-    of one reused buffer, valid until the next is requested, and is tested
-    for divergence before it is yielded.  Errors as for
-    :func:`trajectory_blocks`, naming the first run that failed, and
-    ValueError for any shape but (n, 3) with n >= 1.
+    m is max(1, BLOCK_STEPS // n) but in the last block, so that a block
+    holds at most BLOCK_STEPS states (or one time point) at any width.
+    Each line of the loop repeats one float operation of the one-start
+    loop, operands swapped only where IEEE arithmetic is commutative
+    (x + half a becomes half a + x), so each run is bit-identical to the
+    one-start run from its row.  A block is a view of one reused buffer,
+    valid until the next is requested, and is tested for divergence before
+    it is yielded.  Errors as for :func:`trajectory_blocks`, naming the
+    first run that failed, and ValueError for any shape but (n, 3) with
+    n >= 1.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != 3 or not len(starts):
@@ -237,7 +242,7 @@ def integrate_blocks(starts, t_final: float, dt: float):
 
     n = len(starts)
     total = n_steps + 1
-    buf = np.empty((min(BLOCK_STEPS, total), 3, n))
+    buf = np.empty((min(max(1, BLOCK_STEPS // n), total), 3, n))
     buf[0] = starts.T
     prev = buf[0]
     a, b, c, d, mid, acc = (np.empty((3, n)) for _ in range(6))

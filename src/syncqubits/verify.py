@@ -5,7 +5,9 @@
 them.  Tolerances are part of each check and are deliberately not
 configurable.  The expensive ingredients (an ensemble of long classical
 runs and a handful of long master-equation runs) are reduced block by block
-as they are integrated, so their memory does not grow with the run length.
+as they are integrated, so their memory does not grow with the run length;
+the classical ensemble's blocks hold classical.BLOCK_STEPS states (40 time
+points of its 50 runs), so neither does it grow with the ensemble's width.
 """
 
 from __future__ import annotations
@@ -82,7 +84,10 @@ class _Reduction:
         if self.h0 is None:
             self.h0, self.s_last = h[:1], s[:1]
         self.h = max(self.h, float(np.abs(h - self.h0).max()))
-        self.dip = max(self.dip, float(-np.diff(s, axis=0, prepend=self.s_last).min()))
+        # S's one-step decreases: across the boundary from the last block,
+        # then within this one (a - b is -(b - a) exactly)
+        inner = (s[:-1] - s[1:]).max(initial=-np.inf)
+        self.dip = max(self.dip, float((self.s_last - s[:1]).max()), float(inner))
         self.s_last = s[-1:]
 
 
@@ -99,13 +104,17 @@ def _reduce_classical(starts, blocks) -> _Reduction:
     the drift of k from each run's first defined k."""
     run = _Reduction()
     k0 = np.full(len(starts), np.nan)
+    pending = True  # some run has no defined k yet
     for block in blocks:
         h, s, k = classical.tracked_scalars(block[:, 0], block[:, 1], block[:, 2])
         run.add(h, s)
-        # each run's first defined k in this block, NaN where it has none
-        first = k[np.argmax(~np.isnan(k), axis=0), np.arange(len(starts))]
-        k0 = np.where(np.isnan(k0), first, k0)
-        run.k = float(np.fmax.reduce(np.abs(k - k0), axis=None, initial=run.k))
+        if pending:
+            # each run's first defined k in this block, NaN where it has none
+            first = k[np.argmax(~np.isnan(k), axis=0), np.arange(len(starts))]
+            k0 = np.where(np.isnan(k0), first, k0)
+            pending = np.isnan(k0).any()
+        k -= k0
+        run.k = float(np.fmax.reduce(np.abs(k, out=k), axis=None, initial=run.k))
     for start, (lx, ly, lz) in zip(starts, block[-1].T):
         run.final = max(run.final, abs(lx - float(np.linalg.norm(start))), abs(ly), abs(lz))
     return run

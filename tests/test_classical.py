@@ -287,25 +287,37 @@ def test_blocks_collect_to_the_whole_run(n_steps):
     # one reused buffer, so only the last block is still intact here
     assert all(np.shares_memory(v, views[0]) for v in views)
     blocks = [b.copy() for b in integrate_blocks(starts, t_final, 1e-3)]
-    assert [len(b) for b in blocks] == _block_sizes(n_steps)
+    # a block of three runs holds BLOCK_STEPS // 3 time points
+    assert [len(b) for b in blocks] == _block_sizes(n_steps, BLOCK_STEPS // 3)
     # the one-start float loop, the reference, agrees bit for bit, and
-    # yields blocks of the same sizes
+    # yields blocks of BLOCK_STEPS time points
     states = np.concatenate(blocks)
     for i, start in enumerate(starts):
         _assert_run_equal(states, i, integrate(start, t_final, 1e-3))
         assert [len(b) for b in trajectory_blocks(start, t_final, 1e-3)] == _block_sizes(n_steps)
 
 
+def test_stack_wider_than_a_block_yields_one_time_point_per_block():
+    starts = np.random.default_rng(4).uniform(-2.0, 2.0, size=(BLOCK_STEPS + 1, 3))
+    blocks = [b.copy() for b in integrate_blocks(starts, 5e-3, 1e-3)]
+    assert [b.shape for b in blocks] == [(1, 3, BLOCK_STEPS + 1)] * 6
+    states = np.concatenate(blocks)
+    for i, start in enumerate(starts):
+        _assert_run_equal(states, i, integrate(start, 5e-3, 1e-3))
+
+
 @pytest.mark.parametrize("block_steps", [2, 3, BLOCK_STEPS])
 def test_divergence_named_alike_in_any_block(monkeypatch, block_steps):
     # (0, 3, 4) passes the limit at its second step, t = 1: in the second
-    # block of two rows, and at the end of the first block of three
-    monkeypatch.setattr(classical, "BLOCK_STEPS", block_steps)
+    # block of two rows, and at the end of the first block of three; the
+    # stack of two runs holds BLOCK_STEPS // 2 rows a block
     starts = [[0.0, 0.6, 0.8], [0.0, 3.0, 4.0]]
-    for blocks, message in (
-        (integrate_blocks(starts, 5.0, 0.5), r"^state exceeded 1e\+06 at t = 1 in run 1$"),
-        (trajectory_blocks(starts[1], 5.0, 0.5), r"^state exceeded 1e\+06 at t = 1$"),
+    for make, initial, block, message in (
+        (integrate_blocks, starts, 2 * block_steps, r"^state exceeded 1e\+06 at t = 1 in run 1$"),
+        (trajectory_blocks, starts[1], block_steps, r"^state exceeded 1e\+06 at t = 1$"),
     ):
+        monkeypatch.setattr(classical, "BLOCK_STEPS", block)
+        blocks = make(initial, 5.0, 0.5)
         if block_steps == 2:
             assert len(next(blocks)) == 2  # t = 0 and 0.5 pass
         with pytest.raises(StepTooLarge, match=message):

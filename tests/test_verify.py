@@ -68,12 +68,20 @@ CUTS = [0, 5, 9, 12]  # three blocks of 5, 4 and 3 rows
 
 
 def test_classical_reduction_across_blocks():
+    _check_classical_reduction(drop=5)  # S falls across the first boundary
+
+
+def test_classical_reduction_of_a_drop_inside_a_block():
+    _check_classical_reduction(drop=7)
+
+
+def _check_classical_reduction(drop):
+    """Crafted runs whose S falls at row ``drop``, reduced in CUTS blocks."""
     rng = np.random.default_rng(11)
     states = rng.uniform(0.5, 1.5, size=(12, 3, 3))
-    # S = 2 lx rises in every run, except a drop of 0.5 in run 0 that
-    # straddles the first block boundary
+    # S = 2 lx rises in every run, except a drop of 0.5 in run 0
     states[:, 0] = np.cumsum(rng.uniform(0.01, 0.02, size=(12, 3)), axis=0)
-    states[5:, 0, 0] -= 0.5
+    states[drop:, 0, 0] -= 0.5
     # k = ly / lz is constant in runs 0 and 2; run 1 has lz = 0, so no
     # defined k, until row 7 of the second block
     states[:, 1, [0, 2]] = 0.5 * states[:, 2, [0, 2]]
@@ -85,13 +93,22 @@ def test_classical_reduction_across_blocks():
 
 
 def test_quantum_reduction_across_blocks(ops):
+    _check_quantum_reduction(ops, drop=5)  # S falls across the first boundary
+
+
+def test_quantum_reduction_of_a_drop_inside_a_block(ops):
+    _check_quantum_reduction(ops, drop=7)
+
+
+def _check_quantum_reduction(ops, drop):
+    """A crafted run whose S falls at row ``drop``, reduced in CUTS blocks."""
     rng = np.random.default_rng(12)
     a = rng.normal(size=(12, 4, 4)) + 1j * rng.normal(size=(12, 4, 4))
     states = a + a.conj().transpose(0, 2, 1)
     # shift each state along lx (tr lx^2 = 2) so that <lx> rises, except
-    # for a drop of 1 that straddles the first block boundary
+    # for a drop of 1
     target = np.cumsum(rng.uniform(0.01, 0.02, size=12))
-    target[5:] -= 1.0
+    target[drop:] -= 1.0
     states += ((target - np.einsum("tij,ji->t", states, ops.lx).real) / 2.0)[:, None, None] * ops.lx
     lowest = rng.uniform(-1e-9, 1e-9, size=12)
     blocks = zip(_reused_blocks(states, CUTS), np.split(lowest, CUTS[1:-1]))
@@ -102,7 +119,8 @@ def test_quantum_reduction_across_blocks(ops):
 
 def test_reductions_of_real_runs(ops, monkeypatch):
     # 577 time points in blocks of 64: the last state is alone in its block
-    monkeypatch.setattr(classical, "BLOCK_STEPS", 64)
+    # (a stack of six runs holds BLOCK_STEPS // 6 time points a block)
+    monkeypatch.setattr(classical, "BLOCK_STEPS", 64 * 6)
     monkeypatch.setattr(quantum, "BLOCK_STEPS", 64)
     starts = verify._classical_starts(np.random.default_rng(5))[:6]
     starts[0, 2] = 0.0  # k undefined the whole run
@@ -114,6 +132,16 @@ def test_reductions_of_real_runs(ops, monkeypatch):
         got = _quantum_reduced(verify._reduce_quantum(evolve_blocks(rho0, ops, 0.576, 1e-3), ops))
         traj = evolve(rho0, ops, 0.576, 1e-3)
         _assert_quantum_equal(got, _whole_quantum(traj.states, traj.min_eigenvalues, ops))
+
+
+@pytest.mark.parametrize("block_steps", [50, 350, 2048 * 50], ids=["1-row", "7-row", "2048-row"])
+def test_block_length_does_not_change_verify_reductions(monkeypatch, block_steps):
+    # verify's 50 starts to t = 0.3 in blocks of 1, 7 and 2048 time points
+    monkeypatch.setattr(classical, "BLOCK_STEPS", block_steps)
+    starts = verify._classical_starts(np.random.default_rng(verify.DEFAULT_SEED))
+    run = verify._reduce_classical(starts, integrate_blocks(starts, 0.3, 1e-3))
+    whole = np.stack([integrate(start, 0.3, 1e-3).states for start in starts], axis=2)
+    assert _classical_reduced(run) == _whole_classical(whole)
 
 
 def _traced_peak(fn):
@@ -129,8 +157,8 @@ def _traced_peak(fn):
 
 @pytest.mark.parametrize("kind", ["classical", "quantum"])
 def test_reduction_memory_does_not_grow_with_run_length(ops, monkeypatch, kind):
-    block = 256
-    monkeypatch.setattr(classical, "BLOCK_STEPS", block)
+    block = 256  # time points a block, for the stack of 20 runs too
+    monkeypatch.setattr(classical, "BLOCK_STEPS", block * 20)
     monkeypatch.setattr(quantum, "BLOCK_STEPS", block)
     starts = verify._classical_starts(np.random.default_rng(3))[:20]
 
@@ -147,6 +175,18 @@ def test_reduction_memory_does_not_grow_with_run_length(ops, monkeypatch, kind):
     # holding the 40-block run would take 4.9 MB (classical) or 2.6 MB
     # (quantum) of states alone
     assert long < 1.2 * short < 2**20
+
+
+def test_classical_reduction_memory_at_verify_width():
+    # verify's 50 runs to 4,097 time points: one block of BLOCK_STEPS time
+    # points alone would be 2.4 MB, one of BLOCK_STEPS states is 48 kB
+    starts = verify._classical_starts(np.random.default_rng(verify.DEFAULT_SEED))
+
+    def reduce(t_final):
+        verify._reduce_classical(starts, integrate_blocks(starts, t_final, 1e-3))
+
+    reduce(0.1)  # first calls allocate numpy's and the interpreter's caches
+    assert _traced_peak(lambda: reduce(4.096)) < 0.5 * 2**20
 
 
 # checks 3-6 as they were written before they ran as stacks: one point,
