@@ -14,11 +14,13 @@ human-readable summary lines then move to standard error so piped data
 stays clean).  Tables are computed and written a block of rows at a time.
 A CSV export's memory does not grow with the length of the run; JSON's
 object of lists needs whole columns, so it holds its columns, but never the
-states.  ``--out`` is written as a temporary file beside it that replaces
-it only once the run has succeeded: a run that fails leaves no file, or the
-old one as it was.  A path that is not a regular file, such as /dev/null,
-is written directly.  On standard output, a run that exits 3 may already
-have printed part of its table.  A JSON ``--config`` file may supply any
+states.  ``--out`` is written as a temporary file beside it, opened before
+anything is computed, that replaces it only once the run has succeeded: a
+run that fails leaves no file, or the old one as it was.  A path that is
+not a regular file, such as /dev/null, is written directly.  On standard
+output, a run that exits 3 may already have printed part of its table.
+Every option but --help takes one value, after a space even when it starts
+with '-', or after an '='.  A JSON ``--config`` file may supply any
 long-option value, keyed by option name with underscores; explicit flags
 win over the file.
 Floats in CSV output carry 17 significant digits, so equal inputs produce
@@ -390,55 +392,69 @@ def _params_from(cfg) -> StationaryParams:
 
 def _cmd_stationary(cfg) -> int:
     params = _params_from(cfg)
-    rho = stationary_state(params)
-    w, _ = hermitian_eigensystem(rho)
-    disc = max(1.0 - 4.0 * (params.a * params.b - abs(params.c) ** 2), 0.0)
-    payload = {
-        "a": params.a,
-        "b": params.b,
-        "c_re": params.c.real,
-        "c_im": params.c.imag,
-        "rho": density_matrix_to_json(rho),
-        "eigenvalues": w.tolist(),
-        "quadratic_roots": [0.5 * (1.0 - disc**0.5), 0.5 * (1.0 + disc**0.5)],
-    }
-    _emit([json.dumps(payload, indent=2) + "\n"], cfg["out"])
+
+    def document():
+        rho = stationary_state(params)
+        w, _ = hermitian_eigensystem(rho)
+        disc = max(1.0 - 4.0 * (params.a * params.b - abs(params.c) ** 2), 0.0)
+        payload = {
+            "a": params.a,
+            "b": params.b,
+            "c_re": params.c.real,
+            "c_im": params.c.imag,
+            "rho": density_matrix_to_json(rho),
+            "eigenvalues": w.tolist(),
+            "quadratic_roots": [0.5 * (1.0 - disc**0.5), 0.5 * (1.0 + disc**0.5)],
+        }
+        yield json.dumps(payload, indent=2) + "\n"
+
+    _emit(document(), cfg["out"])
     return 0
 
 
 def _cmd_ppt(cfg) -> int:
-    report = ppt_analyze(_params_from(cfg))
-    closed = report.closed_form_eigenvalues
-    payload = {
-        "a": cfg["a"],
-        "c_re": cfg["c_re"],
-        "c_im": cfg["c_im"],
-        "eigenvalues": report.eigenvalues.tolist(),
-        "min_eigenvalue": report.min_eigenvalue,
-        "negativity": report.negativity,
-        "separable": report.separable,
-        "closed_form_eigenvalues": None if closed is None else closed.tolist(),
-    }
-    _emit([json.dumps(payload, indent=2) + "\n"], cfg["out"])
+    params = _params_from(cfg)
+
+    def document():
+        report = ppt_analyze(params)
+        payload = {
+            "a": cfg["a"],
+            "c_re": cfg["c_re"],
+            "c_im": cfg["c_im"],
+            "eigenvalues": report.eigenvalues.tolist(),
+            "min_eigenvalue": report.min_eigenvalue,
+            "negativity": report.negativity,
+            "separable": report.separable,
+            "closed_form_eigenvalues": report.closed_form_eigenvalues.tolist(),
+        }
+        yield json.dumps(payload, indent=2) + "\n"
+
+    _emit(document(), cfg["out"])
     return 0
 
 
 def _cmd_sweep(cfg) -> int:
-    table = sweep(cfg["grid"])
-    _emit(_table_chunks(_blocks(table.columns()), cfg["format"], records=True), cfg["out"])
+    def blocks():
+        yield from _blocks(sweep(cfg["grid"]).columns())
+
+    _emit(_table_chunks(blocks(), cfg["format"], records=True), cfg["out"])
     return 0
 
 
 def _cmd_verify(cfg) -> int:
-    results = run_all()
-    lines = [
-        f"{'PASS' if r.passed else 'FAIL'} {r.number:2d} {r.key}: {r.detail}"
-        for r in results
-    ]
-    n_pass = sum(r.passed for r in results)
-    lines.append(f"{n_pass}/{len(results)} checks passed")
-    _emit(["\n".join(lines) + "\n"], cfg["out"])
-    return 0 if n_pass == len(results) else 1
+    results = []
+
+    def report():
+        results.extend(run_all())
+        lines = [
+            f"{'PASS' if r.passed else 'FAIL'} {r.number:2d} {r.key}: {r.detail}"
+            for r in results
+        ]
+        lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+        yield "\n".join(lines) + "\n"
+
+    _emit(report(), cfg["out"])
+    return 0 if all(r.passed for r in results) else 1
 
 
 _HANDLERS = {
@@ -451,9 +467,24 @@ _HANDLERS = {
 }
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """Each ``--option value`` pair as one ``--option=value`` token.
+
+    Every option but --help takes one value, so the token after an option
+    is its value even when it starts with '-', as -0.5,0.6,0.8 or -1e-3 do,
+    which argparse would otherwise take for an unknown option.
+    """
+    tokens, joined = iter(argv), []
+    for token in tokens:
+        if token.startswith("--") and "=" not in token and not "--help".startswith(token):
+            token = "=".join([token, *itertools.islice(tokens, 1)])
+        joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _merge_config(args, _option_types(parser, args.command))
         return _HANDLERS[args.command](cfg)

@@ -6,11 +6,12 @@ completely, and the transposed state has at most one negative eigenvalue
 iff det(rho^T_B) < 0 (Augusiak, Demianowicz & Horodecki, PRA 77, 030301(R),
 2008).  On the stationary family that determinant is exactly -b^4/16, for
 complex c too, so a state is separable iff b = 0; the total weight of the
-negative eigenvalues (the negativity) quantifies the entanglement.  For
-real coupling c the transposed spectrum is also available in closed form:
-one eigenvalue is b/2 exactly, the other three are the roots of a cubic
-whose coefficients are polynomial in (a, b, c), and for every b > 0
-exactly one of those roots is negative.
+negative eigenvalues (the negativity) quantifies the entanglement.  The
+transposed spectrum is also available in closed form for every c: one
+eigenvalue is b/2 exactly, the other three are the roots of a cubic whose
+coefficients are polynomial in (a, b, |c|^2), and for every b > 0 exactly
+one of those roots is negative, and below -b^2/4.  tests/test_symbolic.py
+derives these identities with sympy.
 
 Every function here takes one point or a stack of points, both as a
 StationaryParams, and runs a stack as whole arrays with one eigensolver
@@ -27,9 +28,6 @@ import numpy as np
 
 from .linalg import NotHermitian, hermitian_eigensystem
 from .quantum import PARAM_TOL, StationaryParams, point_label, stationary_state
-
-#: |Im c| at or below this is treated as real for the closed-form route
-REAL_C_TOL = 1e-12
 
 #: closed-form and numerical spectra (and determinants) must agree this well,
 #: or something is broken
@@ -86,14 +84,13 @@ def cubic_roots(params: StationaryParams) -> np.ndarray:
     b/2 eigenvalue that splits off exactly: shape (3,), or (..., 3) for a
     stack.
 
-    Only defined for real c; for b > 0 exactly one root is negative.  The
-    discriminant is evaluated as a polynomial in (a, b, c) rather than from
+    c enters only through u = |c|^2, taken as re^2 + im^2, which for real c
+    is ``c * c`` bit for bit; for b > 0 exactly one root is negative.  The
+    discriminant is evaluated as a polynomial in (a, b, u) rather than from
     the rounded coefficients, which keeps it accurate where it vanishes.
     """
-    if (np.abs(params.c.imag) > REAL_C_TOL).any():
-        raise ValueError("closed-form roots are only available for real c")
-    a, b, c = params.a, params.b, params.c.real
-    u = c * c
+    a, b, c = params.a, params.b, params.c
+    u = c.real * c.real + c.imag * c.imag
     coeff2 = -(a + 0.5 * b)
     coeff1 = -(0.25 * b * b + u - 0.5 * a * b)
     aa, b3, b4 = a * a, np.float_power(b, 3), np.float_power(b, 4)
@@ -116,18 +113,16 @@ class PTSpectrumReport:
     """Spectrum of a partially transposed stationary state plus the verdict.
 
     ``eigenvalues`` are ascending, shape (4,).  ``closed_form_eigenvalues``
-    (b/2 joined with the cubic roots) is filled for real c only; when
-    present it has already been cross-checked against the numerical
-    spectrum.  For a stack every field gains its leading axes, the three
-    scalars becoming arrays, and the closed form is filled only if every c
-    is real.
+    (b/2 joined with the cubic roots, ascending) has already been
+    cross-checked against the numerical spectrum.  For a stack every field
+    gains its leading axes, the three scalars becoming arrays.
     """
 
     eigenvalues: np.ndarray
     min_eigenvalue: float | np.ndarray
     negativity: float | np.ndarray
     separable: bool | np.ndarray
-    closed_form_eigenvalues: np.ndarray | None
+    closed_form_eigenvalues: np.ndarray
 
 
 def _at(params, index: tuple) -> str:
@@ -156,8 +151,8 @@ def ppt_analyze(params: StationaryParams) -> PTSpectrumReport:
     ``separable`` is the exact verdict b <= 0: b = 0 is the one separable
     point, and a b in [-PARAM_TOL, 0], which StationaryParams admits as its
     roundoff, reads separable too.  The product of each spectrum is
-    cross-checked against det = -b^4/16 and, for real c, the spectrum
-    against the independently computed closed form, both within
+    cross-checked against det = -b^4/16 and the spectrum against the
+    independently computed closed form, both within
     CLOSED_FORM_AGREEMENT.  Disagreement raises RuntimeError, since it
     would mean a construction bug rather than bad input.  It and the
     eigensolver's NotHermitian name the first failing point.
@@ -169,11 +164,9 @@ def ppt_analyze(params: StationaryParams) -> PTSpectrumReport:
     b = np.asarray(params.b)
     det_gap = np.abs(np.prod(w, axis=-1) + np.float_power(b, 4) / 16.0)
     _guard(det_gap, params, "determinant disagrees with -b^4/16")
-    closed = None
-    if not (np.abs(params.c.imag) > REAL_C_TOL).any():
-        closed = np.sort(np.concatenate([cubic_roots(params), 0.5 * b[..., None]], axis=-1), axis=-1)
-        gap = np.abs(closed - w).max(axis=-1)
-        _guard(gap, params, "closed-form spectrum disagrees with the numerical one")
+    closed = np.sort(np.concatenate([cubic_roots(params), 0.5 * b[..., None]], axis=-1), axis=-1)
+    gap = np.abs(closed - w).max(axis=-1)
+    _guard(gap, params, "closed-form spectrum disagrees with the numerical one")
     return PTSpectrumReport(
         eigenvalues=w,
         min_eigenvalue=w[..., 0][()],

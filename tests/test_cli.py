@@ -494,9 +494,12 @@ def test_ppt_command(capsys):
     assert abs(payload["negativity"] - 0.5) < 1e-10
     assert abs(payload["closed_form_eigenvalues"][0] + 0.5) < 1e-12
 
+    # complex c has the closed form too
     code, out, _ = run_cli(["ppt", "--a", "0.7", "--c-im", "0.1"], capsys)
     assert code == 0
-    assert json.loads(out)["closed_form_eigenvalues"] is None
+    payload = json.loads(out)
+    gap = np.abs(np.array(payload["closed_form_eigenvalues"]) - payload["eigenvalues"]).max()
+    assert gap < 1e-12
 
     # next to the double root at a = 0 the closed form still agrees
     code, out, _ = run_cli(["ppt", "--a", "1e-8"], capsys)
@@ -704,6 +707,50 @@ def test_out_in_a_missing_folder_is_named_as_given(capsys, tmp_path):
     out_file = str(tmp_path / "missing" / "data.json")
     code, _, err = run_cli(["ppt", "--a", "0.3", "--out", out_file], capsys)
     assert (code, err) == (2, f"error: [Errno 2] No such file or directory: {out_file!r}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["classical-sim"], "trajectory_blocks"),
+        (["quantum-evolve"], "evolve_blocks"),
+        (["stationary", "--a", "0.3"], "stationary_state"),
+        (["ppt", "--a", "0.3"], "ppt_analyze"),
+        (["sweep"], "sweep"),
+        (["verify"], "run_all"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_out_in_a_missing_folder_fails_before_computing(capsys, tmp_path, monkeypatch, argv, name):
+    # --out's temporary file is opened before the first result is computed
+    def computed(*args):
+        raise AssertionError(f"{name} ran before --out was opened")
+
+    monkeypatch.setattr(cli, name, computed)
+    out_file = str(tmp_path / "missing" / "data")
+    code, out, err = run_cli([*argv, "--out", out_file], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {out_file!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["classical-sim", "--t-final", "0.002"], "--init", "-0.5,0.6,0.8"),
+        (["ppt", "--a", "0.5"], "--c-re", "-1e-3"),
+        (["stationary", "--a", "0.5"], "--c-im", "-.1E-1"),
+        (["quantum-evolve"], "--t-final", "-inf"),
+    ],
+    ids=["triple", "exponent", "leading-point", "refused"],
+)
+def test_values_starting_with_a_minus_follow_a_space(capsys, argv, option, value):
+    # every option but --help takes one value, so the next token is that
+    # value however it starts; both spellings give the same run
+    spaced = run_cli([*argv, option, value], capsys)
+    joined = run_cli([*argv, f"{option}={value}"], capsys)
+    assert spaced == joined
+    assert spaced[0] == (2 if value == "-inf" else 0)
 
 
 def test_only_regular_files_are_replaced(tmp_path):

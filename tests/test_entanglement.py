@@ -109,11 +109,6 @@ def test_cubic_roots_match_numerical_spectrum(a, t):
     assert np.abs(numeric - closed).max() < 1e-9
 
 
-def test_cubic_roots_need_real_c():
-    with pytest.raises(ValueError):
-        cubic_roots(StationaryParams(0.7, 0.3, 0.1j))
-
-
 def test_exactly_one_negative_root_for_positive_b(rng):
     for _ in range(200):
         params = StationaryParams(*random_stationary_coefficients(rng, max_a=1.0 - 1e-6))
@@ -164,7 +159,7 @@ def test_pt_determinant_decides_the_verdict(b, t, phase):
 
 def test_ppt_analyze_guards_the_determinant(monkeypatch):
     # a state built with the wrong singlet weight fails the cross-check,
-    # also for complex c, where there is no closed form to compare with
+    # also for complex c; the determinant is checked first
     def wrong(params):
         return stationary_state(StationaryParams(params.a - 0.1, params.b + 0.1, params.c))
 
@@ -173,9 +168,9 @@ def test_ppt_analyze_guards_the_determinant(monkeypatch):
         ppt_analyze(StationaryParams(0.7, 0.3, 0.1j))
 
 
-def test_ppt_analyze_complex_c_has_no_closed_form():
+def test_ppt_analyze_complex_c_has_the_closed_form():
     report = ppt_analyze(StationaryParams(0.7, 0.3, 0.1j))
-    assert report.closed_form_eigenvalues is None
+    assert np.abs(report.closed_form_eigenvalues - report.eigenvalues).max() < 1e-12
     assert not report.separable
 
 
@@ -375,7 +370,7 @@ def test_ppt_closed_form_reproduces_the_scalar_bits(a, c):
 
 
 def test_negativity_margin_on_the_sweep_grid():
-    # -lambda_min >= b^2/4 (observed, not proven); the slack covers eigh
+    # -lambda_min > b^2/4 (proven in test_symbolic); the slack covers eigh
     # rounding as b -> 0
     table = sweep(301)
     b = 1.0 - table.a
@@ -383,25 +378,36 @@ def test_negativity_margin_on_the_sweep_grid():
 
 
 @settings(deadline=None)
-@given(b=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0), phase=st.floats(0.0, 2.0 * math.pi))
-@example(b=1e-7, t=1.0, phase=0.0)
-@example(b=1.0, t=0.0, phase=0.0)
-def test_negativity_margin_over_the_valid_set(b, t, phase):
-    a = 1.0 - b
-    report = ppt_analyze(StationaryParams(a, b, t * math.sqrt(a * b) * cmath.exp(1j * phase)))
-    assert -report.min_eigenvalue >= b * b / 4.0 - 1e-14
+@given(a=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0), phase=st.floats(0.0, 2.0 * math.pi))
+@example(a=1.0 - 1e-7, t=1.0, phase=0.0)
+@example(a=1.0 - 1e-4, t=1.0, phase=2.0)
+@example(a=0.0, t=0.0, phase=0.0)  # the pure singlet, with its double root at 1/2
+@example(a=1e-8, t=1.0, phase=1.0)
+@example(a=1.0, t=0.0, phase=0.0)  # the separable corner
+def test_closed_form_and_margin_over_the_valid_set(a, t, phase):
+    # c enters the transposed spectrum only through |c|^2, so the closed
+    # form holds for complex c; -lambda_min > b^2/4 for every b > 0 by
+    # test_symbolic, but the gap is about b^3/4, which eigh's rounding
+    # resolves only for b >= 1e-4
+    b = 1.0 - a
+    modulus = t * math.sqrt(a * b)
+    params = StationaryParams(a, b, modulus * cmath.exp(1j * phase))
+    report = ppt_analyze(params)
+    assert np.abs(report.closed_form_eigenvalues - report.eigenvalues).max() <= 1e-12
+    assert np.abs(cubic_roots(params) - cubic_roots(StationaryParams(a, b, modulus))).max() <= 1e-14
+    if b >= 1e-4:
+        assert -report.min_eigenvalue > b * b / 4.0
+    else:
+        assert -report.min_eigenvalue >= b * b / 4.0 - 1e-14
 
 
 REPORT_FIELDS = ("eigenvalues", "min_eigenvalue", "negativity", "separable", "closed_form_eigenvalues")
 
 
 def _report_bits(report, index=...) -> list:
-    """Each field of a report, or of one point of a stacked report, as bytes
-    (None stays None), so that -0.0 and 0.0 differ."""
-    return [
-        None if field is None else np.asarray(field)[index].tobytes()
-        for field in (getattr(report, name) for name in REPORT_FIELDS)
-    ]
+    """Each field of a report, or of one point of a stacked report, as
+    bytes, so that -0.0 and 0.0 differ."""
+    return [np.asarray(getattr(report, name))[index].tobytes() for name in REPORT_FIELDS]
 
 
 def test_stacked_analysis_matches_one_point_at_a_time(rng):
@@ -414,21 +420,14 @@ def test_stacked_analysis_matches_one_point_at_a_time(rng):
     report = ppt_analyze(stack)
     assert report.eigenvalues.shape == (20, 4)
     assert report.min_eigenvalue.shape == report.negativity.shape == report.separable.shape == (20,)
-    assert report.closed_form_eigenvalues is None  # half the points have complex c
-    real_report = ppt_analyze(StationaryParams(stack.a[::2], stack.b[::2], stack.c[::2]))
-    assert real_report.closed_form_eigenvalues.shape == (10, 4)
+    assert report.closed_form_eigenvalues.shape == (20, 4)  # half the points have complex c
     for k, p in enumerate(params):
         assert states[k].tobytes() == stationary_state(p).tobytes()
         assert transposed[k].tobytes() == partial_transpose(stationary_state(p)).tobytes()
         one = ppt_analyze(p)
         assert isinstance(one.min_eigenvalue, float) and isinstance(one.negativity, float)
         assert type(one.separable) is bool
-        expected = _report_bits(one)
-        assert _report_bits(report, k)[:4] == expected[:4]
-        if k % 2 == 0:
-            assert _report_bits(real_report, k // 2) == expected
-        else:
-            assert one.closed_form_eigenvalues is None
+        assert _report_bits(report, k) == _report_bits(one)
 
 
 def test_stacked_analysis_keeps_two_leading_axes(rng):
