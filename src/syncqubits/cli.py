@@ -19,10 +19,11 @@ anything is computed, that replaces it only once the run has succeeded: a
 run that fails leaves no file, or the old one as it was.  A path that is
 not a regular file, such as /dev/null, is written directly.  On standard
 output, a run that exits 3 may already have printed part of its table.
-Every option but --help takes one value, after a space even when it starts
-with '-', or after an '='.  A JSON ``--config`` file may supply any
-long-option value, keyed by option name with underscores; explicit flags
-win over the file.
+One table, ``_COMMANDS``, declares every command and option once; the
+parser, the ``--config`` file and dispatch all read it.  Every option but
+--help takes one value, after a space even when it starts with '-', or
+after an '='.  A JSON ``--config`` file may supply any long-option value,
+keyed by option name with underscores; explicit flags win over the file.
 Floats in CSV output carry 17 significant digits, so equal inputs produce
 byte-identical files.
 
@@ -42,6 +43,7 @@ import os
 import shutil
 import stat
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,26 +66,23 @@ from .verify import run_all
 
 _REQUIRED = object()
 
-_DEFAULTS = {
-    "classical-sim": {
-        "init": "0,0.6,0.8",
-        "t_final": 20.0,
-        "dt": 1e-3,
-        "out": None,
-        "format": "csv",
-    },
-    "quantum-evolve": {
-        "init": "mixed",
-        "t_final": 20.0,
-        "dt": 1e-3,
-        "out": None,
-        "format": "csv",
-    },
-    "stationary": {"a": _REQUIRED, "c_re": 0.0, "c_im": 0.0, "out": None},
-    "ppt": {"a": _REQUIRED, "c_re": 0.0, "c_im": 0.0, "out": None},
-    "sweep": {"grid": 21, "out": None, "format": "csv"},
-    "verify": {"out": None},
-}
+
+class _Option(NamedTuple):
+    """A long option, ``--t-final`` for ``t_final``: the converter of its
+    text, from a flag or a config file; its default, written as flag text
+    and repeated in the help (None: unset, ``_REQUIRED``: must be given);
+    its help; its allowed values."""
+
+    type: Callable[[str], object]
+    default: object
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+class _Command(NamedTuple):
+    handler: Callable[[dict], int]
+    help: str
+    options: dict[str, _Option]
 
 
 def _fmt(x: float) -> str:
@@ -99,48 +98,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     kw = {"default": argparse.SUPPRESS}
-
-    p = sub.add_parser("classical-sim", help="integrate the classical three-variable flow")
-    p.add_argument("--init", help="initial lx,ly,lz (default 0,0.6,0.8)", **kw)
-    p.add_argument("--t-final", type=float, dest="t_final", help="integration time (default 20)", **kw)
-    p.add_argument("--dt", type=float, help="RK4 step (default 1e-3)", **kw)
-
-    p = sub.add_parser("quantum-evolve", help="integrate the two-qubit master equation")
-    p.add_argument(
-        "--init",
-        help="'mixed', 'basis:IJ' with I,J in {0,1}, or a density-matrix JSON file "
-        "(default mixed)",
-        **kw,
-    )
-    p.add_argument("--t-final", type=float, dest="t_final", help="integration time (default 20)", **kw)
-    p.add_argument("--dt", type=float, help="RK4 step (default 1e-3)", **kw)
-
-    for name, blurb in (
-        ("stationary", "print a stationary density matrix and its spectrum"),
-        ("ppt", "partial-transpose spectrum and separability verdict"),
-    ):
-        p = sub.add_parser(name, help=blurb)
-        p.add_argument("--a", type=float, help="weight of the in-phase projector (required)", **kw)
-        p.add_argument("--c-re", type=float, dest="c_re", help="Re c (default 0)", **kw)
-        p.add_argument("--c-im", type=float, dest="c_im", help="Im c (default 0)", **kw)
-
-    p = sub.add_parser("sweep", help="entanglement verdicts over the (a, c) grid")
-    p.add_argument("--grid", type=int, help="points per axis (default 21)", **kw)
-
-    sub.add_parser("verify", help="run the numbered self-checks")
-
-    for name, p in sub.choices.items():
-        p.add_argument("--out", help="write data here instead of standard output", **kw)
-        if "format" in _DEFAULTS[name]:
-            p.add_argument("--format", choices=("csv", "json"), help="data format (default csv)", **kw)
+    for command, (_, blurb, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=blurb)
+        for name, opt in options.items():
+            text = opt.help
+            if opt.default is _REQUIRED:
+                text += " (required)"
+            elif opt.default is not None:
+                text += f" (default {opt.default})"
+            flag = "--" + name.replace("_", "-")
+            p.add_argument(flag, type=opt.type, choices=opt.choices, help=text, **kw)
         p.add_argument("--config", help="JSON file with default option values", **kw)
     return parser
 
 
-def _option_types(parser: argparse.ArgumentParser, command: str) -> dict:
-    """Option name -> the converter argparse applies to its flag text."""
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a.type or str for a in sub.choices[command]._actions}
+def _load_json(path: str):
+    """The value a JSON file holds; one nested past the interpreter's
+    recursion limit is refused as bad input."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path!r} is nested too deeply to read as JSON") from None
 
 
 def _coerce(key: str, value, kind):
@@ -154,30 +133,33 @@ def _coerce(key: str, value, kind):
         ) from None
 
 
-def _merge_config(args: argparse.Namespace, types: dict) -> dict:
+def _merge_config(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags, per command; config values
     get their option's type, and a null keeps the default."""
-    values = dict(_DEFAULTS[args.command])
+    options = _COMMANDS[args.command].options
+    values = {
+        name: opt.type(opt.default) if isinstance(opt.default, str) else opt.default
+        for name, opt in options.items()
+    }
     explicit = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     path = getattr(args, "config", None)
     if path is not None:
-        with open(path) as fh:
-            loaded = json.load(fh)
+        loaded = _load_json(path)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         for key, val in loaded.items():
             norm = str(key).replace("-", "_")
-            if norm in values:
-                if val is not None:
-                    values[norm] = _coerce(key, val, types[norm])
-            else:
+            if norm not in options:
                 print(f"warning: ignoring unknown config key {key!r}", file=sys.stderr)
+            elif val is not None:
+                values[norm] = _coerce(key, val, options[norm].type)
     values.update(explicit)
     for key, val in values.items():
         if val is _REQUIRED:
             raise ValueError(f"missing required option --{key.replace('_', '-')}")
-    if values.get("format") not in (None, "csv", "json"):
-        raise ValueError(f"format must be csv or json, got {values['format']!r}")
+        choices = options[key].choices
+        if choices and val not in choices:
+            raise ValueError(f"{key} must be {' or '.join(choices)}, got {val!r}")
     return values
 
 
@@ -344,8 +326,7 @@ def _parse_initial_density(text: str) -> np.ndarray:
     if text == "mixed" or text.startswith("basis:"):
         return labelled_state(text)
     try:
-        with open(text) as fh:
-            payload = json.load(fh)
+        payload = _load_json(text)
     except OSError as exc:
         raise ValueError(f"cannot read initial state {text!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -457,13 +438,39 @@ def _cmd_verify(cfg) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-_HANDLERS = {
-    "classical-sim": _cmd_classical_sim,
-    "quantum-evolve": _cmd_quantum_evolve,
-    "stationary": _cmd_stationary,
-    "ppt": _cmd_ppt,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
+_RUN = {"t_final": _Option(float, "20", "integration time"), "dt": _Option(float, "1e-3", "RK4 step")}
+_POINT = {
+    "a": _Option(float, _REQUIRED, "weight of the in-phase projector"),
+    "c_re": _Option(float, "0", "Re c"),
+    "c_im": _Option(float, "0", "Im c"),
+}
+_OUT = {"out": _Option(str, None, "write data here instead of standard output")}
+_TABLE_OUT = _OUT | {"format": _Option(str, "csv", "data format", ("csv", "json"))}
+_STATE = _Option(str, "mixed", "'mixed', 'basis:IJ' with I,J in {0,1}, or a density-matrix JSON file")
+
+#: each command's handler, help and options: the parser, the config file and
+#: dispatch all read this table; every command also takes --config
+_COMMANDS = {
+    "classical-sim": _Command(
+        _cmd_classical_sim,
+        "integrate the classical three-variable flow",
+        {"init": _Option(str, "0,0.6,0.8", "initial lx,ly,lz")} | _RUN | _TABLE_OUT,
+    ),
+    "quantum-evolve": _Command(
+        _cmd_quantum_evolve,
+        "integrate the two-qubit master equation",
+        {"init": _STATE} | _RUN | _TABLE_OUT,
+    ),
+    "stationary": _Command(
+        _cmd_stationary, "print a stationary density matrix and its spectrum", _POINT | _OUT
+    ),
+    "ppt": _Command(_cmd_ppt, "partial-transpose spectrum and separability verdict", _POINT | _OUT),
+    "sweep": _Command(
+        _cmd_sweep,
+        "entanglement verdicts over the (a, c) grid",
+        {"grid": _Option(int, "21", "points per axis")} | _TABLE_OUT,
+    ),
+    "verify": _Command(_cmd_verify, "run the numbered self-checks", _OUT),
 }
 
 
@@ -483,11 +490,9 @@ def _attach_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
+    args = _build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
-        cfg = _merge_config(args, _option_types(parser, args.command))
-        return _HANDLERS[args.command](cfg)
+        return _COMMANDS[args.command].handler(_merge_config(args))
     except (StepTooLarge, PositivityLost) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -588,6 +588,23 @@ def test_config_file_missing(capsys, tmp_path):
     assert code == 2
 
 
+DEEP_JSON = "[" * 100000 + "]" * 100000  # nested past the interpreter's recursion limit
+
+
+def test_deeply_nested_config_is_bad_input(capsys, tmp_path):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(DEEP_JSON)
+    code, out, err = run_cli(["ppt", "--a", "0.3", "--config", str(cfg)], capsys)
+    assert (code, out, err) == (2, "", f"error: {str(cfg)!r} is nested too deeply to read as JSON\n")
+
+
+def test_deeply_nested_initial_state_is_bad_input(capsys, tmp_path):
+    state = tmp_path / "deep.json"
+    state.write_text(DEEP_JSON)
+    code, out, err = run_cli(["quantum-evolve", "--init", str(state)], capsys)
+    assert (code, out, err) == (2, "", f"error: {str(state)!r} is nested too deeply to read as JSON\n")
+
+
 def test_verify_command_passes(capsys, tmp_path, monkeypatch, verify_results):
     # the session's run_all() results, so the suite runs the checks once
     monkeypatch.setattr(cli, "run_all", lambda: verify_results)
@@ -605,7 +622,7 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     def broken(cfg):
         raise RuntimeError("closed form disagrees")
 
-    monkeypatch.setitem(cli._HANDLERS, "ppt", broken)
+    monkeypatch.setitem(cli._COMMANDS, "ppt", cli._COMMANDS["ppt"]._replace(handler=broken))
     code, out, err = run_cli(["ppt", "--a", "0.3"], capsys)
     assert code == 4
     assert (out, err) == ("", "error: internal error: RuntimeError: closed form disagrees\n")
@@ -898,3 +915,111 @@ def test_streamed_runs_match_the_whole_run_table(capsys, monkeypatch, command, f
     assert out[at : at + 80] == expected[at : at + 80]
     assert len(out) == len(expected)
     assert err == summary
+
+
+# The --help text of the top level and of each command, as argparse lays it
+# out 80 columns wide: pinned so that the command table keeps each option's
+# order and wording.
+HELP_TEXT = {
+    "": """\
+usage: syncqubits [-h]
+                  {classical-sim,quantum-evolve,stationary,ppt,sweep,verify}
+                  ...
+
+Synchronization of two dissipatively coupled qubits: classical flow, master
+equation, stationary states, entanglement.
+
+positional arguments:
+  {classical-sim,quantum-evolve,stationary,ppt,sweep,verify}
+    classical-sim       integrate the classical three-variable flow
+    quantum-evolve      integrate the two-qubit master equation
+    stationary          print a stationary density matrix and its spectrum
+    ppt                 partial-transpose spectrum and separability verdict
+    sweep               entanglement verdicts over the (a, c) grid
+    verify              run the numbered self-checks
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "classical-sim": """\
+usage: syncqubits classical-sim [-h] [--init INIT] [--t-final T_FINAL]
+                                [--dt DT] [--out OUT] [--format {csv,json}]
+                                [--config CONFIG]
+
+options:
+  -h, --help           show this help message and exit
+  --init INIT          initial lx,ly,lz (default 0,0.6,0.8)
+  --t-final T_FINAL    integration time (default 20)
+  --dt DT              RK4 step (default 1e-3)
+  --out OUT            write data here instead of standard output
+  --format {csv,json}  data format (default csv)
+  --config CONFIG      JSON file with default option values
+""",
+    "quantum-evolve": """\
+usage: syncqubits quantum-evolve [-h] [--init INIT] [--t-final T_FINAL]
+                                 [--dt DT] [--out OUT] [--format {csv,json}]
+                                 [--config CONFIG]
+
+options:
+  -h, --help           show this help message and exit
+  --init INIT          'mixed', 'basis:IJ' with I,J in {0,1}, or a density-
+                       matrix JSON file (default mixed)
+  --t-final T_FINAL    integration time (default 20)
+  --dt DT              RK4 step (default 1e-3)
+  --out OUT            write data here instead of standard output
+  --format {csv,json}  data format (default csv)
+  --config CONFIG      JSON file with default option values
+""",
+    "stationary": """\
+usage: syncqubits stationary [-h] [--a A] [--c-re C_RE] [--c-im C_IM]
+                             [--out OUT] [--config CONFIG]
+
+options:
+  -h, --help       show this help message and exit
+  --a A            weight of the in-phase projector (required)
+  --c-re C_RE      Re c (default 0)
+  --c-im C_IM      Im c (default 0)
+  --out OUT        write data here instead of standard output
+  --config CONFIG  JSON file with default option values
+""",
+    "ppt": """\
+usage: syncqubits ppt [-h] [--a A] [--c-re C_RE] [--c-im C_IM] [--out OUT]
+                      [--config CONFIG]
+
+options:
+  -h, --help       show this help message and exit
+  --a A            weight of the in-phase projector (required)
+  --c-re C_RE      Re c (default 0)
+  --c-im C_IM      Im c (default 0)
+  --out OUT        write data here instead of standard output
+  --config CONFIG  JSON file with default option values
+""",
+    "sweep": """\
+usage: syncqubits sweep [-h] [--grid GRID] [--out OUT] [--format {csv,json}]
+                        [--config CONFIG]
+
+options:
+  -h, --help           show this help message and exit
+  --grid GRID          points per axis (default 21)
+  --out OUT            write data here instead of standard output
+  --format {csv,json}  data format (default csv)
+  --config CONFIG      JSON file with default option values
+""",
+    "verify": """\
+usage: syncqubits verify [-h] [--out OUT] [--config CONFIG]
+
+options:
+  -h, --help       show this help message and exit
+  --out OUT        write data here instead of standard output
+  --config CONFIG  JSON file with default option values
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_TEXT), ids=lambda c: c or "top")
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP_TEXT[command]

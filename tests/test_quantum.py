@@ -589,6 +589,11 @@ def test_check_density_matrix_rejects_bad_states():
         check_density_matrix(np.diag([np.inf, -np.inf]))
     with pytest.raises(ValueError, match="must be finite"):
         check_density_matrix(np.array([[0.5, np.nan], [np.nan, 0.5]]))
+    # huge finite entries overflow to an infinite trace or deviation, without a warning
+    with pytest.raises(ValueError, match="trace must be 1"):
+        check_density_matrix(np.full((4, 4), 1e308))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_density_matrix(np.array([[0.5, 1e308], [-1e308, 0.5]]))
 
 
 def test_random_density_matrix_is_valid(rng):
