@@ -40,6 +40,7 @@ import contextlib
 import itertools
 import json
 import os
+import reprlib
 import shutil
 import stat
 import sys
@@ -51,7 +52,6 @@ from .classical import BLOCK_STEPS, StepTooLarge, tracked_scalars, trajectory_bl
 from .entanglement import ppt_analyze, sweep
 from .linalg import hermitian_eigensystem
 from .quantum import (
-    InvalidParams,
     PositivityLost,
     StationaryParams,
     build_operators,
@@ -129,7 +129,7 @@ def _coerce(key: str, value, kind):
         return kind(text)
     except ValueError:
         raise ValueError(
-            f"config value {key!r} must be {kind.__name__}, got {value!r}"
+            f"config value {key!r} must be {kind.__name__}, got {reprlib.repr(value)}"
         ) from None
 
 
@@ -150,7 +150,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         for key, val in loaded.items():
             norm = str(key).replace("-", "_")
             if norm not in options:
-                print(f"warning: ignoring unknown config key {key!r}", file=sys.stderr)
+                print(f"warning: ignoring unknown config key {reprlib.repr(key)}", file=sys.stderr)
             elif val is not None:
                 values[norm] = _coerce(key, val, options[norm].type)
     values.update(explicit)
@@ -159,7 +159,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"missing required option --{key.replace('_', '-')}")
         choices = options[key].choices
         if choices and val not in choices:
-            raise ValueError(f"{key} must be {' or '.join(choices)}, got {val!r}")
+            raise ValueError(f"{key} must be {' or '.join(choices)}, got {reprlib.repr(val)}")
     return values
 
 
@@ -209,10 +209,18 @@ def _emit(chunks, out_path):
 
 
 def _parse_triple(text: str) -> list[float]:
+    """Three floats from "x,y,z"; an error shows a bad value as
+    ``reprlib.repr`` does, cut to 30 characters however long it is."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated numbers, got {text!r}")
-    return [float(p) for p in parts]
+        raise ValueError(f"expected three comma-separated numbers, got {reprlib.repr(text)}")
+    values = []
+    for part in parts:
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise ValueError(f"could not convert string to float: {reprlib.repr(part)}") from None
+    return values
 
 
 def _csv_cells(col: np.ndarray) -> tuple[str, list]:
@@ -500,7 +508,7 @@ def main(argv=None) -> int:
         # as the Python docs' note on SIGPIPE: the flush at exit must not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (InvalidParams, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # InvalidParams and JSONDecodeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect, not bad input: report it on one line

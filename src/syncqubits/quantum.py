@@ -290,7 +290,7 @@ def point_label(a: float, c: complex) -> str:
 
 def _check_params(a, b, c) -> None:
     """Raise InvalidParams unless every point (a, b, c) is a stationary
-    state: all three finite, a + b = 1, both nonnegative and a b >= |c|^2,
+    state: all three finite, both nonnegative, a + b = 1 and a b >= |c|^2,
     all within PARAM_TOL.  Takes scalars or arrays of one shape; for arrays
     the message names the first failing point."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -308,8 +308,9 @@ def _check_params(a, b, c) -> None:
             (~np.isfinite(a), "a must be finite, got {a!r}"),
             (~np.isfinite(b), "b must be finite, got {b!r}"),
             (~np.isfinite(c), "c must be finite, got {c!r}"),
-            (np.abs(values["total"] - 1.0) > PARAM_TOL, "a + b must equal 1, got {total!r}"),
+            # before the sum: for a huge a, b = 1 - a makes a + b round to 0
             ((a < -PARAM_TOL) | (b < -PARAM_TOL), "a and b must be nonnegative, got {a!r}, {b!r}"),
+            (np.abs(values["total"] - 1.0) > PARAM_TOL, "a + b must equal 1, got {total!r}"),
             (
                 values["ab"] + PARAM_TOL < values["c2"],
                 "positivity needs a*b >= |c|^2, got a*b = {ab!r}, |c|^2 = {c2!r}",

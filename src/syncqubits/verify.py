@@ -3,7 +3,8 @@
 :func:`run_all` executes thirteen checks with a fixed seed and returns one
 :class:`CheckResult` each; the command-line ``verify`` subcommand prints
 them.  Tolerances are part of each check and are deliberately not
-configurable.  The expensive ingredients (an ensemble of long classical
+configurable; a bounded check states each as one term of :func:`_bounded`,
+which both decides PASS/FAIL and prints it.  The expensive ingredients (an ensemble of long classical
 runs and a handful of long master-equation runs) are reduced block by block
 as they are integrated, so their memory does not grow with the run length;
 the classical ensemble's blocks hold classical.BLOCK_STEPS states (40 time
@@ -49,6 +50,19 @@ class CheckResult:
 
 def _result(number: int, passed: bool, detail: str) -> CheckResult:
     return CheckResult(number=number, key=CHECK_KEYS[number - 1], passed=bool(passed), detail=detail)
+
+
+def _bounded(number: int, *terms, prefix: str = "") -> CheckResult:
+    """Check ``number``'s result from its ``terms``, each (label, value,
+    kind, bound): a "tol" holds when value <= bound, a "floor" when value >=
+    bound.  The detail is ``prefix`` and then ``label value (kind bound)``
+    per term, the bound as written (1e-5, where the g format gives 1e-05)."""
+    passed = all(v <= x if kind == "tol" else v >= x for _, v, kind, x in terms)
+    shown = [
+        f"{label} {v:.2e} ({kind} {format(x, 'g').replace('e-0', 'e-')})"
+        for label, v, kind, x in terms
+    ]
+    return _result(number, passed, prefix + ", ".join(shown))
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +169,16 @@ def _check_jump_matrix(ops):
     return _result(1, built and composed, "entrywise exact" if built and composed else "entries differ")
 
 
-def _check_kernel(ops):
-    """2: the jump operator's kernel is exactly the two dark states."""
-    kern = null_space(ops.jump)
-    if len(kern) != 2:
-        return _result(2, False, f"kernel dimension {len(kern)}, expected 2")
-    basis = quantum.KERNEL_BASIS
-    angle = float(principal_angles(kern, [basis.psi1, basis.psi2]).max())
-    return _result(2, angle <= 1e-10, f"kernel dim 2, worst principal angle {angle:.2e} (tol 1e-10)")
+def _check_kernel(number, matrix, span, tol):
+    """2 and 12: ``matrix``'s kernel is exactly the span of ``span``; for 2
+    the jump operator's kernel is the two dark states, for 12 the 16x16
+    generator's kernel is their vectorized outer products."""
+    kern = null_space(matrix)
+    if len(kern) != len(span):
+        return _result(number, False, f"kernel dimension {len(kern)}, expected {len(span)}")
+    angle = float(principal_angles(kern, span).max())
+    term = ("worst principal angle", angle, "tol", tol)
+    return _bounded(number, term, prefix=f"kernel dim {len(span)}, ")
 
 
 def _check_stationary_spectrum(rng):
@@ -175,7 +191,7 @@ def _check_stationary_spectrum(rng):
     disc = np.maximum(1.0 - 4.0 * (params.a * params.b - c2), 0.0)
     roots = np.stack([0.5 * (1.0 - np.sqrt(disc)), 0.5 * (1.0 + np.sqrt(disc))], axis=-1)
     worst = max(float(np.abs(w[:, :2]).max()), float(np.abs(w[:, 2:] - roots).max()))
-    return _result(3, worst <= 1e-10, f"worst spectral deviation {worst:.2e} (tol 1e-10)")
+    return _bounded(3, ("worst spectral deviation", worst, "tol", 1e-10))
 
 
 def _check_pt_eigenvector(rng):
@@ -186,7 +202,7 @@ def _check_pt_eigenvector(rng):
     params = quantum.StationaryParams(*zip(*draws))
     pt = entanglement.partial_transpose(quantum.stationary_state(params))
     worst = float(np.abs(pt @ v - 0.5 * params.b[:, None] * v).max())
-    return _result(4, worst <= 1e-12, f"worst eigenvector residual {worst:.2e} (tol 1e-12)")
+    return _bounded(4, ("worst eigenvector residual", worst, "tol", 1e-12))
 
 
 def _check_closed_form_spectrum(rng):
@@ -196,7 +212,7 @@ def _check_closed_form_spectrum(rng):
     numeric = np.linalg.eigvalsh(entanglement.partial_transpose(quantum.stationary_state(params)))
     closed = np.concatenate([entanglement.cubic_roots(params), 0.5 * params.b[:, None]], axis=-1)
     worst = float(np.abs(numeric - np.sort(closed, axis=-1)).max())
-    return _result(5, worst <= 1e-9, f"worst spectrum gap {worst:.2e} (tol 1e-9)")
+    return _bounded(5, ("worst spectrum gap", worst, "tol", entanglement.CLOSED_FORM_AGREEMENT))
 
 
 def _check_entanglement_verdicts(rng):
@@ -207,8 +223,9 @@ def _check_entanglement_verdicts(rng):
     draws = [quantum.random_stationary_coefficients(rng, max_a=1.0 - 1e-3) for _ in range(200)]
     params = quantum.StationaryParams(*zip(*draws))
     spread = entanglement.ppt_analyze(params)
-    failures = [f"b = {x:g} not entangled" for x in b[~(line.min_eigenvalue < -1e-12)]]
-    missed = ~(spread.min_eigenvalue < -1e-12)
+    entangled_below = -1e-12  # a lowest transposed eigenvalue below this counts as entangled
+    failures = [f"b = {x:g} not entangled" for x in b[~(line.min_eigenvalue < entangled_below)]]
+    missed = ~(spread.min_eigenvalue < entangled_below)
     failures += [
         f"a = {a:g}, c = {c.real:g} not entangled"
         for a, c in zip(params.a[missed], params.c[missed])
@@ -232,19 +249,18 @@ def _check_singlet_corner():
     neg_err = abs(report.negativity - 0.5)
     root_err = float(np.abs(roots - np.array([-0.5, 0.5, 0.5])).max())
     worst = max(neg_err, root_err)
-    return _result(7, worst <= 1e-10, f"negativity and double root within {worst:.2e} (tol 1e-10)")
+    return _bounded(7, ("negativity and double root within", worst, "tol", 1e-10))
 
 
 def _check_classical_convergence(runs):
     """8: 50 random classical states reach (|l|, 0, 0) by t = 50 while
     conserving |l|^2 and the ratio k."""
     l2 = 2.0 * runs.h  # |l|^2 = 2 H, and doubling is exact
-    passed = runs.final <= 1e-5 and l2 <= 1e-8 and runs.k <= 1e-6
-    return _result(
+    return _bounded(
         8,
-        passed,
-        f"worst endpoint deviation {runs.final:.2e} (tol 1e-5), "
-        f"|l^2| drift {l2:.2e} (tol 1e-8), k drift {runs.k:.2e} (tol 1e-6)",
+        ("worst endpoint deviation", runs.final, "tol", 1e-5),
+        ("|l^2| drift", l2, "tol", 1e-8),
+        ("k drift", runs.k, "tol", 1e-6),
     )
 
 
@@ -252,11 +268,8 @@ def _check_monotone_invariants(classical_runs, quantum_runs):
     """9: H stays constant and S never decreases, classically and quantumly."""
     worst_h = max(run.h for run in (classical_runs, *quantum_runs))
     worst_dip = max(run.dip for run in (classical_runs, *quantum_runs))
-    passed = worst_h <= 1e-8 and worst_dip <= 1e-10
-    return _result(
-        9,
-        passed,
-        f"worst H drift {worst_h:.2e} (tol 1e-8), worst S decrease {worst_dip:.2e} (tol 1e-10)",
+    return _bounded(
+        9, ("worst H drift", worst_h, "tol", 1e-8), ("worst S decrease", worst_dip, "tol", 1e-10)
     )
 
 
@@ -274,7 +287,7 @@ def _check_field_equivalence(rng):
             float(np.abs(direct - dissip).max()),
             float(np.abs(direct - quasi).max()),
         )
-    return _result(10, worst <= 1e-12, f"worst field mismatch {worst:.2e} (tol 1e-12)")
+    return _bounded(10, ("worst field mismatch", worst, "tol", 1e-12))
 
 
 def _check_ehrenfest_identity(rng, ops):
@@ -286,23 +299,7 @@ def _check_ehrenfest_identity(rng, ops):
         direct = quantum.ehrenfest_lx(rho, ops)
         via_rhs = float(np.trace(ops.lx @ quantum.lindblad_rhs(rho, ops)).real)
         worst = max(worst, abs(direct - via_rhs))
-    return _result(11, worst <= 1e-12, f"worst identity gap {worst:.2e} (tol 1e-12)")
-
-
-def _check_liouvillian_kernel(ops):
-    """12: the 16x16 generator has a four-dimensional kernel spanned by the
-    vectorized dark-state outer products."""
-    kern = null_space(quantum.liouvillian_matrix(ops))
-    if len(kern) != 4:
-        return _result(12, False, f"kernel dimension {len(kern)}, expected 4")
-    basis = quantum.KERNEL_BASIS
-    span = [
-        quantum.vec(np.outer(u, v.conj()))
-        for u in (basis.psi1, basis.psi2)
-        for v in (basis.psi1, basis.psi2)
-    ]
-    angle = float(principal_angles(kern, span).max())
-    return _result(12, angle <= 1e-8, f"kernel dim 4, worst principal angle {angle:.2e} (tol 1e-8)")
+    return _bounded(11, ("worst identity gap", worst, "tol", 1e-12))
 
 
 def _check_quantum_convergence(runs):
@@ -310,12 +307,10 @@ def _check_quantum_convergence(runs):
     positive the whole way."""
     worst_residual = max(quantum.project_to_stationary(r.last_state).residual for r in runs)
     worst_eig = min(r.lowest for r in runs)
-    passed = worst_residual <= 1e-8 and worst_eig >= -1e-8
-    return _result(
+    return _bounded(
         13,
-        passed,
-        f"worst endpoint residual {worst_residual:.2e} (tol 1e-8), "
-        f"lowest eigenvalue along runs {worst_eig:.2e} (floor -1e-8)",
+        ("worst endpoint residual", worst_residual, "tol", 1e-8),
+        ("lowest eigenvalue along runs", worst_eig, "floor", -1e-8),
     )
 
 
@@ -325,9 +320,11 @@ def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     ops = quantum.build_operators()
     classical_runs = _classical_ensemble(rng)
     quantum_runs = _quantum_ensemble(ops)
+    dark = (quantum.KERNEL_BASIS.psi1, quantum.KERNEL_BASIS.psi2)
+    dark_products = [quantum.vec(np.outer(u, v.conj())) for u in dark for v in dark]
     return [
         _check_jump_matrix(ops),
-        _check_kernel(ops),
+        _check_kernel(2, ops.jump, dark, 1e-10),
         _check_stationary_spectrum(rng),
         _check_pt_eigenvector(rng),
         _check_closed_form_spectrum(rng),
@@ -337,6 +334,6 @@ def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         _check_monotone_invariants(classical_runs, quantum_runs),
         _check_field_equivalence(rng),
         _check_ehrenfest_identity(rng, ops),
-        _check_liouvillian_kernel(ops),
+        _check_kernel(12, quantum.liouvillian_matrix(ops), dark_products, 1e-8),
         _check_quantum_convergence(quantum_runs),
     ]

@@ -486,6 +486,19 @@ def test_overflowing_coupling_exit_code(capsys, command):
     assert err == "error: positivity needs a*b >= |c|^2, got a*b = 0.25, |c|^2 = inf\n"
 
 
+@pytest.mark.parametrize("command", ["stationary", "ppt"])
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        ("1e308", "error: a and b must be nonnegative, got 1e+308, -1e+308\n"),
+        ("-1e17", "error: a and b must be nonnegative, got -1e+17, 1e+17\n"),
+    ],
+)
+def test_huge_a_is_blamed_on_a_sign(capsys, command, a, message):
+    # b = 1 - a rounds so that a + b reads 0: the fault is the sign of a or b
+    assert run_cli([command, "--a", a], capsys) == (2, "", message)
+
+
 def test_ppt_command(capsys):
     code, out, _ = run_cli(["ppt", "--a", "0"], capsys)
     assert code == 0
@@ -572,6 +585,31 @@ def test_config_values_get_option_types(capsys, tmp_path, config, message):
     code, _, err = run_cli(["sweep", "--config", str(cfg)], capsys)
     assert code == 2
     assert err == message
+
+
+LONG_VALUE = "x" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, config, code",
+    [
+        ("classical-sim", {"init": LONG_VALUE}, 2),
+        ("classical-sim", {"init": "1,2," + LONG_VALUE}, 2),
+        ("classical-sim", {"init": json.loads("[" * 500 + "]" * 500)}, 2),
+        ("classical-sim", {"dt": LONG_VALUE}, 2),
+        ("sweep", {"format": LONG_VALUE}, 2),
+        ("sweep", {"grid": [3] * 1000}, 2),
+        ("sweep", {LONG_VALUE: 1, "grid": 2}, 0),  # the unknown key's warning
+    ],
+    ids=["triple", "triple-part", "nested-triple", "float", "choice", "int", "unknown-key"],
+)
+def test_messages_cut_a_long_config_value_short(capsys, tmp_path, command, config, code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    got, _, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert got == code
+    assert "..." in err
+    assert max(len(line) for line in err.splitlines()) < 200
 
 
 def test_config_values_read_like_flags(capsys, tmp_path):

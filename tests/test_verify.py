@@ -1,9 +1,12 @@
 """The verify ensembles' block-by-block reductions against the whole-array
 formulas of checks 8, 9 and 13, and their memory; the stacked checks 3-6
-against their one-point-at-a-time loops."""
+against their one-point-at-a-time loops; the bounded checks at and past
+their bounds, and the bounds they print against their verdicts."""
 
 import itertools
+import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -323,3 +326,89 @@ def test_stacked_check_validates_its_draws_once(monkeypatch):
     assert result.passed
     assert len(calls) == 1
     assert [np.shape(x) for x in calls[0]] == [(100,)] * 3
+
+
+def _reduction(**values):
+    """A verify._Reduction holding ``values`` and the defaults for the rest."""
+    run = verify._Reduction()
+    vars(run).update(values)
+    return run
+
+
+@pytest.fixture
+def residual_is_state(monkeypatch):
+    # check 13 reads each run's endpoint residual as its last state
+    monkeypatch.setattr(quantum, "project_to_stationary", lambda state: SimpleNamespace(residual=state))
+
+
+def _check_13(residual=0.0, lowest=0.0):
+    return verify._check_quantum_convergence([_reduction(last_state=residual, lowest=lowest)])
+
+
+# (check of one measured value, its kind of bound, the bound)
+BOUNDED = [
+    (lambda v: verify._check_classical_convergence(_reduction(final=v)), "tol", 1e-5),
+    (lambda v: verify._check_classical_convergence(_reduction(h=v / 2)), "tol", 1e-8),  # |l|^2 = 2 H
+    (lambda v: verify._check_classical_convergence(_reduction(k=v)), "tol", 1e-6),
+    (lambda v: verify._check_monotone_invariants(_reduction(h=v), [_reduction()]), "tol", 1e-8),
+    (lambda v: verify._check_monotone_invariants(_reduction(), [_reduction(dip=v)]), "tol", 1e-10),
+    (lambda v: _check_13(residual=v), "tol", 1e-8),
+    (lambda v: _check_13(lowest=v), "floor", -1e-8),
+]
+
+
+@pytest.mark.parametrize(
+    "check, kind, bound",
+    BOUNDED,
+    ids=["8-endpoint", "8-l2", "8-k", "9-H", "9-S", "13-residual", "13-lowest"],
+)
+def test_bounded_check_passes_at_its_bound_and_fails_past_it(residual_is_state, check, kind, bound):
+    assert check(bound).passed
+    assert not check(float(np.nextafter(bound, -np.inf if kind == "floor" else np.inf))).passed
+
+
+def test_failing_bounded_checks_read_as_before(residual_is_state):
+    assert verify._check_classical_convergence(_reduction(final=2e-5)) == verify._result(
+        8,
+        False,
+        "worst endpoint deviation 2.00e-05 (tol 1e-5), |l^2| drift 0.00e+00 (tol 1e-8), "
+        "k drift 0.00e+00 (tol 1e-6)",
+    )
+    assert verify._check_monotone_invariants(_reduction(), [_reduction(dip=3e-10)]) == verify._result(
+        9, False, "worst H drift 0.00e+00 (tol 1e-8), worst S decrease 3.00e-10 (tol 1e-10)"
+    )
+    assert _check_13(lowest=-2e-8) == verify._result(
+        13,
+        False,
+        "worst endpoint residual 0.00e+00 (tol 1e-8), "
+        "lowest eigenvalue along runs -2.00e-08 (floor -1e-8)",
+    )
+
+
+def test_kernel_check_fails_on_a_wrong_span(ops):
+    dark = (quantum.KERNEL_BASIS.psi1, quantum.KERNEL_BASIS.psi2)
+    assert verify._check_kernel(2, ops.jump, dark[:1], 1e-10) == verify._result(
+        2, False, "kernel dimension 2, expected 1"
+    )
+    # dark[1] turned by 1e-3 toward a unit vector orthogonal to both dark states
+    off = np.array([1, 0, 0, 0]) - sum(np.vdot(u, [1, 0, 0, 0]) * u for u in dark)
+    tilted = (dark[0], np.cos(1e-3) * dark[1] + np.sin(1e-3) * off / np.linalg.norm(off))
+    failed = verify._check_kernel(2, ops.jump, tilted, 1e-10)
+    assert not failed.passed
+    assert re.fullmatch(r"kernel dim 2, worst principal angle 1\.00e-03 \(tol 1e-10\)", failed.detail)
+    assert verify._check_kernel(2, ops.jump, tilted, 1e-3).passed
+
+
+PRINTED_TERM = re.compile(r"(-?\d\.\d\de[-+]\d\d) \((tol|floor) (-?\d+(?:\.\d+)?e-\d+)\)")
+
+
+@pytest.mark.parametrize("seed", [verify.DEFAULT_SEED, 7])
+def test_printed_bounds_agree_with_the_verdicts(verify_results, seed):
+    results = verify_results if seed == verify.DEFAULT_SEED else verify.run_all(seed)
+    terms = 0
+    for result in results:
+        for value, kind, bound in PRINTED_TERM.findall(result.detail):
+            held = float(value) <= float(bound) if kind == "tol" else float(value) >= float(bound)
+            assert held == result.passed, result
+            terms += 1
+    assert terms == 15  # every bound of checks 2-5 and 7-13
