@@ -41,9 +41,9 @@ K_UNDEFINED_LZ = 1e-12
 DIVERGENCE_LIMIT = 1e6
 
 #: most steps one integrator call may take.  It bounds the time of every
-#: run, and the memory of integrate() and quantum.evolve(), which collect a
-#: whole run: 24 MB of classical or 256 MB of quantum states at this limit.
-#: The block generators, and the command line's CSV exports, hold one block.
+#: run, and the memory of integrate() and quantum.evolve(), which join the
+#: blocks of a whole run (24 MB of classical or 256 MB of quantum states at
+#: this limit, twice that while joining); a block generator holds one block.
 MAX_STEPS = 10**6
 
 #: states per block: time points per block of trajectory_blocks() and

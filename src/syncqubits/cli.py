@@ -52,9 +52,9 @@ from .classical import BLOCK_STEPS, StepTooLarge, tracked_scalars, trajectory_bl
 from .entanglement import ppt_analyze, sweep
 from .linalg import hermitian_eigensystem
 from .quantum import (
+    OPERATORS,
     PositivityLost,
     StationaryParams,
-    build_operators,
     density_matrix_from_json,
     density_matrix_to_json,
     evolve_blocks,
@@ -68,15 +68,23 @@ _REQUIRED = object()
 
 
 class _Option(NamedTuple):
-    """A long option, ``--t-final`` for ``t_final``: the converter of its
-    text, from a flag or a config file; its default, written as flag text
-    and repeated in the help (None: unset, ``_REQUIRED``: must be given);
-    its help; its allowed values."""
+    """A long option, ``--t-final`` for ``t_final``: the type :meth:`convert`
+    applies to its text, from a flag or a config file; its default, written
+    as flag text and repeated in the help (None: unset, ``_REQUIRED``: must
+    be given); its help; its allowed values, which ``_merge_config`` checks."""
 
     type: Callable[[str], object]
     default: object
     help: str
     choices: tuple[str, ...] | None = None
+
+    def convert(self, text: str):
+        """The value of ``text``, or ArgumentTypeError naming it cut short."""
+        try:
+            return self.type(text)
+        except ValueError:
+            message = f"invalid {self.type.__name__} value: {reprlib.repr(text)}"
+            raise argparse.ArgumentTypeError(message) from None
 
 
 class _Command(NamedTuple):
@@ -107,7 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
             elif opt.default is not None:
                 text += f" (default {opt.default})"
             flag = "--" + name.replace("_", "-")
-            p.add_argument(flag, type=opt.type, choices=opt.choices, help=text, **kw)
+            metavar = "{%s}" % ",".join(opt.choices) if opt.choices else None
+            p.add_argument(flag, type=opt.convert, metavar=metavar, help=text, **kw)
         p.add_argument("--config", help="JSON file with default option values", **kw)
     return parser
 
@@ -122,14 +131,14 @@ def _load_json(path: str):
             raise ValueError(f"{path!r} is nested too deeply to read as JSON") from None
 
 
-def _coerce(key: str, value, kind):
+def _coerce(key: str, value, opt: _Option):
     """A config value converted as if its JSON text had been typed as the flag."""
     text = value if isinstance(value, str) else json.dumps(value)
     try:
-        return kind(text)
-    except ValueError:
+        return opt.convert(text)
+    except argparse.ArgumentTypeError:
         raise ValueError(
-            f"config value {key!r} must be {kind.__name__}, got {reprlib.repr(value)}"
+            f"config value {key!r} must be {opt.type.__name__}, got {reprlib.repr(value)}"
         ) from None
 
 
@@ -152,7 +161,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             if norm not in options:
                 print(f"warning: ignoring unknown config key {reprlib.repr(key)}", file=sys.stderr)
             elif val is not None:
-                values[norm] = _coerce(key, val, options[norm].type)
+                values[norm] = _coerce(key, val, options[norm])
     values.update(explicit)
     for key, val in values.items():
         if val is _REQUIRED:
@@ -336,7 +345,7 @@ def _parse_initial_density(text: str) -> np.ndarray:
     try:
         payload = _load_json(text)
     except OSError as exc:
-        raise ValueError(f"cannot read initial state {text!r}: {exc}") from exc
+        raise ValueError(f"cannot read initial state {reprlib.repr(text)}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{text!r} is not valid JSON: {exc}") from exc
     return density_matrix_from_json(payload)
@@ -344,21 +353,20 @@ def _parse_initial_density(text: str) -> np.ndarray:
 
 def _cmd_quantum_evolve(cfg) -> int:
     rho0 = _parse_initial_density(cfg["init"])
-    ops = build_operators()
     dt = cfg["dt"]
     last = None
 
     def blocks():
         nonlocal last
         row = 0
-        for states, lowest in evolve_blocks(rho0, ops, cfg["t_final"], dt):
+        for states, lowest in evolve_blocks(rho0, cfg["t_final"], dt):
             last = states[-1].copy()  # the block's buffer is reused
             yield {
                 "t": np.arange(row, row + len(states)) * dt,
-                "lx_avg": np.einsum("tij,ji->t", states, ops.lx).real,
-                "ly_avg": np.einsum("tij,ji->t", states, ops.ly).real,
-                "lz_avg": np.einsum("tij,ji->t", states, ops.lz).real,
-                "l2_avg": np.einsum("tij,ji->t", states, ops.l_squared).real,
+                "lx_avg": np.einsum("tij,ji->t", states, OPERATORS.lx).real,
+                "ly_avg": np.einsum("tij,ji->t", states, OPERATORS.ly).real,
+                "lz_avg": np.einsum("tij,ji->t", states, OPERATORS.lz).real,
+                "l2_avg": np.einsum("tij,ji->t", states, OPERATORS.l_squared).real,
                 "trace": np.einsum("tii->t", states).real,
                 "min_eig": lowest,
             }

@@ -8,12 +8,14 @@ operator J = lz - i ly with no Hamiltonian part:
 
 J annihilates exactly two orthonormal vectors, the fully symmetric in-phase
 state (1, 1, 1, 1)/2 and the singlet (0, 1, -1, 0)/sqrt(2), and every
-stationary density matrix is a combination of their outer products.
+stationary density matrix is a combination of their outer products.  The
+model has one operator set, :data:`OPERATORS`.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,7 @@ from .classical import BLOCK_STEPS, step_count
 #: slack used when validating stationary-family coefficients
 PARAM_TOL = 1e-12
 
-#: evolve() raises once a recorded eigenvalue drops below this
+#: evolve_blocks() raises once a recorded eigenvalue drops below this
 POSITIVITY_ERROR = -1e-6
 
 
@@ -69,7 +71,7 @@ class QuantumTrajectory:
 
     ``times`` is (T,), ``states`` the (T, d, d) stack of density matrices
     and ``min_eigenvalues`` (T,) the lowest eigenvalue of each state, which
-    :func:`evolve` computes for its positivity check.  All three are
+    :func:`evolve_blocks` computes for its positivity check.  All three are
     read-only.
     """
 
@@ -90,7 +92,7 @@ class KernelBasis:
     psi2: np.ndarray
 
 
-def build_operators() -> OperatorSet:
+def _build_operators() -> OperatorSet:
     """Construct lx, ly, lz, l^2 and the jump operator lz - i ly."""
     eye = np.eye(2, dtype=complex)
 
@@ -109,6 +111,15 @@ def build_operators() -> OperatorSet:
     jump = lz - 1.0j * ly
     jump_dagger = jump.conj().T.copy()
     return OperatorSet(*(_readonly(m) for m in (lx, ly, lz, l_squared, jump, jump_dagger)))
+
+
+#: the model's one operator set, read by every master-equation function
+OPERATORS = _build_operators()
+
+
+def build_operators() -> OperatorSet:
+    """lx, ly, lz, l^2 and the jump operator lz - i ly, :data:`OPERATORS`."""
+    return OPERATORS
 
 
 #: the two dark states of the jump operator, as read-only vectors
@@ -130,9 +141,11 @@ def labelled_state(label: str) -> np.ndarray:
         return np.eye(4, dtype=complex) / 4.0
     bits = label.removeprefix("basis:")
     if bits == label:
-        raise ValueError(f"unknown state label {label!r}, expected 'mixed' or 'basis:IJ'")
+        raise ValueError(
+            f"unknown state label {reprlib.repr(label)}, expected 'mixed' or 'basis:IJ'"
+        )
     if len(bits) != 2 or not set(bits) <= {"0", "1"}:
-        raise ValueError(f"bad basis label {bits!r}, expected two bits")
+        raise ValueError(f"bad basis label {reprlib.repr(bits)}, expected two bits")
     rho = np.zeros((4, 4), dtype=complex)
     rho[int(bits, 2), int(bits, 2)] = 1.0
     return rho
@@ -173,20 +186,19 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def lindblad_rhs(rho, ops: OperatorSet) -> np.ndarray:
+def lindblad_rhs(rho) -> np.ndarray:
     """Time derivative 2 J rho J+ - {J+J, rho} of the density matrix.
 
     Kept as the direct form of the master equation, independent of
-    :func:`liouvillian_matrix` and the propagator :func:`evolve` builds.
+    :func:`liouvillian_matrix` and the propagator :func:`evolve_blocks` builds.
     """
     r = np.asarray(rho, dtype=complex)
-    j = ops.jump
-    jd = ops.jump_dagger
+    j, jd = OPERATORS.jump, OPERATORS.jump_dagger
     absorb = jd @ j
     return 2.0 * (j @ r @ jd) - absorb @ r - r @ absorb
 
 
-def _rk4_propagator(ops: OperatorSet, dt: float) -> np.ndarray:
+def _rk4_propagator(dt: float) -> np.ndarray:
     """One RK4 step of the master equation as a 16x16 matrix.
 
     The equation is linear and autonomous, so a classical RK4 step is the
@@ -194,41 +206,30 @@ def _rk4_propagator(ops: OperatorSet, dt: float) -> np.ndarray:
     Rows and columns follow the row-major (C-order) flattening of rho, so
     that ``P @ rho.ravel()`` is the flattened next state.
     """
-    hl = dt * liouvillian_matrix(ops)
+    hl = dt * liouvillian_matrix()
     eye = np.eye(hl.shape[0], dtype=complex)
     taylor = eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0)
-    dim = ops.jump.shape[0]
+    dim = OPERATORS.jump.shape[0]
     # column-stacked index i + dim*j  ->  row-major index dim*i + j
     return taylor.reshape(dim, dim, dim, dim).transpose(1, 0, 3, 2).reshape(dim * dim, dim * dim)
 
 
-def _checked(rho0, ops: OperatorSet, t_final: float, dt: float) -> tuple[np.ndarray, int]:
-    """The validated initial state and the step count."""
-    rho = check_density_matrix(rho0)
-    if rho.shape != ops.jump.shape:
-        raise ValueError(f"state has shape {rho.shape}, the operators need {ops.jump.shape}")
-    return rho, step_count(t_final, dt)
-
-
 def evolve(rho0, ops: OperatorSet, t_final: float, dt: float) -> QuantumTrajectory:
-    """Fixed-step RK4 trajectory of the master equation.
-
-    Returns a :class:`QuantumTrajectory` with one time, state and lowest
-    eigenvalue per step, t = 0 included, collected from the blocks of
-    :func:`evolve_blocks`; its errors are the same.
+    """Fixed-step RK4 trajectory of the master equation: the blocks of
+    :func:`evolve_blocks` collected into one :class:`QuantumTrajectory`,
+    with one time, state and lowest eigenvalue per step, t = 0 included.
+    ``ops`` must be :data:`OPERATORS`, the set :func:`build_operators`
+    returns; any other raises ValueError.  Errors as for
+    :func:`evolve_blocks`.
     """
-    rho, n_steps = _checked(rho0, ops, t_final, dt)
-    dim = rho.shape[0]
-    states = np.empty((n_steps + 1, dim, dim), dtype=complex)
-    lowest = np.empty(n_steps + 1)
-    blocks = _rk4_blocks(rho, n_steps, ops, dt)
-    for row, (block, block_lowest) in zip(range(0, n_steps + 1, BLOCK_STEPS), blocks):
-        states[row : row + len(block)] = block
-        lowest[row : row + len(block)] = block_lowest
-    return QuantumTrajectory(*(_readonly(a) for a in (np.arange(n_steps + 1) * dt, states, lowest)))
+    if ops is not OPERATORS:
+        raise ValueError("evolve takes only the model's operators, build_operators()")
+    blocks = [(states.copy(), lowest) for states, lowest in evolve_blocks(rho0, t_final, dt)]
+    states, lowest = (np.concatenate(parts) for parts in zip(*blocks))
+    return QuantumTrajectory(*(_readonly(a) for a in (np.arange(len(states)) * dt, states, lowest)))
 
 
-def evolve_blocks(rho0, ops: OperatorSet, t_final: float, dt: float):
+def evolve_blocks(rho0, t_final: float, dt: float):
     """Fixed-step RK4 run of the master equation, yielded as (states, lowest
     eigenvalues) blocks from t = 0.  A block holds BLOCK_STEPS states but
     the last, in a view of one reused buffer valid until the next block is
@@ -241,15 +242,12 @@ def evolve_blocks(rho0, ops: OperatorSet, t_final: float, dt: float):
     comes first.  ValueError, once iteration begins, for an invalid ``rho0``
     (:func:`check_density_matrix`) or steps (:func:`classical.step_count`).
     """
-    rho, n_steps = _checked(rho0, ops, t_final, dt)
-    yield from _rk4_blocks(rho, n_steps, ops, dt)
-
-
-def _rk4_blocks(rho: np.ndarray, n_steps: int, ops: OperatorSet, dt: float):
-    """The blocks of :func:`evolve_blocks` from a validated state and step count."""
-    step = _rk4_propagator(ops, dt).dot
+    rho = check_density_matrix(rho0)
+    if rho.shape != OPERATORS.jump.shape:
+        raise ValueError(f"state has shape {rho.shape}, the operators need {OPERATORS.jump.shape}")
+    total = step_count(t_final, dt) + 1
+    step = _rk4_propagator(dt).dot
     dim = rho.shape[0]
-    total = n_steps + 1
     buf = np.empty((min(BLOCK_STEPS, total), dim, dim), dtype=complex)
     flat = buf.reshape(len(buf), dim * dim)
     flat[0] = rho.ravel()
@@ -273,14 +271,14 @@ def _rk4_blocks(rho: np.ndarray, n_steps: int, ops: OperatorSet, dt: float):
         yield buf[: len(rows)], lowest
 
 
-def ehrenfest_lx(rho, ops: OperatorSet) -> float:
+def ehrenfest_lx(rho) -> float:
     """Growth rate of <lx>, namely 2 Re tr(rho J+J).
 
     Identical to tr(lx * lindblad_rhs(rho)) and nonnegative on states,
     because J+J is positive semidefinite.
     """
     r = np.asarray(rho, dtype=complex)
-    return float(2.0 * np.trace(r @ (ops.jump_dagger @ ops.jump)).real)
+    return float(2.0 * np.trace(r @ (OPERATORS.jump_dagger @ OPERATORS.jump)).real)
 
 
 def point_label(a: float, c: complex) -> str:
@@ -440,21 +438,17 @@ def vec(mat) -> np.ndarray:
     return np.asarray(mat, dtype=complex).reshape(-1, order="F")
 
 
-def liouvillian_matrix(ops: OperatorSet) -> np.ndarray:
+def liouvillian_matrix() -> np.ndarray:
     """Dense 16x16 superoperator L with L vec(rho) = vec(lindblad_rhs(rho)).
 
     Column stacking throughout: the sandwich term becomes
     kron(conj(J), J) and the one-sided products kron(I, J+J) and
     kron((J+J).T, I).
     """
-    j = ops.jump
-    absorb = ops.jump_dagger @ j
+    j = OPERATORS.jump
+    absorb = OPERATORS.jump_dagger @ j
     eye = np.eye(j.shape[0], dtype=complex)
-    return (
-        2.0 * np.kron(j.conj(), j)
-        - np.kron(eye, absorb)
-        - np.kron(absorb.T, eye)
-    )
+    return 2.0 * np.kron(j.conj(), j) - np.kron(eye, absorb) - np.kron(absorb.T, eye)
 
 
 def density_matrix_to_json(rho) -> dict:

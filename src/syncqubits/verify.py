@@ -97,11 +97,11 @@ class _Reduction:
     def add(self, h, s):
         if self.h0 is None:
             self.h0, self.s_last = h[:1], s[:1]
-        self.h = max(self.h, float(np.abs(h - self.h0).max()))
+        self.h = float(np.max([self.h, np.abs(h - self.h0).max()]))
         # S's one-step decreases: across the boundary from the last block,
         # then within this one (a - b is -(b - a) exactly)
         inner = (s[:-1] - s[1:]).max(initial=-np.inf)
-        self.dip = max(self.dip, float((self.s_last - s[:1]).max()), float(inner))
+        self.dip = float(np.max([self.dip, (self.s_last - s[:1]).max(), inner]))
         self.s_last = s[-1:]
 
 
@@ -128,29 +128,31 @@ def _reduce_classical(starts, blocks) -> _Reduction:
             k0 = np.where(np.isnan(k0), first, k0)
             pending = np.isnan(k0).any()
         k -= k0
+        # fmax skips NaN on purpose: k is NaN wherever it is undefined
         run.k = float(np.fmax.reduce(np.abs(k, out=k), axis=None, initial=run.k))
-    for start, (lx, ly, lz) in zip(starts, block[-1].T):
-        run.final = max(run.final, abs(lx - float(np.linalg.norm(start))), abs(ly), abs(lz))
+    lx, ly, lz = block[-1]
+    radius = np.array([np.linalg.norm(start) for start in starts])
+    run.final = float(np.max([np.abs(lx - radius), np.abs(ly), np.abs(lz)]))
     return run
 
 
-def _quantum_ensemble(ops):
+def _quantum_ensemble():
     """Master-equation runs to t = 20 (dt = 1e-3) from the maximally mixed
     state and each of the four basis projectors."""
     labels = ("mixed", "basis:00", "basis:01", "basis:10", "basis:11")
     starts = (quantum.labelled_state(label) for label in labels)
-    return [_reduce_quantum(quantum.evolve_blocks(rho, ops, 20.0, 1e-3), ops) for rho in starts]
+    return [_reduce_quantum(quantum.evolve_blocks(rho, 20.0, 1e-3)) for rho in starts]
 
 
-def _reduce_quantum(blocks, ops) -> _Reduction:
+def _reduce_quantum(blocks) -> _Reduction:
     """(states, lowest eigenvalues) blocks of one run reduced as in
     :meth:`_Reduction.add` with H = <l^2>/2 and S = 2<lx>, plus the last
     state and the lowest eigenvalue."""
     run = _Reduction()
     for states, lowest in blocks:
-        h = 0.5 * np.einsum("tij,ji->t", states, ops.l_squared).real
-        run.add(h, 2.0 * np.einsum("tij,ji->t", states, ops.lx).real)
-        run.lowest = min(run.lowest, float(lowest.min()))
+        h = 0.5 * np.einsum("tij,ji->t", states, quantum.OPERATORS.l_squared).real
+        run.add(h, 2.0 * np.einsum("tij,ji->t", states, quantum.OPERATORS.lx).real)
+        run.lowest = float(np.min([run.lowest, lowest.min()]))
     run.last_state = states[-1].copy()
     return run
 
@@ -159,8 +161,9 @@ def _reduce_quantum(blocks, ops) -> _Reduction:
 # the thirteen checks
 
 
-def _check_jump_matrix(ops):
+def _check_jump_matrix():
     """1: the built jump operator equals its closed-form entries exactly."""
+    ops = quantum.OPERATORS
     expected = 0.5 * np.array(
         [[2, -1, -1, 0], [1, 0, 0, -1], [1, 0, 0, -1], [0, 1, 1, -2]], dtype=complex
     )
@@ -190,7 +193,7 @@ def _check_stationary_spectrum(rng):
     c2 = np.float_power(np.hypot(params.c.real, params.c.imag), 2)  # abs(c) ** 2 bit for bit
     disc = np.maximum(1.0 - 4.0 * (params.a * params.b - c2), 0.0)
     roots = np.stack([0.5 * (1.0 - np.sqrt(disc)), 0.5 * (1.0 + np.sqrt(disc))], axis=-1)
-    worst = max(float(np.abs(w[:, :2]).max()), float(np.abs(w[:, 2:] - roots).max()))
+    worst = float(np.max([np.abs(w[:, :2]).max(), np.abs(w[:, 2:] - roots).max()]))
     return _bounded(3, ("worst spectral deviation", worst, "tol", 1e-10))
 
 
@@ -248,7 +251,7 @@ def _check_singlet_corner():
     roots = entanglement.cubic_roots(quantum.StationaryParams(0.0, 1.0, 0.0))
     neg_err = abs(report.negativity - 0.5)
     root_err = float(np.abs(roots - np.array([-0.5, 0.5, 0.5])).max())
-    worst = max(neg_err, root_err)
+    worst = float(np.max([neg_err, root_err]))
     return _bounded(7, ("negativity and double root within", worst, "tol", 1e-10))
 
 
@@ -266,8 +269,9 @@ def _check_classical_convergence(runs):
 
 def _check_monotone_invariants(classical_runs, quantum_runs):
     """9: H stays constant and S never decreases, classically and quantumly."""
-    worst_h = max(run.h for run in (classical_runs, *quantum_runs))
-    worst_dip = max(run.dip for run in (classical_runs, *quantum_runs))
+    runs = (classical_runs, *quantum_runs)
+    worst_h = float(np.max([run.h for run in runs]))
+    worst_dip = float(np.max([run.dip for run in runs]))
     return _bounded(
         9, ("worst H drift", worst_h, "tol", 1e-8), ("worst S decrease", worst_dip, "tol", 1e-10)
     )
@@ -276,37 +280,32 @@ def _check_monotone_invariants(classical_runs, quantum_runs):
 def _check_field_equivalence(rng):
     """10: direct, coupling-function and quasithermodynamic forms of the
     classical field agree at 100 random points."""
-    worst = 0.0
+    gaps = []
     for _ in range(100):
         point = rng.uniform(-2.0, 2.0, size=3)
         direct = classical.classical_field(point)
-        dissip = classical.dissipative_field(point)
-        quasi = classical.quasithermo_field(point)
-        worst = max(
-            worst,
-            float(np.abs(direct - dissip).max()),
-            float(np.abs(direct - quasi).max()),
-        )
-    return _bounded(10, ("worst field mismatch", worst, "tol", 1e-12))
+        gaps.append(np.abs(direct - classical.dissipative_field(point)).max())
+        gaps.append(np.abs(direct - classical.quasithermo_field(point)).max())
+    return _bounded(10, ("worst field mismatch", float(np.max(gaps)), "tol", 1e-12))
 
 
-def _check_ehrenfest_identity(rng, ops):
+def _check_ehrenfest_identity(rng):
     """11: d<lx>/dt computed as 2 Re tr(rho J+J) matches tr(lx d rho/dt)
     for 100 random density matrices."""
-    worst = 0.0
+    gaps = []
     for _ in range(100):
         rho = quantum.random_density_matrix(rng)
-        direct = quantum.ehrenfest_lx(rho, ops)
-        via_rhs = float(np.trace(ops.lx @ quantum.lindblad_rhs(rho, ops)).real)
-        worst = max(worst, abs(direct - via_rhs))
-    return _bounded(11, ("worst identity gap", worst, "tol", 1e-12))
+        via_rhs = float(np.trace(quantum.OPERATORS.lx @ quantum.lindblad_rhs(rho)).real)
+        gaps.append(abs(quantum.ehrenfest_lx(rho) - via_rhs))
+    return _bounded(11, ("worst identity gap", float(np.max(gaps)), "tol", 1e-12))
 
 
 def _check_quantum_convergence(runs):
     """13: long master-equation runs land on the stationary family and stay
     positive the whole way."""
-    worst_residual = max(quantum.project_to_stationary(r.last_state).residual for r in runs)
-    worst_eig = min(r.lowest for r in runs)
+    residuals = [quantum.project_to_stationary(r.last_state).residual for r in runs]
+    worst_residual = float(np.max(residuals))
+    worst_eig = float(np.min([r.lowest for r in runs]))
     return _bounded(
         13,
         ("worst endpoint residual", worst_residual, "tol", 1e-8),
@@ -317,14 +316,13 @@ def _check_quantum_convergence(runs):
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run the thirteen checks in order and return their results."""
     rng = np.random.default_rng(seed)
-    ops = quantum.build_operators()
     classical_runs = _classical_ensemble(rng)
-    quantum_runs = _quantum_ensemble(ops)
+    quantum_runs = _quantum_ensemble()
     dark = (quantum.KERNEL_BASIS.psi1, quantum.KERNEL_BASIS.psi2)
     dark_products = [quantum.vec(np.outer(u, v.conj())) for u in dark for v in dark]
     return [
-        _check_jump_matrix(ops),
-        _check_kernel(2, ops.jump, dark, 1e-10),
+        _check_jump_matrix(),
+        _check_kernel(2, quantum.OPERATORS.jump, dark, 1e-10),
         _check_stationary_spectrum(rng),
         _check_pt_eigenvector(rng),
         _check_closed_form_spectrum(rng),
@@ -333,7 +331,7 @@ def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         _check_classical_convergence(classical_runs),
         _check_monotone_invariants(classical_runs, quantum_runs),
         _check_field_equivalence(rng),
-        _check_ehrenfest_identity(rng, ops),
-        _check_kernel(12, quantum.liouvillian_matrix(ops), dark_products, 1e-8),
+        _check_ehrenfest_identity(rng),
+        _check_kernel(12, quantum.liouvillian_matrix(), dark_products, 1e-8),
         _check_quantum_convergence(quantum_runs),
     ]

@@ -4,8 +4,9 @@ Every command and every option of ``cli._COMMANDS`` is drawn, with values
 from pools of edge cases, and run in three spellings: ``--flag value``,
 ``--flag=value`` and a ``--config`` file.  Whatever the input, a run exits
 with 0, 1, 2 or 3 and no traceback; a failing run's stderr ends in one
-``error:`` line, and --out and its folder are left as they were, with no
-temporary file; the three spellings give the same bytes.
+``error:`` line of at most 300 bytes, however long the values, and --out
+and its folder are left as they were, with no temporary file; the three
+spellings give the same bytes.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from syncqubits import cli
 
 DEEP = "[" * 100000 + "]" * 100000  # past json's recursion limit
+LONG = "x" * 5000  # a value no error message may echo whole
 FOLDER = ("folder",)  # as a file's content: the file is the inputs folder itself
 
 
@@ -44,21 +46,26 @@ MIXED = [0.25 if i % 5 == 0 else 0.0 for i in range(16)]
 
 FLOATS = [
     "0", "0.3", "-0.5", "1", "1.5", "-1e-3", "2.5E-1", ".5", "1e-12",
-    "nan", "-inf", "inf", "1e308", "1e400", "", "1,5", "0x1p-2",
+    "nan", "-inf", "inf", "1e308", "1e400", "", "1,5", "0x1p-2", LONG, "1" * 5000,
 ]  # fmt: skip
 POOLS = {
     # t_final / dt stay within a few hundred steps, or far past MAX_STEPS
-    "t_final": ["0", "0.05", "0.2", "-0.1", "2E-1", "nan", "inf", "-inf", "1e308", "1e400", "", "x"],
-    "dt": ["1e-3", "0.01", "0.05", "1", "0", "-1e-3", "1e-300", "nan", "inf", "1e308", "", "1e-3x"],
-    "grid": ["2", "3", "5", " 4", "0", "1", "-3", "1002", "99999999999999999999", "3.0", "1e1", "nan", ""],
+    "t_final": ["0", "0.05", "0.2", "-0.1", "2E-1", "nan", "inf", "-inf", "1e308", "1e400", "", "x", LONG],
+    "dt": ["1e-3", "0.01", "0.05", "1", "0", "-1e-3", "1e-300", "nan", "inf", "1e308", "", "1e-3x", LONG],
+    "grid": [
+        "2", "3", "5", " 4", "0", "1", "-3", "1002", "99999999999999999999", "3.0", "1e1", "nan", "",
+        LONG, "1" * 5000,  # past int's digit limit
+    ],
     "out": [_out("new"), _out("existing"), _out("missing"), _out("folder"), _out("devnull"), ""],
-    "format": ["csv", "json", "xml", "", "CSV"],
+    "format": ["csv", "json", "xml", "", "CSV", LONG],
     ("classical-sim", "init"): [
         "0,0.6,0.8", "-0.5,0.6,0.8", "1,0.5,0", "1e-3,-2E-1,3.5e-1", "0,0,0", "nan,0,1",
         "inf,0,0", "1e308,1e308,1e308", "1e400,0,1", "1e6,1,1", "1,2", "1,2,3,4", "", ",,", "a,b,c",
+        LONG, "1," * 2500, LONG + ",0,0",
     ],
     ("quantum-evolve", "init"): [
         "mixed", "basis:01", "basis:11", "basis:2", "basis:", "Mixed", "", "-", "no/such/state.json",
+        LONG, "basis:" + LONG,  # a file name too long, a label too long
         _file(_matrix(MIXED)),
         _file(_matrix([1.5, 0, 0, 0, 0, -0.5] + [0.0] * 10)),  # a negative eigenvalue
         _file(_matrix([0.5] * 16)),  # trace 2
@@ -165,6 +172,8 @@ def _never_verify():
 @example(("ppt", {"a": "0.3"}, DEEP))
 @example(("quantum-evolve", {"t_final": "0.05", "init": _file(DEEP)}, None))
 @example(("quantum-evolve", {"t_final": "0.05", "init": _file(_matrix([1e308] * 16))}, None))  # overflowed
+@example(("classical-sim", {"t_final": "0.05", "dt": LONG}, None))  # echoed whole
+@example(("quantum-evolve", {"t_final": "0.05", "init": LONG}, None))  # echoed twice
 def test_any_command_line_exits_cleanly_and_alike(case):
     command, options, config = case
     outcomes = []
@@ -184,7 +193,8 @@ def test_any_command_line_exits_cleanly_and_alike(case):
             if code:
                 lines = err.splitlines()
                 assert re.match(rf"(syncqubits {command}: )?error: ", lines[-1]), (argv, err)
-                assert sum("error:" in line for line in lines) == 1, (argv, err)
+                errors = [line for line in lines if "error:" in line]
+                assert len(errors) == 1 and len(errors[0].encode()) <= 300, (argv, err)
                 assert after == before, argv
             else:
                 assert set(after) <= {"data"}, (argv, after)

@@ -93,35 +93,35 @@ def test_kernel_basis_annihilated(ops, basis):
 def test_rhs_vanishes_on_dark_states(ops, basis):
     for v in (basis.psi1, basis.psi2):
         rho = np.outer(v, v.conj())
-        assert np.abs(lindblad_rhs(rho, ops)).max() < 1e-15
+        assert np.abs(lindblad_rhs(rho)).max() < 1e-15
 
 
 def test_rhs_of_mixed_state_is_lx(ops):
     # 2 J J+ - 2 J+ J = 2 [J, J+] has trace-free part 4 lx; on 1/4 it gives lx
-    assert np.abs(lindblad_rhs(np.eye(4) / 4.0, ops) - ops.lx).max() < 1e-15
+    assert np.abs(lindblad_rhs(np.eye(4) / 4.0) - ops.lx).max() < 1e-15
 
 
 def test_rhs_preserves_hermiticity_and_trace(ops, rng):
     for _ in range(100):
         rho = random_density_matrix(rng)
-        out = lindblad_rhs(rho, ops)
+        out = lindblad_rhs(rho)
         assert abs(np.trace(out)) < 1e-12
         assert np.abs(out - out.conj().T).max() < 1e-12
 
 
 def test_ehrenfest_values(ops, basis):
-    assert abs(ehrenfest_lx(np.eye(4) / 4.0, ops) - 2.0) < 1e-14
-    assert ehrenfest_lx(np.outer(basis.psi2, basis.psi2.conj()), ops) == 0.0
+    assert abs(ehrenfest_lx(np.eye(4) / 4.0) - 2.0) < 1e-14
+    assert ehrenfest_lx(np.outer(basis.psi2, basis.psi2.conj())) == 0.0
     rho00 = np.zeros((4, 4), dtype=complex)
     rho00[0, 0] = 1.0
-    assert abs(ehrenfest_lx(rho00, ops) - 3.0) < 1e-14
+    assert abs(ehrenfest_lx(rho00) - 3.0) < 1e-14
 
 
 def test_ehrenfest_identity(ops, rng):
     for _ in range(100):
         rho = random_density_matrix(rng)
-        via_rhs = np.trace(ops.lx @ lindblad_rhs(rho, ops)).real
-        assert abs(ehrenfest_lx(rho, ops) - via_rhs) < 1e-12
+        via_rhs = np.trace(ops.lx @ lindblad_rhs(rho)).real
+        assert abs(ehrenfest_lx(rho) - via_rhs) < 1e-12
 
 
 def test_absorber_is_positive_semidefinite(ops):
@@ -262,7 +262,7 @@ def test_stationary_state_is_stationary(ops, rng):
         params = StationaryParams(*random_stationary_coefficients(rng, real_c=i % 2 == 0))
         rho = stationary_state(params)
         check_density_matrix(rho)
-        assert np.abs(lindblad_rhs(rho, ops)).max() < 1e-12
+        assert np.abs(lindblad_rhs(rho)).max() < 1e-12
 
 
 def test_stationary_spectrum_quadratic(rng):
@@ -316,7 +316,7 @@ def test_run_ends_at_the_member_fixed_by_its_start(ops, basis, start):
         rho0 = random_density_matrix(np.random.default_rng(start))
     b0 = float((basis.psi2.conj() @ rho0 @ basis.psi2).real)
     c0 = complex(basis.psi1.conj() @ rho0 @ basis.psi2)
-    for states, _ in evolve_blocks(rho0, ops, 20.0, 1e-2):
+    for states, _ in evolve_blocks(rho0, 20.0, 1e-2):
         last = states[-1].copy()
     predicted = StationaryParams(1.0 - b0, b0, c0)
     assert np.abs(last - stationary_state(predicted)).max() <= 1e-10
@@ -337,7 +337,7 @@ def test_run_approaches_its_member_at_the_slowest_rate(ops, basis, label):
     rows = (2000, 4000, 6000)  # t = 2, 4, 6
     distance = {}
     row = 0
-    for states, _ in evolve_blocks(rho0, ops, 6.0, 1e-3):
+    for states, _ in evolve_blocks(rho0, 6.0, 1e-3):
         for r in rows:
             if row <= r < row + len(states):
                 distance[r] = np.linalg.norm(states[r - row] - member)
@@ -437,9 +437,10 @@ def test_evolve_validates_its_state_once(ops, monkeypatch):
     evolve(np.eye(4) / 4.0, ops, 0.01, 1e-3)
     assert len(calls) == 1
     # a bad state is still reported before bad steps
-    for run in (evolve, lambda *args: next(evolve_blocks(*args))):
-        with pytest.raises(ValueError, match="^trace must be 1"):
-            run(np.eye(4) / 2.0, ops, -1.0, 1e-3)
+    with pytest.raises(ValueError, match="^trace must be 1"):
+        evolve(np.eye(4) / 2.0, ops, -1.0, 1e-3)
+    with pytest.raises(ValueError, match="^trace must be 1"):
+        next(evolve_blocks(np.eye(4) / 2.0, -1.0, 1e-3))
 
 
 @pytest.mark.parametrize(
@@ -472,29 +473,38 @@ def test_evolve_divergence_names_first_bad_time(ops, monkeypatch):
     assert np.isfinite(evolve(np.eye(4) / 4.0, ops, t_bad - 1.0, 1.0).states).all()
 
 
-def _rk4_reference(rho, ops, dt, n_steps):
+def _rk4_reference(rho, dt, n_steps):
     """Classical four-stage RK4 on lindblad_rhs, the reference for evolve."""
     out = [rho]
     for _ in range(n_steps):
-        k1 = lindblad_rhs(rho, ops)
-        k2 = lindblad_rhs(rho + 0.5 * dt * k1, ops)
-        k3 = lindblad_rhs(rho + 0.5 * dt * k2, ops)
-        k4 = lindblad_rhs(rho + dt * k3, ops)
+        k1 = lindblad_rhs(rho)
+        k2 = lindblad_rhs(rho + 0.5 * dt * k1)
+        k3 = lindblad_rhs(rho + 0.5 * dt * k2)
+        k4 = lindblad_rhs(rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         out.append(rho)
     return np.stack(out)
 
 
-def test_evolve_matches_staged_rk4(ops, rng):
+def test_evolve_matches_staged_rk4(ops, rng, monkeypatch):
     # The model's jump operator is real, which makes its generator the same
-    # under row and column stacking; a complex one tells the two apart.
+    # under row and column stacking; a complex one, put in place of the
+    # model's operators, tells the two apart.
     jump = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     complex_ops = dataclasses.replace(ops, jump=jump, jump_dagger=jump.conj().T)
     for model in (ops, ops, complex_ops, complex_ops):
+        monkeypatch.setattr(quantum, "OPERATORS", model)
         rho0 = random_density_matrix(rng)
         states = evolve(rho0, model, 2.0, 1e-3).states
         assert states.shape == (2001, 4, 4)
-        assert np.abs(states - _rk4_reference(rho0, model, 1e-3, 2000)).max() < 1e-12
+        assert np.abs(states - _rk4_reference(rho0, 1e-3, 2000)).max() < 1e-12
+
+
+def test_evolve_takes_only_the_model_operators(ops):
+    # an equal copy is refused as well: evolve runs the one set it reads
+    for other in (dataclasses.replace(ops), dataclasses.replace(ops, jump=-ops.jump)):
+        with pytest.raises(ValueError, match=r"^evolve takes only the model's operators"):
+            evolve(np.eye(4) / 4.0, other, 0.01, 1e-3)
 
 
 @settings(deadline=None)
@@ -508,7 +518,7 @@ def test_evolve_one_step_is_rk4_step(ops, entries, dt):
     rho0 /= np.trace(rho0).real
     traj = evolve(rho0, ops, dt, dt)
     assert traj.times.tolist() == [0.0, dt]
-    assert np.abs(traj.states[1] - _rk4_reference(rho0, ops, dt, 1)[1]).max() < 1e-13
+    assert np.abs(traj.states[1] - _rk4_reference(rho0, dt, 1)[1]).max() < 1e-13
 
 
 def test_evolve_stays_hermitian_without_correction(ops, rng):
@@ -532,18 +542,18 @@ def test_vec_unvec_round_trip(rng):
 
 
 def test_liouvillian_matches_rhs(ops, rng):
-    lmat = liouvillian_matrix(ops)
+    lmat = liouvillian_matrix()
     for _ in range(20):
         h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = h + h.conj().T
-        direct = lindblad_rhs(h, ops)
+        direct = lindblad_rhs(h)
         assert np.abs(_unvec(lmat @ vec(h)) - direct).max() < 1e-12
 
 
 def test_liouvillian_kernel_structure(ops, basis):
     from syncqubits.linalg import null_space, principal_angles
 
-    lmat = liouvillian_matrix(ops)
+    lmat = liouvillian_matrix()
     assert np.abs(lmat @ vec(np.outer(basis.psi1, basis.psi1.conj()))).max() < 1e-15
     assert np.abs(lmat @ vec(np.eye(4) / 4.0) - vec(ops.lx)).max() < 1e-15
     kern = null_space(lmat)
@@ -606,9 +616,9 @@ def test_random_density_matrix_is_valid(rng):
 # the block generator behind evolve
 
 
-def _whole_run(rho0, ops, n_steps, dt):
+def _whole_run(rho0, n_steps, dt):
     """The propagator loop over one preallocated stack of every state."""
-    step = quantum._rk4_propagator(ops, dt).dot
+    step = quantum._rk4_propagator(dt).dot
     flat = np.empty((n_steps + 1, 16), dtype=complex)
     flat[0] = rho0.ravel()
     for prev, cur in zip(flat[:-1], flat[1:]):
@@ -621,12 +631,12 @@ def _whole_run(rho0, ops, n_steps, dt):
 def test_blocks_collect_to_the_whole_run(ops, label, n_steps):
     rho0 = labelled_state(label)
     t_final = n_steps * 1e-3
-    whole = _whole_run(rho0, ops, n_steps, 1e-3)
+    whole = _whole_run(rho0, n_steps, 1e-3)
     traj = evolve(rho0, ops, t_final, 1e-3)
     assert np.array_equal(traj.states, whole)
     # eigvalsh block by block equals one batch over the whole run
     assert np.array_equal(traj.min_eigenvalues, np.linalg.eigvalsh(whole)[:, 0])
-    blocks = [(s.copy(), low) for s, low in evolve_blocks(rho0, ops, t_final, 1e-3)]
+    blocks = [(s.copy(), low) for s, low in evolve_blocks(rho0, t_final, 1e-3)]
     full, rest = divmod(n_steps + 1, BLOCK_STEPS)
     assert [len(s) for s, _ in blocks] == [BLOCK_STEPS] * full + ([rest] if rest else [])
     assert np.array_equal(np.concatenate([s for s, _ in blocks]), whole)
@@ -659,6 +669,6 @@ def test_positivity_loss_named_alike_in_any_block(ops, monkeypatch, block_steps)
 def test_evolve_blocks_rejects_bad_arguments(ops):
     # checked when the first block is asked for, before anything is allocated
     with pytest.raises(ValueError, match="trace"):
-        next(evolve_blocks(np.eye(4) / 2.0, ops, 1.0, 1e-3))
+        next(evolve_blocks(np.eye(4) / 2.0, 1.0, 1e-3))
     with pytest.raises(ValueError, match="MAX_STEPS"):
-        next(evolve_blocks(np.eye(4) / 4.0, ops, 1e9, 1e-3))
+        next(evolve_blocks(np.eye(4) / 4.0, 1e9, 1e-3))

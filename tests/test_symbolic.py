@@ -126,7 +126,7 @@ def test_negativity_margin():
 
 
 def test_liouvillian_spectrum():
-    liouvillian = _exact(quantum.liouvillian_matrix(quantum.build_operators()))
+    liouvillian = _exact(quantum.liouvillian_matrix())
     charpoly = liouvillian.charpoly(t).as_expr()
     assert sympy.expand(charpoly - t**4 * (t + 2) ** 8 * (t + 4) ** 4) == 0
 

@@ -115,7 +115,7 @@ def _check_quantum_reduction(ops, drop):
     states += ((target - np.einsum("tij,ji->t", states, ops.lx).real) / 2.0)[:, None, None] * ops.lx
     lowest = rng.uniform(-1e-9, 1e-9, size=12)
     blocks = zip(_reused_blocks(states, CUTS), np.split(lowest, CUTS[1:-1]))
-    got = _quantum_reduced(verify._reduce_quantum(blocks, ops))
+    got = _quantum_reduced(verify._reduce_quantum(blocks))
     _assert_quantum_equal(got, _whole_quantum(states, lowest, ops))
     assert got[1] > 1.9  # S = 2 <lx> fell by 2
 
@@ -132,7 +132,7 @@ def test_reductions_of_real_runs(ops, monkeypatch):
     assert _classical_reduced(run) == _whole_classical(whole)
     for label in ("mixed", "basis:10"):
         rho0 = labelled_state(label)
-        got = _quantum_reduced(verify._reduce_quantum(evolve_blocks(rho0, ops, 0.576, 1e-3), ops))
+        got = _quantum_reduced(verify._reduce_quantum(evolve_blocks(rho0, 0.576, 1e-3)))
         traj = evolve(rho0, ops, 0.576, 1e-3)
         _assert_quantum_equal(got, _whole_quantum(traj.states, traj.min_eigenvalues, ops))
 
@@ -170,7 +170,7 @@ def test_reduction_memory_does_not_grow_with_run_length(ops, monkeypatch, kind):
         if kind == "classical":
             verify._reduce_classical(starts, integrate_blocks(starts, t_final, 1e-3))
         else:
-            verify._reduce_quantum(evolve_blocks(np.eye(4) / 4.0, ops, t_final, 1e-3), ops)
+            verify._reduce_quantum(evolve_blocks(np.eye(4) / 4.0, t_final, 1e-3))
 
     reduce(2)  # first calls allocate numpy's and the interpreter's caches
     short = _traced_peak(lambda: reduce(4))
@@ -412,3 +412,103 @@ def test_printed_bounds_agree_with_the_verdicts(verify_results, seed):
             assert held == result.passed, result
             terms += 1
     assert terms == 15  # every bound of checks 2-5 and 7-13
+
+
+
+def _nan_in(monkeypatch, module, name, index, call=0):
+    """Patch ``module.name`` so that its result on call number ``call``
+    holds NaN at ``index``."""
+    fn = getattr(module, name)
+    calls = itertools.count()
+
+    def patched(*args, **kwargs):
+        out = np.array(fn(*args, **kwargs))
+        if next(calls) == call:
+            out[index] = np.nan
+        return out
+
+    monkeypatch.setattr(module, name, patched)
+
+
+def _nan_classical_run():
+    """Check 8 on crafted runs with one NaN state component, in the second
+    of three blocks."""
+    states = np.random.default_rng(13).uniform(0.5, 1.5, size=(12, 3, 3))
+    states[7, 1, 2] = np.nan
+    run = verify._reduce_classical(states[0].T, _reused_blocks(states, CUTS))
+    return verify._check_classical_convergence(run)
+
+
+def _nan_lowest_eigenvalue():
+    """Check 13 on a constant stationary run with one NaN lowest
+    eigenvalue, in the second of three blocks."""
+    state = quantum.stationary_state(quantum.StationaryParams(0.5, 0.5, 0.0))
+    lowest = np.zeros(12)
+    lowest[7] = np.nan
+    blocks = zip(_reused_blocks(np.stack([state] * 12), CUTS), np.split(lowest, CUTS[1:-1]))
+    return verify._check_quantum_convergence([verify._reduce_quantum(blocks)])
+
+
+def _nan_residual():
+    """Check 13 on two runs, the second ending in a NaN state."""
+    good = quantum.stationary_state(quantum.StationaryParams(0.5, 0.5, 0.0))
+    runs = [_reduction(last_state=good), _reduction(last_state=np.full((4, 4), np.nan))]
+    return verify._check_quantum_convergence(runs)
+
+
+DARK = [quantum.KERNEL_BASIS.psi1, quantum.KERNEL_BASIS.psi2]
+DARK_PRODUCTS = [quantum.vec(np.outer(u, v.conj())) for u in DARK for v in DARK]
+
+# a bounded check: where one NaN is put (module, attribute, index, call
+# number) or None, and the check to run
+WITH_ONE_NAN = {
+    "2-kernel": (
+        (verify, "principal_angles", -1, 0),
+        lambda: verify._check_kernel(2, quantum.OPERATORS.jump, DARK, 1e-10),
+    ),
+    "3-spectrum": (
+        (np.linalg, "eigvalsh", (7, 3), 0),
+        lambda: verify._check_stationary_spectrum(np.random.default_rng(1)),
+    ),
+    "4-eigenvector": (
+        (entanglement, "partial_transpose", (7, 0, 0), 0),
+        lambda: verify._check_pt_eigenvector(np.random.default_rng(1)),
+    ),
+    "5-closed-form": (
+        (entanglement, "cubic_roots", (7, 1), 0),
+        lambda: verify._check_closed_form_spectrum(np.random.default_rng(1)),
+    ),
+    "7-singlet": (
+        (entanglement, "cubic_roots", 1, 1),  # call 0 is ppt_analyze's own
+        verify._check_singlet_corner,
+    ),
+    "8-classical": (None, _nan_classical_run),
+    "9-invariants": (
+        None,
+        lambda: verify._check_monotone_invariants(_reduction(), [_reduction(), _reduction(h=np.nan)]),
+    ),
+    "10-fields": (
+        (classical, "dissipative_field", 1, 50),
+        lambda: verify._check_field_equivalence(np.random.default_rng(1)),
+    ),
+    "11-ehrenfest": (
+        (quantum, "ehrenfest_lx", (), 50),
+        lambda: verify._check_ehrenfest_identity(np.random.default_rng(1)),
+    ),
+    "12-liouvillian-kernel": (
+        (verify, "principal_angles", -1, 0),
+        lambda: verify._check_kernel(12, quantum.liouvillian_matrix(), DARK_PRODUCTS, 1e-8),
+    ),
+    "13-residual": (None, _nan_residual),
+    "13-lowest": (None, _nan_lowest_eigenvalue),
+}
+
+
+@pytest.mark.parametrize("nan_at, check", WITH_ONE_NAN.values(), ids=WITH_ONE_NAN.keys())
+def test_bounded_check_fails_on_one_nan(monkeypatch, nan_at, check):
+    # a NaN after the first value must not be skipped by the reduction
+    if nan_at:
+        _nan_in(monkeypatch, *nan_at)
+    result = check()
+    assert not result.passed
+    assert "nan" in result.detail
