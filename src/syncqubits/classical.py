@@ -24,12 +24,20 @@ other ways, fixed like the flow itself, and all three agree identically:
 :func:`integrate_blocks` a stack of starts as one numpy block, both yielded
 a block of at most BLOCK_STEPS states at a time (BLOCK_STEPS time points of
 one start, BLOCK_STEPS // n of n starts); :func:`integrate` collects one
-start's run whole.
+start's run whole.  Both integrators evaluate the halved field
+(ly^2 + lz^2, -lx ly, -lx lz) and take its factor 2 into the step sizes
+(dt for the half steps, 2 dt for the full one, 2 (dt / 6) for the final
+combination), which changes no bit for normal floats.  The stack's
+step loop has only whole rows of its buffers, viewed once per run, and 0-d
+constants as operands: numpy's cost per call bounds it, and a call that
+broadcasts, or a slice, costs several times a plain call.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,10 +114,13 @@ def quasithermo_field(state) -> np.ndarray:
 def step_count(t_final: float, dt: float) -> int:
     """round(t_final / dt), the step count of the fixed-step integrators.
 
-    Raises ValueError unless dt and t_final are finite and positive and
-    the count lies in [1, MAX_STEPS]; the count is checked before anything
-    is allocated.
+    Raises TypeError unless dt and t_final are real numbers, and
+    ValueError unless they are finite and positive and the count lies in
+    [1, MAX_STEPS]; the count is checked before anything is allocated.
     """
+    for name, value in (("t_final", t_final), ("dt", dt)):
+        if not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a real number, got {reprlib.repr(value)}")
     if not (math.isfinite(t_final) and math.isfinite(dt)):
         raise ValueError(f"dt and t_final must be finite, got dt={dt!r}, t_final={t_final!r}")
     if dt <= 0.0 or t_final <= 0.0:
@@ -147,9 +158,11 @@ def trajectory_blocks(initial, t_final: float, dt: float):
     run.  Yields the states from the start on as (m, 3) blocks, m being
     BLOCK_STEPS but in the last block; each block is a new array.
 
-    The step count is round(t_final / dt), at most MAX_STEPS.  Because
-    every stage of the lx update is a sum of squares, lx is nondecreasing
-    exactly, not just within tolerance.
+    The step count is round(t_final / dt), at most MAX_STEPS.  Each stage
+    holds the halved field (ly^2 + lz^2, -lx ly, -lx lz) and the step sizes
+    are doubled instead, which changes no bit but where a product is
+    subnormal.  Because every stage of the lx update is a sum of squares,
+    lx is nondecreasing exactly, not just within tolerance.
 
     Once iteration begins, raises StepTooLarge when any component exceeds
     1e6 in magnitude or is no longer a number, and ValueError for a shape
@@ -168,39 +181,39 @@ def trajectory_blocks(initial, t_final: float, dt: float):
     if not (abs(lx) <= limit and abs(ly) <= limit and abs(lz) <= limit):
         raise StepTooLarge(f"initial state exceeds {limit:g}")
 
-    h = dt
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    # the stages hold the halved field, so each step size is doubled:
+    # 0.5 dt, dt and dt / 6 times 2, all exact
+    half, full, sixth = dt, 2.0 * dt, 2.0 * (dt / 6.0)
     total = n_steps + 1
     xs = [lx]
     ys = [ly]
     zs = [lz]
     for offset in range(0, total, BLOCK_STEPS):
         for i in range(max(offset, 1), min(offset + BLOCK_STEPS, total)):
-            ax = 2.0 * (ly * ly + lz * lz)
-            ay = -2.0 * lx * ly
-            az = -2.0 * lx * lz
+            ax = ly * ly + lz * lz
+            ay = -lx * ly
+            az = -lx * lz
 
             x1 = lx + half * ax
             y1 = ly + half * ay
             z1 = lz + half * az
-            bx = 2.0 * (y1 * y1 + z1 * z1)
-            by = -2.0 * x1 * y1
-            bz = -2.0 * x1 * z1
+            bx = y1 * y1 + z1 * z1
+            by = -x1 * y1
+            bz = -x1 * z1
 
             x2 = lx + half * bx
             y2 = ly + half * by
             z2 = lz + half * bz
-            cx = 2.0 * (y2 * y2 + z2 * z2)
-            cy = -2.0 * x2 * y2
-            cz = -2.0 * x2 * z2
+            cx = y2 * y2 + z2 * z2
+            cy = -x2 * y2
+            cz = -x2 * z2
 
-            x3 = lx + h * cx
-            y3 = ly + h * cy
-            z3 = lz + h * cz
-            dx = 2.0 * (y3 * y3 + z3 * z3)
-            dy = -2.0 * x3 * y3
-            dz = -2.0 * x3 * z3
+            x3 = lx + full * cx
+            y3 = ly + full * cy
+            z3 = lz + full * cz
+            dx = y3 * y3 + z3 * z3
+            dy = -x3 * y3
+            dz = -x3 * z3
 
             lx += sixth * (ax + 2.0 * (bx + cx) + dx)
             ly += sixth * (ay + 2.0 * (by + cy) + dy)
@@ -223,13 +236,15 @@ def integrate_blocks(starts, t_final: float, dt: float):
     m is max(1, BLOCK_STEPS // n) but in the last block, so that a block
     holds at most BLOCK_STEPS states (or one time point) at any width.
     Each line of the loop repeats one float operation of the one-start
-    loop, operands swapped only where IEEE arithmetic is commutative
-    (x + half a becomes half a + x), so each run is bit-identical to the
-    one-start run from its row.  A block is a view of one reused buffer,
-    valid until the next is requested, and is tested for divergence before
-    it is yielded.  Errors as for :func:`trajectory_blocks`, naming the
-    first run that failed, and ValueError for any shape but (n, 3) with
-    n >= 1.
+    loop on the halved field, operands swapped only where IEEE arithmetic
+    is commutative (x + half a becomes half a + x), so each run is
+    bit-identical to the one-start run from its row.  Every operand in the
+    loop is a whole row, (n,) or (3, n), of a buffer viewed once per call,
+    or a 0-d constant: no call broadcasts and the loop makes no slice.  A
+    block is a view of one reused buffer, valid until the next is
+    requested, and is tested for divergence before it is yielded.  Errors
+    as for :func:`trajectory_blocks`, naming the first run that failed,
+    and ValueError for any shape but (n, 3) with n >= 1.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != 3 or not len(starts):
@@ -244,46 +259,55 @@ def integrate_blocks(starts, t_final: float, dt: float):
     total = n_steps + 1
     buf = np.empty((min(max(1, BLOCK_STEPS // n), total), 3, n))
     buf[0] = starts.T
-    prev = buf[0]
     a, b, c, d, mid, acc = (np.empty((3, n)) for _ in range(6))
     squares = np.empty((2, n))
     sq_y, sq_z = squares
-    minus_2x = np.empty(n)
-    mid_x, mid_yz = mid[0], mid[1:]
-    # 0-d arrays: numpy converts a Python float on every call
-    two, minus_two, half, full, sixth = (np.array(v) for v in (2.0, -2.0, 0.5 * dt, dt, dt / 6.0))
-    mul, add = np.multiply, np.add
+    neg_x = np.empty(n)
+    # 0-d arrays: numpy converts a Python float on every call.  The stages
+    # hold the halved field, so each step size is doubled, exactly.
+    two, half, full, sixth = (np.array(v) for v in (2.0, dt, 2.0 * dt, 2.0 * (dt / 6.0)))
+    mul, add, neg = np.multiply, np.add, np.negative
 
-    def field(x, yz, out_x, out_yz):
-        # (2 (y y + z z), (-2 x) y, (-2 x) z)
+    def field(state, out):
+        # the halved field (y y + z z, -x y, -x z) of state's (row, x, y, z, yz)
+        _, x, y, z, yz = state
+        _, out_x, out_y, out_z, _ = out
         mul(yz, yz, squares)
         add(sq_y, sq_z, out_x)
-        mul(out_x, two, out_x)
-        mul(x, minus_two, minus_2x)
-        mul(minus_2x, yz, out_yz)
+        neg(x, neg_x)
+        mul(neg_x, y, out_y)
+        mul(neg_x, z, out_z)
 
-    (a_x, a_yz), (b_x, b_yz), (c_x, c_yz), (d_x, d_yz) = ((v[0], v[1:]) for v in (a, b, c, d))
+    def views(rows):
+        """(row, x, y, z, yz) of each (3, n) row, made once."""
+        return [(row, row[0], row[1], row[2], row[1:]) for row in rows]
+
+    rows = views(buf)
+    a_s, b_s, c_s, d_s, mid_s = views((a, b, c, d, mid))
+    prev = rows[0]
     for offset in range(0, total, len(buf)):
         block = buf[: total - offset]
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            for cur in block[1:] if offset == 0 else block:
-                field(prev[0], prev[1:], a_x, a_yz)
+            # row 0 of the first block holds the starts
+            for cur in rows[1 if offset == 0 else 0 : len(block)]:
+                row = prev[0]
+                field(prev, a_s)
                 mul(a, half, mid)
-                add(mid, prev, mid)
-                field(mid_x, mid_yz, b_x, b_yz)
+                add(mid, row, mid)
+                field(mid_s, b_s)
                 mul(b, half, mid)
-                add(mid, prev, mid)
-                field(mid_x, mid_yz, c_x, c_yz)
+                add(mid, row, mid)
+                field(mid_s, c_s)
                 mul(c, full, mid)
-                add(mid, prev, mid)
-                field(mid_x, mid_yz, d_x, d_yz)
+                add(mid, row, mid)
+                field(mid_s, d_s)
                 # prev + sixth (a + 2 (b + c) + d)
                 add(b, c, acc)
                 mul(acc, two, acc)
                 add(acc, a, acc)
                 add(acc, d, acc)
                 mul(acc, sixth, acc)
-                add(prev, acc, cur)
+                add(row, acc, cur[0])
                 prev = cur
         # NaN fails both comparisons; min and max allocate nothing
         if not (-limit <= block.min() and block.max() <= limit):

@@ -505,6 +505,25 @@ def _attach_values(argv: list[str]) -> list[str]:
     return joined
 
 
+#: characters of a long path that an error line shows at each end
+_PATH_ENDS = 100
+
+
+def _shown(exc: Exception) -> Exception:
+    """``exc``, or for an OSError a copy naming each path longer than
+    2 * _PATH_ENDS + 3 characters by its two ends: an error line stays
+    short however long the path given."""
+    if not isinstance(exc, OSError) or exc.filename is None:
+        return exc
+    names = [
+        f"{name[:_PATH_ENDS]}...{name[-_PATH_ENDS:]}"
+        if isinstance(name, str) and len(name) > 2 * _PATH_ENDS + 3
+        else name
+        for name in (exc.filename, exc.filename2)
+    ]
+    return OSError(exc.errno, exc.strerror, names[0], None, names[1])
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
@@ -517,7 +536,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (ValueError, OSError) as exc:  # InvalidParams and JSONDecodeError among them
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_shown(exc)}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect, not bad input: report it on one line
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

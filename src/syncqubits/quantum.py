@@ -333,8 +333,9 @@ class StationaryParams:
     Validated on construction: all three finite, a + b = 1, both
     nonnegative, and a b >= |c|^2 (all within 1e-12), the exact conditions
     for unit trace and positivity.  ``c`` may be complex; a complex ``a``
-    or ``b`` raises TypeError.  A violation raises InvalidParams, naming
-    the first failing point of a stack.
+    or ``b``, or anything but numbers (None, a string), raises TypeError.
+    A violation raises InvalidParams, naming the first failing point of a
+    stack.
 
     Scalar arguments give one point: ``a`` and ``b`` are then floats and
     ``c`` a complex.  Array arguments give a stack: all three are broadcast
@@ -348,9 +349,13 @@ class StationaryParams:
     c: complex | np.ndarray = 0.0
 
     def __post_init__(self):
-        for name in ("a", "b"):
-            if np.iscomplexobj(getattr(self, name)):  # before the cast drops the imaginary part
-                raise TypeError(f"{name} must be real, got {getattr(self, name)!r}")
+        for name in ("a", "b", "c"):
+            value = getattr(self, name)
+            kind = np.asarray(value).dtype.kind
+            if kind not in "biufc":  # None would be cast to NaN, a string to its number
+                raise TypeError(f"{name} must be a number or an array of numbers, got {reprlib.repr(value)}")
+            if kind == "c" and name != "c":  # before the cast drops the imaginary part
+                raise TypeError(f"{name} must be real, got {value!r}")
         arrays = np.broadcast_arrays(
             np.asarray(self.a, dtype=float),
             np.asarray(self.b, dtype=float),
@@ -393,7 +398,10 @@ def _kernel_combination(a, b, c) -> np.ndarray:
 
 def stationary_state(params: StationaryParams) -> np.ndarray:
     """Density matrix a P1 + b P2 + (c |psi1><psi2| + h.c.) in the kernel,
-    or the (..., 4, 4) stack of them for a stack of points."""
+    or the (..., 4, 4) stack of them for a stack of points.  TypeError
+    unless ``params`` is a :class:`StationaryParams`."""
+    if not isinstance(params, StationaryParams):
+        raise TypeError(f"params must be a StationaryParams, got {type(params).__name__}")
     return _kernel_combination(params.a, params.b, params.c)
 
 
@@ -419,9 +427,14 @@ def project_to_stationary(rho) -> StationaryFit:
     a long run.  Of the overlaps, b and c are conserved by the master
     equation (J psi1 = J psi2 = J+ psi2 = 0) and only a changes, so a run
     from rho0 ends at ``stationary_state(StationaryParams(1 - b0, b0, c0))``.
+    Raises ValueError unless ``rho`` is a finite 4x4 matrix.
     """
     psi1, psi2 = KERNEL_BASIS.psi1, KERNEL_BASIS.psi2
     r = np.asarray(rho, dtype=complex)
+    if r.shape != (4, 4):
+        raise ValueError(f"rho must be a 4x4 matrix, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError("rho must be finite")
     a = float((psi1.conj() @ r @ psi1).real)
     b = float((psi2.conj() @ r @ psi2).real)
     c = complex(psi1.conj() @ r @ psi2)

@@ -97,11 +97,13 @@ class _Reduction:
     def add(self, h, s):
         if self.h0 is None:
             self.h0, self.s_last = h[:1], s[:1]
-        self.h = float(np.max([self.h, np.abs(h - self.h0).max()]))
+        # np.maximum propagates NaN as np.max does, at a fraction of the
+        # cost of np.max over a list
+        self.h = float(np.maximum(self.h, np.abs(h - self.h0).max()))
         # S's one-step decreases: across the boundary from the last block,
         # then within this one (a - b is -(b - a) exactly)
         inner = (s[:-1] - s[1:]).max(initial=-np.inf)
-        self.dip = float(np.max([self.dip, (self.s_last - s[:1]).max(), inner]))
+        self.dip = float(np.maximum(np.maximum(self.dip, (self.s_last - s[:1]).max()), inner))
         self.s_last = s[-1:]
 
 
@@ -303,7 +305,11 @@ def _check_ehrenfest_identity(rng):
 def _check_quantum_convergence(runs):
     """13: long master-equation runs land on the stationary family and stay
     positive the whole way."""
-    residuals = [quantum.project_to_stationary(r.last_state).residual for r in runs]
+    # project_to_stationary refuses a state that is not finite; it fails here
+    residuals = [
+        quantum.project_to_stationary(r.last_state).residual if np.isfinite(r.last_state).all() else np.nan
+        for r in runs
+    ]
     worst_residual = float(np.max(residuals))
     worst_eig = float(np.min([r.lowest for r in runs]))
     return _bounded(

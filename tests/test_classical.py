@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -187,6 +187,19 @@ def test_integrate_rejects_nonfinite_steps(t_final, dt):
         integrate([0.0, 0.6, 0.8], t_final, dt)
 
 
+@pytest.mark.parametrize(
+    "t_final, dt, message",
+    [
+        (1.0, "x", "^dt must be a real number, got 'x'$"),
+        (None, 1e-3, "^t_final must be a real number, got None$"),
+    ],
+    ids=["dt", "t_final"],
+)
+def test_integrate_names_a_step_that_is_no_number(t_final, dt, message):
+    with pytest.raises(TypeError, match=message):
+        integrate([0.0, 0.6, 0.8], t_final, dt)
+
+
 @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
 def test_integrate_rejects_too_many_steps(stacked):
     run = _first_block if stacked else integrate
@@ -203,13 +216,19 @@ def test_integrate_rejects_too_many_steps(stacked):
 # a stack of starts, run in blocks, against one-start runs
 
 
+def _bits(values):
+    """The float64 values as their bit patterns: -0.0 differs from 0.0, and
+    a subnormal's last bit counts."""
+    return np.asarray(values).view(np.uint64)
+
+
 def _assert_run_equal(states, i, one):
     """Run i of collected blocks (T, 3, n) equals the one-start trajectory
     bit for bit, and so do the scalars computed from it."""
-    assert np.array_equal(states[:, :, i], one.states)
+    assert np.array_equal(_bits(states[:, :, i]), _bits(one.states))
     scalars = tracked_scalars(*(states[:, j, i] for j in range(3)))
     for name, values in zip(("h_values", "s_values", "k_values"), scalars):
-        assert np.array_equal(values, getattr(one, name), equal_nan=True), name
+        assert np.array_equal(_bits(values), _bits(getattr(one, name))), name
 
 
 def test_stack_layout():
@@ -238,15 +257,93 @@ def test_stack_edge_rows():
     assert not np.isnan(k_values[2, 0])
 
 
+#: signed zeros and subnormals, whose products round differently
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-160, -1e-155]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    starts=arrays(float, st.tuples(st.integers(1, 6), st.just(3)), elements=st.floats(-3.0, 3.0)),
+    starts=arrays(
+        float,
+        st.tuples(st.integers(1, 100), st.just(3)),
+        elements=st.floats(-3.0, 3.0) | st.sampled_from(EDGE_FLOATS),
+    ),
     dt=st.sampled_from([1e-3, 1e-2, 5e-2]),
 )
+# a subnormal ly: -lx ly and -2 lx ly round differently here, so a stack
+# and a loop that halve the field differently part
+@example(starts=np.array([[0.3, 1e-310, -0.1]]), dt=5e-2)
 def test_stack_matches_one_start_runs(starts, dt):
     states = _collected(starts, 20 * dt, dt)
     for i, start in enumerate(starts):
         _assert_run_equal(states, i, integrate(start, 20 * dt, dt))
+
+
+@pytest.mark.parametrize("width", [1, 7, 50, 100])
+def test_stack_is_bit_identical_at_any_width(width):
+    # across two block boundaries of a stack this wide
+    starts = np.random.default_rng(width).uniform(-2.0, 2.0, size=(width, 3))
+    t_final = (2 * max(1, BLOCK_STEPS // width) + 1) * 1e-3
+    states = _collected(starts, t_final, 1e-3)
+    for i, start in enumerate(starts):
+        _assert_run_equal(states, i, integrate(start, t_final, 1e-3))
+
+
+def test_stack_step_broadcasts_nothing(monkeypatch):
+    # every operand of the step loop has the shape of the output row, and is
+    # contiguous, or is a 0-d constant: a broadcast costs several plain calls
+    calls = []
+
+    def checked(ufunc):
+        def call(*args):
+            *operands, out = args
+            for x in operands:
+                assert np.ndim(x) == 0 or (x.shape == out.shape and x.flags.c_contiguous), ufunc
+            assert out.flags.c_contiguous, ufunc
+            calls.append(ufunc)
+            return ufunc(*args)
+
+        return call
+
+    for name in ("multiply", "add", "negative"):
+        monkeypatch.setattr(np, name, checked(getattr(np, name)))
+    _collected(np.random.default_rng(5).uniform(-2.0, 2.0, size=(7, 3)), 0.01, 1e-3)
+    assert len(calls) == 10 * 32  # ten steps
+
+
+def _unhalved_run(start, n_steps, dt):
+    """The one-start RK4 loop with the whole field 2 (ly^2 + lz^2),
+    -2 lx ly, -2 lx lz and the step sizes dt / 2, dt and dt / 6: the
+    arithmetic before the stages held the halved field."""
+    lx, ly, lz = (float(v) for v in start)
+    half, h, sixth = 0.5 * dt, dt, dt / 6.0
+    states = [(lx, ly, lz)]
+    for _ in range(n_steps):
+        ax, ay, az = 2.0 * (ly * ly + lz * lz), -2.0 * lx * ly, -2.0 * lx * lz
+        x1, y1, z1 = lx + half * ax, ly + half * ay, lz + half * az
+        bx, by, bz = 2.0 * (y1 * y1 + z1 * z1), -2.0 * x1 * y1, -2.0 * x1 * z1
+        x2, y2, z2 = lx + half * bx, ly + half * by, lz + half * bz
+        cx, cy, cz = 2.0 * (y2 * y2 + z2 * z2), -2.0 * x2 * y2, -2.0 * x2 * z2
+        x3, y3, z3 = lx + h * cx, ly + h * cy, lz + h * cz
+        dx, dy, dz = 2.0 * (y3 * y3 + z3 * z3), -2.0 * x3 * y3, -2.0 * x3 * z3
+        lx += sixth * (ax + 2.0 * (bx + cx) + dx)
+        ly += sixth * (ay + 2.0 * (by + cy) + dy)
+        lz += sixth * (az + 2.0 * (bz + cz) + dz)
+        states.append((lx, ly, lz))
+    return np.array(states)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    start=arrays(float, 3, elements=st.floats(-3.0, 3.0)),
+    dt=st.sampled_from([1e-3, 1e-2, 5e-2]),
+)
+def test_halved_field_changes_no_bit_of_normal_runs(start, dt):
+    # the exact factor 2 moved from the field into the step sizes; only a
+    # subnormal product rounds differently, and from 1e-150 up none is
+    assume(np.abs(start[start != 0.0]).min(initial=1.0) >= 1e-150)
+    states = integrate(start, 20 * dt, dt).states
+    assert np.array_equal(_bits(states), _bits(_unhalved_run(start, 20, dt)))
 
 
 @settings(max_examples=20, deadline=None)

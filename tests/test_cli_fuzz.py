@@ -34,7 +34,7 @@ def _file(content):
 
 def _out(kind):
     """An --out value: a new or an existing file, one in a missing folder, a
-    folder, or /dev/null."""
+    folder, /dev/null, or a path of 5,000 characters."""
     return ("out", kind)
 
 
@@ -56,7 +56,7 @@ POOLS = {
         "2", "3", "5", " 4", "0", "1", "-3", "1002", "99999999999999999999", "3.0", "1e1", "nan", "",
         LONG, "1" * 5000,  # past int's digit limit
     ],
-    "out": [_out("new"), _out("existing"), _out("missing"), _out("folder"), _out("devnull"), ""],
+    "out": [_out("new"), _out("existing"), _out("missing"), _out("folder"), _out("devnull"), _out("long"), ""],
     "format": ["csv", "json", "xml", "", "CSV", LONG],
     ("classical-sim", "init"): [
         "0,0.6,0.8", "-0.5,0.6,0.8", "1,0.5,0", "1e-3,-2E-1,3.5e-1", "0,0,0", "nan,0,1",
@@ -93,7 +93,7 @@ BAD_CONFIGS = [
 
 def _pool(command: str, name: str) -> list:
     if command == "verify":  # only runs that fail before computing
-        return [_out("missing"), _out("folder")]
+        return [_out("missing"), _out("folder"), _out("long")]
     return POOLS.get((command, name)) or POOLS.get(name) or FLOATS
 
 
@@ -129,7 +129,12 @@ def _value(token, inputs: str, out_dir: str) -> str:
     if content == "existing":
         with open(data, "w") as fh:
             fh.write("old bytes\n")
-    elsewhere = {"missing": os.path.join(out_dir, "missing", "data"), "folder": out_dir, "devnull": os.devnull}
+    elsewhere = {
+        "missing": os.path.join(out_dir, "missing", "data"),
+        "folder": out_dir,
+        "devnull": os.devnull,
+        "long": os.path.join(out_dir, LONG),
+    }
     return elsewhere.get(content, data)
 
 
@@ -174,6 +179,7 @@ def _never_verify():
 @example(("quantum-evolve", {"t_final": "0.05", "init": _file(_matrix([1e308] * 16))}, None))  # overflowed
 @example(("classical-sim", {"t_final": "0.05", "dt": LONG}, None))  # echoed whole
 @example(("quantum-evolve", {"t_final": "0.05", "init": LONG}, None))  # echoed twice
+@example(("classical-sim", {"t_final": "0.01", "out": _out("long")}, None))  # a path echoed whole
 def test_any_command_line_exits_cleanly_and_alike(case):
     command, options, config = case
     outcomes = []

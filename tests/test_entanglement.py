@@ -168,6 +168,11 @@ def test_ppt_analyze_guards_the_determinant(monkeypatch):
         ppt_analyze(StationaryParams(0.7, 0.3, 0.1j))
 
 
+def test_ppt_analyze_takes_only_stationary_params():
+    with pytest.raises(TypeError, match="^params must be a StationaryParams, got tuple$"):
+        ppt_analyze((0.5, 0.5, 0.0))
+
+
 def test_ppt_analyze_complex_c_has_the_closed_form():
     report = ppt_analyze(StationaryParams(0.7, 0.3, 0.1j))
     assert np.abs(report.closed_form_eigenvalues - report.eigenvalues).max() < 1e-12

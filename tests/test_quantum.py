@@ -209,6 +209,21 @@ def test_stationary_params_rejects_complex_weights(a, b):
         StationaryParams(a, b, 0.0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((None, 0.5, 0.0), "^a must be a number or an array of numbers, got None$"),
+        ((0.5, [0.5, None], 0.0), r"^b must be a number or an array of numbers, got \[0\.5, None\]$"),
+        ((0.5, 0.5, "0"), "^c must be a number or an array of numbers, got '0'$"),
+    ],
+    ids=["none", "none-in-a-stack", "string"],
+)
+def test_stationary_params_names_a_value_that_is_no_number(args, message):
+    # numpy would cast None to NaN, and a string to the number it spells
+    with pytest.raises(TypeError, match=message):
+        StationaryParams(*args)
+
+
 @given(
     a=st.one_of(st.floats(-0.1, 1.1), st.floats()),
     re=st.one_of(st.floats(-0.6, 0.6), st.floats()),
@@ -284,6 +299,19 @@ def test_project_round_trip():
     assert abs(fit.b - 0.7) < 1e-14
     assert abs(fit.c - (0.1 + 0.05j)) < 1e-14
     assert fit.residual < 1e-14
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        (np.eye(3), r"^rho must be a 4x4 matrix, got shape \(3, 3\)$"),
+        (np.full((4, 4), np.nan), "^rho must be finite$"),
+    ],
+    ids=["shape", "nan"],
+)
+def test_project_rejects_what_is_no_two_qubit_matrix(rho, message):
+    with pytest.raises(ValueError, match=message):
+        project_to_stationary(rho)
 
 
 def test_project_mixed_state_far_from_family():
