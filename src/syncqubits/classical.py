@@ -20,17 +20,10 @@ other ways, fixed like the flow itself, and all three agree identically:
 * from the conserved H = |l|^2 / 2 and the growing S = 2 lx alone as
   grad H x (grad S x grad H), see :func:`quasithermo_field`.
 
-:func:`trajectory_blocks` runs one start as a loop over Python floats and
-:func:`integrate_blocks` a stack of starts as one numpy block, both yielded
-a block of at most BLOCK_STEPS states at a time (BLOCK_STEPS time points of
-one start, BLOCK_STEPS // n of n starts); :func:`integrate` collects one
-start's run whole.  Both integrators evaluate the halved field
-(ly^2 + lz^2, -lx ly, -lx lz) and take its factor 2 into the step sizes
-(dt for the half steps, 2 dt for the full one, 2 (dt / 6) for the final
-combination), which changes no bit for normal floats.  The stack's
-step loop has only whole rows of its buffers, viewed once per run, and 0-d
-constants as operands: numpy's cost per call bounds it, and a call that
-broadcasts, or a slice, costs several times a plain call.
+:func:`integrate_blocks` runs the flow by fixed-step RK4 from one start or
+from a stack of starts, a block of at most BLOCK_STEPS states at a time,
+and picks its kernel from the start's shape; :func:`integrate` joins one
+start's run.
 """
 
 from __future__ import annotations
@@ -38,7 +31,6 @@ from __future__ import annotations
 import math
 import numbers
 import reprlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,33 +46,16 @@ DIVERGENCE_LIMIT = 1e6
 #: this limit, twice that while joining); a block generator holds one block.
 MAX_STEPS = 10**6
 
-#: states per block: time points per block of trajectory_blocks() and
-#: quantum.evolve_blocks(), BLOCK_STEPS // n (at least one) of an n-run
-#: integrate_blocks() stack, and rows per block of the command line's
-#: tables; a reduction over the blocks holds one block, however long the
-#: run and however wide the stack
+#: states per block: time points per block of one start's
+#: integrate_blocks() and of quantum.evolve_blocks(), BLOCK_STEPS // n (at
+#: least one) of an n-run integrate_blocks() stack, and rows per block of the
+#: command line's tables; a reduction over the blocks holds one block,
+#: however long the run and however wide the stack
 BLOCK_STEPS = 2048
 
 
 class StepTooLarge(RuntimeError):
     """Integration blew past the divergence guard."""
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Time series of an integrated state and its tracked scalars.
-
-    ``states`` has one (lx, ly, lz) row per time; ``h_values`` holds
-    |l|^2 / 2, ``s_values`` holds 2 lx, and ``k_values`` holds ly / lz with
-    NaN wherever |lz| < 1e-12 makes the ratio meaningless.  ``states`` is
-    (T, 3) and the other arrays are (T,).
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    h_values: np.ndarray
-    s_values: np.ndarray
-    k_values: np.ndarray
 
 
 def classical_field(state) -> np.ndarray:
@@ -121,6 +96,10 @@ def step_count(t_final: float, dt: float) -> int:
     for name, value in (("t_final", t_final), ("dt", dt)):
         if not isinstance(value, numbers.Real):
             raise TypeError(f"{name} must be a real number, got {reprlib.repr(value)}")
+        try:
+            float(value)
+        except OverflowError:  # an int beyond the largest float
+            raise ValueError(f"{name} must be finite, got {reprlib.repr(value)}") from None
     if not (math.isfinite(t_final) and math.isfinite(dt)):
         raise ValueError(f"dt and t_final must be finite, got dt={dt!r}, t_final={t_final!r}")
     if dt <= 0.0 or t_final <= 0.0:
@@ -134,53 +113,67 @@ def step_count(t_final: float, dt: float) -> int:
     return n_steps
 
 
-def _checked(start: np.ndarray, t_final: float, dt: float) -> int:
-    """The step count, once the start(s) are known to be finite."""
-    if not np.all(np.isfinite(start)):
-        raise ValueError("initial state must be finite")
-    return step_count(t_final, dt)
-
-
-def integrate(initial, t_final: float, dt: float) -> Trajectory:
-    """Fixed-step RK4 integration of the synchronization flow from one
-    start, shape (3,): the blocks of :func:`trajectory_blocks` collected
-    into one :class:`Trajectory`, with H, S and k for every state.  A
-    stack of starts runs in :func:`integrate_blocks`.  Errors as for
-    :func:`trajectory_blocks`.
-    """
-    states = np.concatenate(list(trajectory_blocks(initial, t_final, dt)))
-    return Trajectory(dt * np.arange(len(states)), states, *tracked_scalars(*states.T))
-
-
-def trajectory_blocks(initial, t_final: float, dt: float):
+def integrate(initial, t_final: float, dt: float) -> np.ndarray:
     """Fixed-step RK4 run of the synchronization flow from one start, shape
-    (3,), as a loop over Python floats, the fastest way to make a single
-    run.  Yields the states from the start on as (m, 3) blocks, m being
-    BLOCK_STEPS but in the last block; each block is a new array.
+    (3,): the blocks of :func:`integrate_blocks` joined into the (T, 3)
+    states from t = 0 on, dt apart; :func:`tracked_scalars` gives their H,
+    S and k.  ValueError for any other shape, a stack of starts included,
+    and otherwise errors as for :func:`integrate_blocks`.
+    """
+    shape = np.shape(initial)
+    if shape != (3,):
+        raise ValueError(
+            f"initial state must have shape (3,), got shape {shape};"
+            " integrate_blocks runs a stack of starts"
+        )
+    return np.concatenate([block.copy() for block in integrate_blocks(initial, t_final, dt)])
 
-    The step count is round(t_final / dt), at most MAX_STEPS.  Each stage
-    holds the halved field (ly^2 + lz^2, -lx ly, -lx lz) and the step sizes
-    are doubled instead, which changes no bit but where a product is
+
+def integrate_blocks(starts, t_final: float, dt: float):
+    """Fixed-step RK4 run of the synchronization flow from one start, shape
+    (3,), or from a stack of starts, shape (n, 3), yielded in blocks of
+    states from the start(s) on: (m, 3) blocks of one start, m being
+    BLOCK_STEPS, and (m, 3, n) blocks of a stack, m being max(1,
+    BLOCK_STEPS // n), so that a block holds at most BLOCK_STEPS states (or
+    one time point) at any width; the last block may be shorter.  A block
+    is valid only until the next block is requested.
+
+    The start's shape picks the kernel, the fastest for it: one start runs
+    as a loop over Python floats, a stack as one numpy block, each run of
+    which is bit-identical to the one-start run from its row.  The step
+    count is round(t_final / dt), at most MAX_STEPS.  Each stage holds the
+    halved field (ly^2 + lz^2, -lx ly, -lx lz) and the step sizes are
+    doubled instead, which changes no bit but where a product is
     subnormal.  Because every stage of the lx update is a sum of squares,
     lx is nondecreasing exactly, not just within tolerance.
 
-    Once iteration begins, raises StepTooLarge when any component exceeds
-    1e6 in magnitude or is no longer a number, and ValueError for a shape
-    other than (3,), a nonfinite start, nonfinite or nonpositive dt /
-    t_final, or more than MAX_STEPS steps.
+    Once iteration begins, raises TypeError for starts that are no real
+    numbers; ValueError for any other shape, a nonfinite start, nonfinite
+    or nonpositive dt / t_final, or more than MAX_STEPS steps; and
+    StepTooLarge when any component exceeds 1e6 in magnitude or is no
+    longer a number.  A stack's errors name the first run that failed.
     """
-    start = np.asarray(initial, dtype=float)
-    if start.shape != (3,):
-        raise ValueError(
-            f"initial state must have shape (3,), got shape {start.shape};"
-            " integrate_blocks runs a stack of starts"
-        )
-    n_steps = _checked(start, t_final, dt)
+    start = np.asarray(starts)
+    if start.dtype.kind not in "biuf":  # a complex start would lose its imaginary part
+        raise TypeError(f"starts must be real numbers, got {reprlib.repr(starts)}")
+    start = start.astype(float, copy=False)
+    one = start.shape == (3,)
+    if not (one or (start.ndim == 2 and start.shape[1] == 3 and len(start))):
+        raise ValueError(f"starts must have shape (n, 3) or (3,), got shape {start.shape}")
+    if not np.all(np.isfinite(start)):
+        raise ValueError("initial state must be finite")
+    n_steps = step_count(t_final, dt)
+    bad = ~(np.abs(start) <= DIVERGENCE_LIMIT).all(axis=-1)
+    if bad.any():
+        where = "" if one else f" in run {np.argmax(bad)}"
+        raise StepTooLarge(f"initial state exceeds {DIVERGENCE_LIMIT:g}{where}")
+    yield from (_run_one if one else _run_stack)(start, n_steps, dt)
+
+
+def _run_one(start: np.ndarray, n_steps: int, dt: float):
+    """The blocks of one start's run, as a loop over Python floats."""
     lx, ly, lz = (float(v) for v in start)
     limit = DIVERGENCE_LIMIT
-    if not (abs(lx) <= limit and abs(ly) <= limit and abs(lz) <= limit):
-        raise StepTooLarge(f"initial state exceeds {limit:g}")
-
     # the stages hold the halved field, so each step size is doubled:
     # 0.5 dt, dt and dt / 6 times 2, all exact
     half, full, sixth = dt, 2.0 * dt, 2.0 * (dt / 6.0)
@@ -230,31 +223,16 @@ def trajectory_blocks(initial, t_final: float, dt: float):
         zs = []
 
 
-def integrate_blocks(starts, t_final: float, dt: float):
-    """The RK4 run of :func:`trajectory_blocks` from a stack of starts,
-    shape (n, 3), yielded as (m, 3, n) blocks of states from the starts on;
-    m is max(1, BLOCK_STEPS // n) but in the last block, so that a block
-    holds at most BLOCK_STEPS states (or one time point) at any width.
-    Each line of the loop repeats one float operation of the one-start
-    loop on the halved field, operands swapped only where IEEE arithmetic
-    is commutative (x + half a becomes half a + x), so each run is
-    bit-identical to the one-start run from its row.  Every operand in the
-    loop is a whole row, (n,) or (3, n), of a buffer viewed once per call,
-    or a 0-d constant: no call broadcasts and the loop makes no slice.  A
-    block is a view of one reused buffer, valid until the next is
-    requested, and is tested for divergence before it is yielded.  Errors
-    as for :func:`trajectory_blocks`, naming the first run that failed,
-    and ValueError for any shape but (n, 3) with n >= 1.
-    """
-    starts = np.asarray(starts, dtype=float)
-    if starts.ndim != 2 or starts.shape[1] != 3 or not len(starts):
-        raise ValueError(f"starts must have shape (n, 3), got shape {starts.shape}")
-    n_steps = _checked(starts, t_final, dt)
+def _run_stack(starts: np.ndarray, n_steps: int, dt: float):
+    """The blocks of a stack's runs as one numpy block.  Each line of the
+    loop repeats one float operation of :func:`_run_one`, operands swapped
+    only where IEEE arithmetic is commutative (x + half a becomes half a +
+    x).  Every operand in the loop is a whole row, (n,) or (3, n), of a
+    buffer viewed once per call, or a 0-d constant: numpy's cost per call
+    bounds the loop, and a call that broadcasts, or a slice, costs several
+    times a plain call.  A block is a view of one reused buffer and is
+    tested for divergence before it is yielded."""
     limit = DIVERGENCE_LIMIT
-    bad = ~(np.abs(starts) <= limit).all(axis=1)
-    if bad.any():
-        raise StepTooLarge(f"initial state exceeds {limit:g} in run {np.argmax(bad)}")
-
     n = len(starts)
     total = n_steps + 1
     buf = np.empty((min(max(1, BLOCK_STEPS // n), total), 3, n))

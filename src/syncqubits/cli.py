@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .classical import BLOCK_STEPS, StepTooLarge, tracked_scalars, trajectory_blocks
+from .classical import BLOCK_STEPS, StepTooLarge, integrate_blocks, tracked_scalars
 from .entanglement import ppt_analyze, sweep
 from .linalg import hermitian_eigensystem
 from .quantum import (
@@ -314,13 +314,13 @@ def _cmd_classical_sim(cfg) -> int:
     def blocks():
         nonlocal final, max_dh
         row = 0
-        for states in trajectory_blocks(init, cfg["t_final"], dt):
+        for states in integrate_blocks(init, cfg["t_final"], dt):
             x, y, z = states.T
             h, s, k = tracked_scalars(x, y, z)
             if not row:
                 h0 = h[0]
             max_dh = max(max_dh, float(np.abs(h - h0).max()))
-            final = states[-1]
+            final = states[-1].copy()  # valid only until the next block
             yield {
                 "t": dt * np.arange(row, row + len(states)),
                 "lx": x,

@@ -22,6 +22,8 @@ call, bit for bit equal to analysing its points one at a time;
 from __future__ import annotations
 
 import math
+import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +90,10 @@ def cubic_roots(params: StationaryParams) -> np.ndarray:
     is ``c * c`` bit for bit; for b > 0 exactly one root is negative.  The
     discriminant is evaluated as a polynomial in (a, b, u) rather than from
     the rounded coefficients, which keeps it accurate where it vanishes.
+    TypeError unless ``params`` is a :class:`StationaryParams`.
     """
+    if not isinstance(params, StationaryParams):
+        raise TypeError(f"params must be a StationaryParams, got {type(params).__name__}")
     a, b, c = params.a, params.b, params.c
     u = c.real * c.real + c.imag * c.imag
     coeff2 = -(a + 0.5 * b)
@@ -205,8 +210,11 @@ def sweep(grid_n: int) -> SweepTable:
     Grid points with c^2 > a (1 - a) admit no state and are skipped; rows
     come in row-major order (a outer, c inner), deterministically.  Each
     value of a is analysed as one stack of its valid c values, with one
-    eigensolver call.  ValueError unless 2 <= grid_n <= MAX_GRID.
+    eigensolver call.  TypeError unless grid_n is an integer, ValueError
+    unless 2 <= grid_n <= MAX_GRID.
     """
+    if not isinstance(grid_n, numbers.Integral):
+        raise TypeError(f"grid_n must be an integer, got {reprlib.repr(grid_n)}")
     if not 2 <= grid_n <= MAX_GRID:
         raise ValueError(f"grid_n must be between 2 and MAX_GRID = {MAX_GRID}, got {grid_n}")
     c_axis = np.linspace(-0.5, 0.5, grid_n)

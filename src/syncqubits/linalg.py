@@ -73,17 +73,22 @@ def null_space(m) -> list[np.ndarray]:
 
     A singular direction counts as null when its singular value is at most
     NULL_SPACE_TOL times the largest one, so the test is insensitive to overall
-    scale; the zero matrix returns a basis of the whole space.
+    scale; the zero matrix returns a basis of the whole space.  ValueError
+    unless ``m`` is a finite, nonempty square matrix.
     """
     a = _as_matrix(m)
     _require_square(a)
+    if not np.isfinite(a).all():
+        raise ValueError("m must be finite")
     _, s, vh = np.linalg.svd(a)
     cutoff = NULL_SPACE_TOL * float(s[0])
     return [vh[i].conj() for i in range(a.shape[0]) if s[i] <= cutoff]
 
 
-def _orthonormal_columns(vectors) -> np.ndarray:
+def _orthonormal_columns(vectors, name: str) -> np.ndarray:
     if isinstance(vectors, (list, tuple)):
+        if not vectors:
+            raise DimMismatch(f"{name} holds no vectors")
         a = np.column_stack([np.asarray(v, dtype=complex).ravel() for v in vectors])
     else:
         a = _as_matrix(vectors)
@@ -94,14 +99,14 @@ def _orthonormal_columns(vectors) -> np.ndarray:
 def principal_angles(u, v) -> np.ndarray:
     """Principal angles between the column spans of ``u`` and ``v``.
 
-    Accepts 2-d arrays (columns span) or sequences of vectors, which must be
-    linearly independent; both spans must have equal dimension.  Uses the
-    sine-based formulation, which keeps full precision for the near-zero
-    angles this package asserts on.  Angles come back ascending, in
-    [0, pi/2].
+    Accepts 2-d arrays (columns span) or nonempty sequences of vectors,
+    which must be linearly independent; both spans must have equal
+    dimension.  Uses the sine-based formulation, which keeps full precision
+    for the near-zero angles this package asserts on.  Angles come back
+    ascending, in [0, pi/2].
     """
-    qu = _orthonormal_columns(u)
-    qv = _orthonormal_columns(v)
+    qu = _orthonormal_columns(u, "u")
+    qv = _orthonormal_columns(v, "v")
     if qu.shape[0] != qv.shape[0]:
         raise DimMismatch(f"ambient dimensions differ: {qu.shape[0]} vs {qv.shape[0]}")
     if qu.shape[1] != qv.shape[1]:

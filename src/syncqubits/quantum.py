@@ -66,21 +66,6 @@ class OperatorSet:
 
 
 @dataclass(frozen=True)
-class QuantumTrajectory:
-    """Fixed-step run of the master equation, one entry per step from t = 0.
-
-    ``times`` is (T,), ``states`` the (T, d, d) stack of density matrices
-    and ``min_eigenvalues`` (T,) the lowest eigenvalue of each state, which
-    :func:`evolve_blocks` computes for its positivity check.  All three are
-    read-only.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    min_eigenvalues: np.ndarray
-
-
-@dataclass(frozen=True)
 class KernelBasis:
     """Orthonormal pair spanning the jump operator's kernel.
 
@@ -136,7 +121,10 @@ def kernel_basis() -> KernelBasis:
 
 def labelled_state(label: str) -> np.ndarray:
     """Density matrix named by ``mixed`` (I/4) or ``basis:IJ`` (|IJ><IJ|,
-    I, J in {0, 1}); ValueError for any other label."""
+    I, J in {0, 1}); ValueError for any other label, TypeError for
+    anything but a string."""
+    if not isinstance(label, str):
+        raise TypeError(f"label must be a string, got {reprlib.repr(label)}")
     if label == "mixed":
         return np.eye(4, dtype=complex) / 4.0
     bits = label.removeprefix("basis:")
@@ -214,19 +202,17 @@ def _rk4_propagator(dt: float) -> np.ndarray:
     return taylor.reshape(dim, dim, dim, dim).transpose(1, 0, 3, 2).reshape(dim * dim, dim * dim)
 
 
-def evolve(rho0, ops: OperatorSet, t_final: float, dt: float) -> QuantumTrajectory:
-    """Fixed-step RK4 trajectory of the master equation: the blocks of
-    :func:`evolve_blocks` collected into one :class:`QuantumTrajectory`,
-    with one time, state and lowest eigenvalue per step, t = 0 included.
-    ``ops`` must be :data:`OPERATORS`, the set :func:`build_operators`
-    returns; any other raises ValueError.  Errors as for
-    :func:`evolve_blocks`.
+def evolve(rho0, ops: OperatorSet, t_final: float, dt: float) -> np.ndarray:
+    """Fixed-step RK4 run of the master equation: the states of the blocks
+    of :func:`evolve_blocks` joined into one (T, d, d) array, one state per
+    step from t = 0 on, dt apart.  ``ops`` must be :data:`OPERATORS`, the
+    set :func:`build_operators` returns; any other raises ValueError.
+    Errors as for :func:`evolve_blocks`, whose blocks also carry each
+    state's lowest eigenvalue.
     """
     if ops is not OPERATORS:
         raise ValueError("evolve takes only the model's operators, build_operators()")
-    blocks = [(states.copy(), lowest) for states, lowest in evolve_blocks(rho0, t_final, dt)]
-    states, lowest = (np.concatenate(parts) for parts in zip(*blocks))
-    return QuantumTrajectory(*(_readonly(a) for a in (np.arange(len(states)) * dt, states, lowest)))
+    return np.concatenate([states.copy() for states, _ in evolve_blocks(rho0, t_final, dt)])
 
 
 def evolve_blocks(rho0, t_final: float, dt: float):

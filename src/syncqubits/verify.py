@@ -138,12 +138,20 @@ def _reduce_classical(starts, blocks) -> _Reduction:
     return run
 
 
-def _quantum_ensemble():
-    """Master-equation runs to t = 20 (dt = 1e-3) from the maximally mixed
-    state and each of the four basis projectors."""
+def _quantum_starts():
+    """The maximally mixed state, the four basis projectors and the pure
+    state (|00> + i|01>)/sqrt(2).  The last one's coherence
+    c0 = <psi1|rho|psi2> = (1 - i)/(4 sqrt(2)) is complex, so its run ends
+    on a member whose c differs from its conjugate."""
     labels = ("mixed", "basis:00", "basis:01", "basis:10", "basis:11")
-    starts = (quantum.labelled_state(label) for label in labels)
-    return [_reduce_quantum(quantum.evolve_blocks(rho, 20.0, 1e-3)) for rho in starts]
+    v = np.array([1.0, 1.0j, 0.0, 0.0]) / np.sqrt(2.0)
+    return [*(quantum.labelled_state(label) for label in labels), np.outer(v, v.conj())]
+
+
+def _quantum_ensemble():
+    """Master-equation runs to t = 20 (dt = 1e-3) from each of
+    :func:`_quantum_starts`."""
+    return [_reduce_quantum(quantum.evolve_blocks(rho, 20.0, 1e-3)) for rho in _quantum_starts()]
 
 
 def _reduce_quantum(blocks) -> _Reduction:

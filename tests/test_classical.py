@@ -17,7 +17,6 @@ from syncqubits.classical import (
     integrate_blocks,
     quasithermo_field,
     tracked_scalars,
-    trajectory_blocks,
 )
 from syncqubits.verify import DEFAULT_SEED, _classical_starts
 
@@ -67,8 +66,8 @@ def test_quasithermo_gradients_match_tracked_scalars(rng):
 
 
 def test_integrate_fixed_point_is_constant():
-    traj = integrate([2.0, 0.0, 0.0], 1.0, 1e-2)
-    assert np.abs(traj.states - np.array([2.0, 0.0, 0.0])).max() == 0.0
+    states = integrate([2.0, 0.0, 0.0], 1.0, 1e-2)
+    assert np.abs(states - np.array([2.0, 0.0, 0.0])).max() == 0.0
 
 
 def _collected(starts, t_final, dt):
@@ -99,20 +98,21 @@ def test_integrate_matches_closed_form(stacked, radius, lx0):
         states = _collected([start, -start], 2.0, 1e-3)
         runs = [(start, states[:, :, 0]), (-start, states[:, :, 1])]
     else:
-        runs = [(start, integrate(start, 2.0, 1e-3).states)]
+        runs = [(start, integrate(start, 2.0, 1e-3))]
     t = 1e-3 * np.arange(2001)
     for begin, states in runs:
         assert np.abs(states - _closed_form(begin, t)).max() < 1e-10
 
 
 def test_integrate_conserves_invariants():
-    traj = integrate([0.0, 0.6, 0.8], 20.0, 1e-3)
-    assert np.abs(traj.h_values - 0.5).max() < 1e-8
-    k = traj.k_values[~np.isnan(traj.k_values)]
+    states = integrate([0.0, 0.6, 0.8], 20.0, 1e-3)
+    h, s, k = tracked_scalars(*states.T)
+    assert np.abs(h - 0.5).max() < 1e-8
+    k = k[~np.isnan(k)]
     assert np.abs(k - 0.75).max() < 1e-7
-    assert np.diff(traj.s_values).min() >= 0.0
+    assert np.diff(s).min() >= 0.0
     # and it has converged to the synchronized point
-    assert np.abs(traj.states[-1] - [1.0, 0.0, 0.0]).max() < 1e-6
+    assert np.abs(states[-1] - [1.0, 0.0, 0.0]).max() < 1e-6
 
 
 def test_integrate_convergence_random(rng):
@@ -123,23 +123,21 @@ def test_integrate_convergence_random(rng):
         start = direction * np.sqrt(rng.uniform(0.25, 4.0))
         if abs(start[1]) + abs(start[2]) < 1e-8:
             continue
-        traj = integrate(start, 30.0, 1e-3)
+        states = integrate(start, 30.0, 1e-3)
         length = np.linalg.norm(start)
-        assert np.abs(traj.states[-1] - [length, 0.0, 0.0]).max() < 1e-5
+        assert np.abs(states[-1] - [length, 0.0, 0.0]).max() < 1e-5
 
 
 def test_trajectory_layout():
-    traj = integrate([0.1, 0.2, 0.3], 0.01, 1e-3)
-    assert traj.times.shape == (11,)
-    assert traj.states.shape == (11, 3)
-    assert np.all(np.diff(traj.times) > 0)
-    assert traj.times[0] == 0.0 and np.array_equal(traj.states[0], [0.1, 0.2, 0.3])
+    states = integrate([0.1, 0.2, 0.3], 0.01, 1e-3)
+    assert states.shape == (11, 3)
+    assert np.array_equal(states[0], [0.1, 0.2, 0.3])
 
 
 def test_k_marker_nan_when_lz_zero():
     # lz = 0 is an invariant plane, so k stays undefined the whole run
-    traj = integrate([0.0, 1.0, 0.0], 0.01, 1e-3)
-    assert np.isnan(traj.k_values).all()
+    states = integrate([0.0, 1.0, 0.0], 0.01, 1e-3)
+    assert np.isnan(tracked_scalars(*states.T)[2]).all()
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
@@ -223,12 +221,12 @@ def _bits(values):
 
 
 def _assert_run_equal(states, i, one):
-    """Run i of collected blocks (T, 3, n) equals the one-start trajectory
-    bit for bit, and so do the scalars computed from it."""
-    assert np.array_equal(_bits(states[:, :, i]), _bits(one.states))
+    """Run i of collected blocks (T, 3, n) equals the one-start run's (T, 3)
+    states bit for bit, and so do the scalars computed from them."""
+    assert np.array_equal(_bits(states[:, :, i]), _bits(one))
     scalars = tracked_scalars(*(states[:, j, i] for j in range(3)))
-    for name, values in zip(("h_values", "s_values", "k_values"), scalars):
-        assert np.array_equal(_bits(values), _bits(getattr(one, name))), name
+    for name, values, expected in zip("HSk", scalars, tracked_scalars(*one.T)):
+        assert np.array_equal(_bits(values), _bits(expected)), name
 
 
 def test_stack_layout():
@@ -342,7 +340,7 @@ def test_halved_field_changes_no_bit_of_normal_runs(start, dt):
     # the exact factor 2 moved from the field into the step sizes; only a
     # subnormal product rounds differently, and from 1e-150 up none is
     assume(np.abs(start[start != 0.0]).min(initial=1.0) >= 1e-150)
-    states = integrate(start, 20 * dt, dt).states
+    states = integrate(start, 20 * dt, dt)
     assert np.array_equal(_bits(states), _bits(_unhalved_run(start, 20, dt)))
 
 
@@ -391,7 +389,9 @@ def test_blocks_collect_to_the_whole_run(n_steps):
     states = np.concatenate(blocks)
     for i, start in enumerate(starts):
         _assert_run_equal(states, i, integrate(start, t_final, 1e-3))
-        assert [len(b) for b in trajectory_blocks(start, t_final, 1e-3)] == _block_sizes(n_steps)
+        assert [b.shape for b in integrate_blocks(start, t_final, 1e-3)] == [
+            (m, 3) for m in _block_sizes(n_steps)
+        ]
 
 
 def test_stack_wider_than_a_block_yields_one_time_point_per_block():
@@ -409,12 +409,12 @@ def test_divergence_named_alike_in_any_block(monkeypatch, block_steps):
     # block of two rows, and at the end of the first block of three; the
     # stack of two runs holds BLOCK_STEPS // 2 rows a block
     starts = [[0.0, 0.6, 0.8], [0.0, 3.0, 4.0]]
-    for make, initial, block, message in (
-        (integrate_blocks, starts, 2 * block_steps, r"^state exceeded 1e\+06 at t = 1 in run 1$"),
-        (trajectory_blocks, starts[1], block_steps, r"^state exceeded 1e\+06 at t = 1$"),
+    for initial, block, message in (
+        (starts, 2 * block_steps, r"^state exceeded 1e\+06 at t = 1 in run 1$"),
+        (starts[1], block_steps, r"^state exceeded 1e\+06 at t = 1$"),
     ):
         monkeypatch.setattr(classical, "BLOCK_STEPS", block)
-        blocks = make(initial, 5.0, 0.5)
+        blocks = integrate_blocks(initial, 5.0, 0.5)
         if block_steps == 2:
             assert len(next(blocks)) == 2  # t = 0 and 0.5 pass
         with pytest.raises(StepTooLarge, match=message):
@@ -424,14 +424,23 @@ def test_divergence_named_alike_in_any_block(monkeypatch, block_steps):
 @pytest.mark.parametrize(
     "starts, t_final, message",
     [
-        ([0.0, 0.6, 0.8], 1.0, r"shape \(n, 3\)"),
+        ([0.6, 0.8], 1.0, r"shape \(n, 3\) or \(3,\), got shape \(2,\)$"),
+        ([[[0.0, 0.6, 0.8]]], 1.0, r"shape \(n, 3\) or \(3,\), got shape \(1, 1, 3\)$"),
         ([[1.0, 2.0], [0.5, 0.5]], 1.0, r"shape \(n, 3\)"),
         (np.empty((0, 3)), 1.0, r"shape \(n, 3\)"),
         ([[0.0, 0.6, 0.8]], 1e9, "MAX_STEPS"),
         ([[np.nan, 0.6, 0.8]], 1.0, "finite"),
         ([[0.0, 0.6, 0.8], [np.nan, 0.0, 1.0]], 1.0, "finite"),
     ],
-    ids=["one-start", "two-columns", "empty", "too-many-steps", "nonfinite", "nonfinite-row"],
+    ids=[
+        "short-start",
+        "three-axes",
+        "two-columns",
+        "empty",
+        "too-many-steps",
+        "nonfinite",
+        "nonfinite-row",
+    ],
 )
 def test_integrate_blocks_rejects_bad_arguments(starts, t_final, message):
     # checked when the first block is asked for, before anything is allocated

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from syncqubits import classical, cli, quantum
-from syncqubits.classical import BLOCK_STEPS, StepTooLarge, integrate
+from syncqubits.classical import BLOCK_STEPS, StepTooLarge, integrate, tracked_scalars
 from syncqubits.quantum import (
     PositivityLost,
     build_operators,
@@ -701,7 +701,7 @@ def _one_block_then(error, block):
     [
         (
             "classical-sim",
-            "trajectory_blocks",
+            "integrate_blocks",
             _one_block_then(StepTooLarge, np.array([[0.0, 0.6, 0.8]])),
         ),
         (
@@ -767,7 +767,7 @@ def test_out_in_a_missing_folder_is_named_as_given(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv, name",
     [
-        (["classical-sim"], "trajectory_blocks"),
+        (["classical-sim"], "integrate_blocks"),
         (["quantum-evolve"], "evolve_blocks"),
         (["stationary", "--a", "0.3"], "stationary_state"),
         (["ppt", "--a", "0.3"], "ppt_analyze"),
@@ -886,29 +886,21 @@ def test_table_writer_memory_is_bounded(fmt):
     assert peak < 3 * 2**20
 
 
-def _classical_columns(traj):
-    x, y, z = traj.states.T
-    return {
-        "t": traj.times,
-        "lx": x,
-        "ly": y,
-        "lz": z,
-        "H": traj.h_values,
-        "S": traj.s_values,
-        "k": traj.k_values,
-    }
+def _classical_columns(states, dt):
+    x, y, z = states.T
+    h, s, k = tracked_scalars(x, y, z)
+    return {"t": dt * np.arange(len(states)), "lx": x, "ly": y, "lz": z, "H": h, "S": s, "k": k}
 
 
-def _quantum_columns(traj, ops):
-    states = traj.states
+def _quantum_columns(states, lowest, dt, ops):
     return {
-        "t": traj.times,
+        "t": np.arange(len(states)) * dt,
         "lx_avg": np.einsum("tij,ji->t", states, ops.lx).real,
         "ly_avg": np.einsum("tij,ji->t", states, ops.ly).real,
         "lz_avg": np.einsum("tij,ji->t", states, ops.lz).real,
         "l2_avg": np.einsum("tij,ji->t", states, ops.l_squared).real,
         "trace": np.einsum("tii->t", states).real,
-        "min_eig": traj.min_eigenvalues,
+        "min_eig": lowest,
     }
 
 
@@ -918,26 +910,28 @@ def test_streamed_runs_match_the_whole_run_table(capsys, monkeypatch, command, f
     # 4,501 rows, three blocks of the integrators, against the table and
     # summary of the whole run written at once; lz = 0 leaves k empty
     if command == "classical-sim":
-        traj = integrate([1.0, 0.5, 0.0], 4.5, 1e-3)
-        columns = _classical_columns(traj)
-        h = traj.h_values
+        states = integrate([1.0, 0.5, 0.0], 4.5, 1e-3)
+        columns = _classical_columns(states, 1e-3)
+        h = columns["H"]
         summary = (
-            "final state: lx={} ly={} lz={}\n".format(*map(cli._fmt, traj.states[-1]))
+            "final state: lx={} ly={} lz={}\n".format(*map(cli._fmt, states[-1]))
             + f"max |dH|: {cli._fmt(np.abs(h - h[0]).max())}\n"
         )
         init = "1,0.5,0"
     else:
         ops = build_operators()
-        traj = evolve(labelled_state("basis:01"), ops, 4.5, 1e-3)
-        columns = _quantum_columns(traj, ops)
-        fit = quantum.project_to_stationary(traj.states[-1])
+        rho0 = labelled_state("basis:01")
+        states = evolve(rho0, ops, 4.5, 1e-3)
+        lowest = np.concatenate([low for _, low in quantum.evolve_blocks(rho0, 4.5, 1e-3)])
+        columns = _quantum_columns(states, lowest, 1e-3, ops)
+        fit = quantum.project_to_stationary(states[-1])
         summary = (
             f"stationary fit: a={cli._fmt(fit.a)} b={cli._fmt(fit.b)} "
             f"c_re={cli._fmt(fit.c.real)} c_im={cli._fmt(fit.c.imag)} "
             f"residual={cli._fmt(fit.residual)}\n"
         )
         init = "basis:01"
-    assert len(traj.times) > 2 * BLOCK_STEPS
+    assert len(states) > 2 * BLOCK_STEPS
 
     def whole_run(*args):
         raise AssertionError("the command line collected a whole run")

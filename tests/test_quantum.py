@@ -380,37 +380,27 @@ def test_run_approaches_its_member_at_the_slowest_rate(ops, basis, label):
 
 def test_evolve_dark_state_constant(ops, basis):
     rho0 = np.outer(basis.psi2, basis.psi2.conj())
-    traj = evolve(rho0, ops, 2.0, 1e-3)
-    assert np.abs(traj.states[-1] - rho0).max() < 1e-12
+    states = evolve(rho0, ops, 2.0, 1e-3)
+    assert np.abs(states[-1] - rho0).max() < 1e-12
 
 
 def test_evolve_mixed_state_reaches_family(ops):
-    traj = evolve(np.eye(4) / 4.0, ops, 10.0, 1e-3)
-    fit = project_to_stationary(traj.states[-1])
+    states = evolve(np.eye(4) / 4.0, ops, 10.0, 1e-3)
+    fit = project_to_stationary(states[-1])
     assert fit.residual < 1e-6
-    assert traj.times[0] == 0.0 and abs(traj.times[-1] - 10.0) < 1e-9
+    assert states.shape == (10001, 4, 4)
 
 
 def test_evolve_monotone_and_conserving(ops):
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[0, 0] = 1.0
-    states = evolve(rho0, ops, 5.0, 1e-3).states
+    states = evolve(rho0, ops, 5.0, 1e-3)
     trace = np.einsum("tii->t", states).real
     assert np.abs(trace - 1.0).max() < 1e-9
     s = 2.0 * np.einsum("tij,ji->t", states, ops.lx).real
     assert np.diff(s).min() > -1e-10
     l2 = np.einsum("tij,ji->t", states, ops.l_squared).real
     assert np.abs(l2 - l2[0]).max() < 1e-8
-
-
-def test_evolve_returns_read_only_trajectory(ops):
-    traj = evolve(np.eye(4) / 4.0, ops, 0.01, 1e-3)
-    assert traj.states.shape == (11, 4, 4)
-    assert np.array_equal(traj.times, [i * 1e-3 for i in range(11)])
-    # the positivity check's eigenvalues, not a second computation
-    assert np.array_equal(traj.min_eigenvalues, np.linalg.eigvalsh(traj.states)[:, 0])
-    for a in (traj.times, traj.states, traj.min_eigenvalues):
-        assert not a.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -498,7 +488,7 @@ def test_evolve_divergence_names_first_bad_time(ops, monkeypatch):
     t_bad = float(str(exc.value).rsplit("= ", 1)[1])
     assert 1.0 < t_bad < 3000.0
     # one step earlier every state is still finite
-    assert np.isfinite(evolve(np.eye(4) / 4.0, ops, t_bad - 1.0, 1.0).states).all()
+    assert np.isfinite(evolve(np.eye(4) / 4.0, ops, t_bad - 1.0, 1.0)).all()
 
 
 def _rk4_reference(rho, dt, n_steps):
@@ -523,7 +513,7 @@ def test_evolve_matches_staged_rk4(ops, rng, monkeypatch):
     for model in (ops, ops, complex_ops, complex_ops):
         monkeypatch.setattr(quantum, "OPERATORS", model)
         rho0 = random_density_matrix(rng)
-        states = evolve(rho0, model, 2.0, 1e-3).states
+        states = evolve(rho0, model, 2.0, 1e-3)
         assert states.shape == (2001, 4, 4)
         assert np.abs(states - _rk4_reference(rho0, 1e-3, 2000)).max() < 1e-12
 
@@ -544,13 +534,13 @@ def test_evolve_one_step_is_rk4_step(ops, entries, dt):
     a = np.array(entries[:16]).reshape(4, 4) + 1j * np.array(entries[16:]).reshape(4, 4)
     rho0 = a @ a.conj().T + 0.1 * np.eye(4)  # Hermitian, safely positive
     rho0 /= np.trace(rho0).real
-    traj = evolve(rho0, ops, dt, dt)
-    assert traj.times.tolist() == [0.0, dt]
-    assert np.abs(traj.states[1] - _rk4_reference(rho0, dt, 1)[1]).max() < 1e-13
+    states = evolve(rho0, ops, dt, dt)
+    assert states.shape == (2, 4, 4)
+    assert np.abs(states[1] - _rk4_reference(rho0, dt, 1)[1]).max() < 1e-13
 
 
 def test_evolve_stays_hermitian_without_correction(ops, rng):
-    states = evolve(random_density_matrix(rng), ops, 20.0, 1e-3).states
+    states = evolve(random_density_matrix(rng), ops, 20.0, 1e-3)
     assert states.shape == (20001, 4, 4)
     assert np.abs(states - states.conj().transpose(0, 2, 1)).max() <= 1e-12
 
@@ -660,15 +650,14 @@ def test_blocks_collect_to_the_whole_run(ops, label, n_steps):
     rho0 = labelled_state(label)
     t_final = n_steps * 1e-3
     whole = _whole_run(rho0, n_steps, 1e-3)
-    traj = evolve(rho0, ops, t_final, 1e-3)
-    assert np.array_equal(traj.states, whole)
-    # eigvalsh block by block equals one batch over the whole run
-    assert np.array_equal(traj.min_eigenvalues, np.linalg.eigvalsh(whole)[:, 0])
+    assert np.array_equal(evolve(rho0, ops, t_final, 1e-3), whole)
     blocks = [(s.copy(), low) for s, low in evolve_blocks(rho0, t_final, 1e-3)]
     full, rest = divmod(n_steps + 1, BLOCK_STEPS)
     assert [len(s) for s, _ in blocks] == [BLOCK_STEPS] * full + ([rest] if rest else [])
     assert np.array_equal(np.concatenate([s for s, _ in blocks]), whole)
-    assert np.array_equal(np.concatenate([low for _, low in blocks]), traj.min_eigenvalues)
+    # the positivity check's eigenvalues, block by block, equal one batch
+    # over the whole run
+    assert np.array_equal(np.concatenate([low for _, low in blocks]), np.linalg.eigvalsh(whole)[:, 0])
 
 
 @pytest.mark.parametrize("block_steps", [2, 4, 5])

@@ -66,13 +66,14 @@ def _partial_transpose(m: sympy.Matrix) -> sympy.Matrix:
 
 def _cubic_roots_coefficients():
     """(coeff2, coeff1, coeff0, disc) as cubic_roots computes them, its own
-    statements run on symbols with np.float_power as a plain power."""
+    statements run on symbols with np.float_power as a plain power and a
+    namespace of symbols passing its StationaryParams type check."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(entanglement.cubic_roots)))
     (fn,) = tree.body
     assert isinstance(fn.body[-1], ast.Return)
     fn.body[-1] = ast.parse("return coeff2, coeff1, coeff0, disc").body[0]
     fn.args.args[0].annotation = fn.returns = None
-    namespace = {"np": SimpleNamespace(float_power=operator.pow)}
+    namespace = {"np": SimpleNamespace(float_power=operator.pow), "StationaryParams": SimpleNamespace}
     exec(compile(ast.fix_missing_locations(tree), "<cubic_roots>", "exec"), namespace)
     params = SimpleNamespace(a=a, b=b, c=SimpleNamespace(real=x, imag=y))
     return [sympy.nsimplify(e, rational=True) for e in namespace["cubic_roots"](params)]

@@ -128,13 +128,14 @@ def test_reductions_of_real_runs(ops, monkeypatch):
     starts = verify._classical_starts(np.random.default_rng(5))[:6]
     starts[0, 2] = 0.0  # k undefined the whole run
     run = verify._reduce_classical(starts, integrate_blocks(starts, 0.576, 1e-3))
-    whole = np.stack([integrate(start, 0.576, 1e-3).states for start in starts], axis=2)
+    whole = np.stack([integrate(start, 0.576, 1e-3) for start in starts], axis=2)
     assert _classical_reduced(run) == _whole_classical(whole)
     for label in ("mixed", "basis:10"):
         rho0 = labelled_state(label)
         got = _quantum_reduced(verify._reduce_quantum(evolve_blocks(rho0, 0.576, 1e-3)))
-        traj = evolve(rho0, ops, 0.576, 1e-3)
-        _assert_quantum_equal(got, _whole_quantum(traj.states, traj.min_eigenvalues, ops))
+        states = evolve(rho0, ops, 0.576, 1e-3)
+        lowest = np.concatenate([low for _, low in evolve_blocks(rho0, 0.576, 1e-3)])
+        _assert_quantum_equal(got, _whole_quantum(states, lowest, ops))
 
 
 @pytest.mark.parametrize("block_steps", [50, 350, 2048 * 50], ids=["1-row", "7-row", "2048-row"])
@@ -143,7 +144,7 @@ def test_block_length_does_not_change_verify_reductions(monkeypatch, block_steps
     monkeypatch.setattr(classical, "BLOCK_STEPS", block_steps)
     starts = verify._classical_starts(np.random.default_rng(verify.DEFAULT_SEED))
     run = verify._reduce_classical(starts, integrate_blocks(starts, 0.3, 1e-3))
-    whole = np.stack([integrate(start, 0.3, 1e-3).states for start in starts], axis=2)
+    whole = np.stack([integrate(start, 0.3, 1e-3) for start in starts], axis=2)
     assert _classical_reduced(run) == _whole_classical(whole)
 
 
@@ -397,6 +398,18 @@ def test_kernel_check_fails_on_a_wrong_span(ops):
     assert not failed.passed
     assert re.fullmatch(r"kernel dim 2, worst principal angle 1\.00e-03 \(tol 1e-10\)", failed.detail)
     assert verify._check_kernel(2, ops.jump, tilted, 1e-3).passed
+
+
+def test_quantum_convergence_tells_c_from_its_conjugate(monkeypatch):
+    # the last quantum start has a complex coherence: a stationary family
+    # that swaps c and conj(c) puts the run's endpoint far from it
+    run = verify._reduce_quantum(quantum.evolve_blocks(verify._quantum_starts()[-1], 20.0, 1e-3))
+    assert verify._check_quantum_convergence([run]).passed
+    combination = quantum._kernel_combination
+    monkeypatch.setattr(quantum, "_kernel_combination", lambda a, b, c: combination(a, b, np.conj(c)))
+    swapped = verify._check_quantum_convergence([run])
+    assert not swapped.passed
+    assert swapped.detail.startswith("worst endpoint residual 2.50e-01 (tol 1e-8)")
 
 
 PRINTED_TERM = re.compile(r"(-?\d\.\d\de[-+]\d\d) \((tol|floor) (-?\d+(?:\.\d+)?e-\d+)\)")
