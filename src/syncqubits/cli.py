@@ -11,14 +11,18 @@ verify           run the numbered self-checks and report PASS/FAIL
 
 Data goes to ``--out PATH`` when given, otherwise to standard output (the
 human-readable summary lines then move to standard error so piped data
-stays clean).  Tables are computed and written a block of rows at a time.
-A CSV export's memory does not grow with the length of the run; JSON's
-object of lists needs whole columns, so it holds its columns, but never the
-states.  ``--out`` is written as a temporary file beside it, opened before
-anything is computed, that replaces it only once the run has succeeded: a
-run that fails leaves no file, or the old one as it was.  A path that is
-not a regular file, such as /dev/null, is written directly.  On standard
-output, a run that exits 3 may already have printed part of its table.
+stays clean); ``main`` opens that output, ``_output``, for every command,
+and a handler only writes to the stream it is given.  Tables are computed
+and written a block of rows at a time.  A CSV export's memory does not
+grow with the length of the run; JSON's object of lists needs whole
+columns, so it holds its columns, but never the states.  ``--out`` is
+written as a temporary file beside it, opened before the command reads its
+inputs, that replaces it only once the run has succeeded: a run that fails
+leaves no file, or the old one as it was, and a bad input meeting an
+``--out`` that cannot be opened is reported as the ``--out`` error.  A path
+that is not a regular file, such as /dev/null, is written directly.  On
+standard output, a run that exits 3 may already have printed part of its
+table.
 One table, ``_COMMANDS``, declares every command and option once; the
 parser, the ``--config`` file and dispatch all read it.  Every option but
 --help takes one value, after a space even when it starts with '-', or
@@ -44,7 +48,7 @@ import reprlib
 import shutil
 import stat
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -88,7 +92,11 @@ class _Option(NamedTuple):
 
 
 class _Command(NamedTuple):
-    handler: Callable[[dict], int]
+    """A command's handler, which writes its data to the stream it is
+    given and returns its exit code and summary lines; its help; its
+    options."""
+
+    handler: Callable[[dict, TextIO], tuple[int, list[str]]]
     help: str
     options: dict[str, _Option]
 
@@ -181,23 +189,25 @@ def _writes_in_place(path: str) -> bool:
         return False
 
 
-def _emit(chunks, out_path):
-    """Write the data payload, an iterable of text chunks; returns the
-    stream summaries should use.
+@contextlib.contextmanager
+def _output(out_path):
+    """The scope of one command's output: yields ``(out, summaries)``, the
+    stream its data goes to and the one its summary lines go to.
 
     A file is written as a temporary file beside it, which replaces it once
-    every chunk is written: a run that fails leaves no file, or the old one
-    as it was.  A symbolic link is followed to the file it names.
+    the scope has closed without an error: a run that fails leaves no file,
+    or the old one as it was.  A symbolic link is followed to the file it
+    names.
     """
     if not out_path:
-        sys.stdout.writelines(chunks)
+        yield sys.stdout, sys.stderr
         sys.stdout.flush()  # a closed pipe fails here, not at exit
-        return sys.stderr
+        return
     target = os.path.realpath(out_path)
     if _writes_in_place(target):
         with open(target, "w") as fh:
-            fh.writelines(chunks)
-        return sys.stdout
+            yield fh, sys.stdout
+        return
     folder, name = os.path.split(target)
     # opened by name, so a new file gets the mode a plain open gives it
     temp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
@@ -209,12 +219,11 @@ def _emit(chunks, out_path):
         with fh:
             with contextlib.suppress(FileNotFoundError):
                 shutil.copymode(target, temp)  # a file replaced keeps its mode
-            fh.writelines(chunks)
+            yield fh, sys.stdout
         os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
         raise
-    return sys.stdout
 
 
 def _parse_triple(text: str) -> list[float]:
@@ -305,14 +314,14 @@ def _table_chunks(blocks, fmt: str, records: bool = False):
         yield "}\n"
 
 
-def _cmd_classical_sim(cfg) -> int:
+def _cmd_classical_sim(cfg, out) -> tuple[int, list[str]]:
     init = _parse_triple(cfg["init"])
     dt = cfg["dt"]
-    final = None
+    states = None
     max_dh = 0.0
 
     def blocks():
-        nonlocal final, max_dh
+        nonlocal states, max_dh
         row = 0
         for states in integrate_blocks(init, cfg["t_final"], dt):
             x, y, z = states.T
@@ -320,7 +329,6 @@ def _cmd_classical_sim(cfg) -> int:
             if not row:
                 h0 = h[0]
             max_dh = max(max_dh, float(np.abs(h - h0).max()))
-            final = states[-1].copy()  # valid only until the next block
             yield {
                 "t": dt * np.arange(row, row + len(states)),
                 "lx": x,
@@ -332,11 +340,12 @@ def _cmd_classical_sim(cfg) -> int:
             }
             row += len(states)
 
-    stream = _emit(_table_chunks(blocks(), cfg["format"]), cfg["out"])
-    lx, ly, lz = final
-    print(f"final state: lx={_fmt(lx)} ly={_fmt(ly)} lz={_fmt(lz)}", file=stream)
-    print(f"max |dH|: {_fmt(max_dh)}", file=stream)
-    return 0
+    out.writelines(_table_chunks(blocks(), cfg["format"]))
+    lx, ly, lz = states[-1]  # a run's last block stays valid once it has ended
+    return 0, [
+        f"final state: lx={_fmt(lx)} ly={_fmt(ly)} lz={_fmt(lz)}",
+        f"max |dH|: {_fmt(max_dh)}",
+    ]
 
 
 def _parse_initial_density(text: str) -> np.ndarray:
@@ -351,16 +360,15 @@ def _parse_initial_density(text: str) -> np.ndarray:
     return density_matrix_from_json(payload)
 
 
-def _cmd_quantum_evolve(cfg) -> int:
+def _cmd_quantum_evolve(cfg, out) -> tuple[int, list[str]]:
     rho0 = _parse_initial_density(cfg["init"])
     dt = cfg["dt"]
-    last = None
+    states = None
 
     def blocks():
-        nonlocal last
+        nonlocal states
         row = 0
         for states, lowest in evolve_blocks(rho0, cfg["t_final"], dt):
-            last = states[-1].copy()  # the block's buffer is reused
             yield {
                 "t": np.arange(row, row + len(states)) * dt,
                 "lx_avg": np.einsum("tij,ji->t", states, OPERATORS.lx).real,
@@ -372,14 +380,12 @@ def _cmd_quantum_evolve(cfg) -> int:
             }
             row += len(states)
 
-    stream = _emit(_table_chunks(blocks(), cfg["format"]), cfg["out"])
-    fit = project_to_stationary(last)
-    print(
+    out.writelines(_table_chunks(blocks(), cfg["format"]))
+    fit = project_to_stationary(states[-1])  # a run's last block stays valid once it has ended
+    return 0, [
         f"stationary fit: a={_fmt(fit.a)} b={_fmt(fit.b)} "
-        f"c_re={_fmt(fit.c.real)} c_im={_fmt(fit.c.imag)} residual={_fmt(fit.residual)}",
-        file=stream,
-    )
-    return 0
+        f"c_re={_fmt(fit.c.real)} c_im={_fmt(fit.c.imag)} residual={_fmt(fit.residual)}"
+    ]
 
 
 def _params_from(cfg) -> StationaryParams:
@@ -387,71 +393,52 @@ def _params_from(cfg) -> StationaryParams:
     return StationaryParams(a, 1.0 - a, complex(cfg["c_re"], cfg["c_im"]))
 
 
-def _cmd_stationary(cfg) -> int:
+def _cmd_stationary(cfg, out) -> tuple[int, list[str]]:
     params = _params_from(cfg)
-
-    def document():
-        rho = stationary_state(params)
-        w, _ = hermitian_eigensystem(rho)
-        disc = max(1.0 - 4.0 * (params.a * params.b - abs(params.c) ** 2), 0.0)
-        payload = {
-            "a": params.a,
-            "b": params.b,
-            "c_re": params.c.real,
-            "c_im": params.c.imag,
-            "rho": density_matrix_to_json(rho),
-            "eigenvalues": w.tolist(),
-            "quadratic_roots": [0.5 * (1.0 - disc**0.5), 0.5 * (1.0 + disc**0.5)],
-        }
-        yield json.dumps(payload, indent=2) + "\n"
-
-    _emit(document(), cfg["out"])
-    return 0
+    rho = stationary_state(params)
+    w, _ = hermitian_eigensystem(rho)
+    disc = max(1.0 - 4.0 * (params.a * params.b - abs(params.c) ** 2), 0.0)
+    payload = {
+        "a": params.a,
+        "b": params.b,
+        "c_re": params.c.real,
+        "c_im": params.c.imag,
+        "rho": density_matrix_to_json(rho),
+        "eigenvalues": w.tolist(),
+        "quadratic_roots": [0.5 * (1.0 - disc**0.5), 0.5 * (1.0 + disc**0.5)],
+    }
+    out.write(json.dumps(payload, indent=2) + "\n")
+    return 0, []
 
 
-def _cmd_ppt(cfg) -> int:
-    params = _params_from(cfg)
-
-    def document():
-        report = ppt_analyze(params)
-        payload = {
-            "a": cfg["a"],
-            "c_re": cfg["c_re"],
-            "c_im": cfg["c_im"],
-            "eigenvalues": report.eigenvalues.tolist(),
-            "min_eigenvalue": report.min_eigenvalue,
-            "negativity": report.negativity,
-            "separable": report.separable,
-            "closed_form_eigenvalues": report.closed_form_eigenvalues.tolist(),
-        }
-        yield json.dumps(payload, indent=2) + "\n"
-
-    _emit(document(), cfg["out"])
-    return 0
+def _cmd_ppt(cfg, out) -> tuple[int, list[str]]:
+    report = ppt_analyze(_params_from(cfg))
+    payload = {
+        "a": cfg["a"],
+        "c_re": cfg["c_re"],
+        "c_im": cfg["c_im"],
+        "eigenvalues": report.eigenvalues.tolist(),
+        "min_eigenvalue": report.min_eigenvalue,
+        "negativity": report.negativity,
+        "separable": report.separable,
+        "closed_form_eigenvalues": report.closed_form_eigenvalues.tolist(),
+    }
+    out.write(json.dumps(payload, indent=2) + "\n")
+    return 0, []
 
 
-def _cmd_sweep(cfg) -> int:
-    def blocks():
-        yield from _blocks(sweep(cfg["grid"]).columns())
-
-    _emit(_table_chunks(blocks(), cfg["format"], records=True), cfg["out"])
-    return 0
+def _cmd_sweep(cfg, out) -> tuple[int, list[str]]:
+    columns = sweep(cfg["grid"]).columns()
+    out.writelines(_table_chunks(_blocks(columns), cfg["format"], records=True))
+    return 0, []
 
 
-def _cmd_verify(cfg) -> int:
-    results = []
-
-    def report():
-        results.extend(run_all())
-        lines = [
-            f"{'PASS' if r.passed else 'FAIL'} {r.number:2d} {r.key}: {r.detail}"
-            for r in results
-        ]
-        lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-        yield "\n".join(lines) + "\n"
-
-    _emit(report(), cfg["out"])
-    return 0 if all(r.passed for r in results) else 1
+def _cmd_verify(cfg, out) -> tuple[int, list[str]]:
+    results = run_all()
+    for r in results:
+        out.write(f"{'PASS' if r.passed else 'FAIL'} {r.number:2d} {r.key}: {r.detail}\n")
+    out.write(f"{sum(r.passed for r in results)}/{len(results)} checks passed\n")
+    return (0 if all(r.passed for r in results) else 1), []
 
 
 _RUN = {"t_final": _Option(float, "20", "integration time"), "dt": _Option(float, "1e-3", "RK4 step")}
@@ -527,7 +514,12 @@ def _shown(exc: Exception) -> Exception:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
-        return _COMMANDS[args.command].handler(_merge_config(args))
+        cfg = _merge_config(args)
+        with _output(cfg["out"]) as (out, summaries):
+            code, lines = _COMMANDS[args.command].handler(cfg, out)
+        for line in lines:
+            print(line, file=summaries)
+        return code
     except (StepTooLarge, PositivityLost) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -65,19 +65,20 @@ def _real_cubic_roots(c2, c1, c0, disc) -> np.ndarray:
     rounding error of 1e-16 moves the roots by 1e-8.  The angle is taken by
     math.atan2 per element, whose bits numpy's vectorised arctan2 does not
     always reproduce, and powers by np.float_power, which matches Python's
-    ``**``.  A nonnegative depressed p only occurs for a triple root on
-    this domain.
+    ``**``.  The trigonometric form needs a negative depressed p, and
+    :func:`cubic_roots`' p is -(5/6) (a - 1/2)^2 - 1/8 - |c|^2 with
+    b = 1 - a, at most -1/8 on the whole family (PARAM_TOL moves it by
+    about 1e-12).
     """
     p = c1 - c2 * c2 / 3.0
     q = 2.0 * np.float_power(c2, 3) / 27.0 - c2 * c1 / 3.0 + c0
     shift = -c2 / 3.0
-    m = 2.0 * np.sqrt(np.maximum(-p / 3.0, 0.0))
+    m = 2.0 * np.sqrt(-p / 3.0)
     y = np.sqrt(np.maximum(disc, 0.0) / 27.0)
     angle = map(math.atan2, np.ravel(y).tolist(), np.ravel(-q).tolist())
     phi = np.reshape(list(angle), np.shape(q)) / 3.0
     third = 2.0 * math.pi / 3.0
-    trig = shift + m * np.cos([phi, phi - third, phi - 2.0 * third])
-    roots = np.where(p >= 0.0, shift - np.cbrt(q), trig)
+    roots = shift + m * np.cos([phi, phi - third, phi - 2.0 * third])
     return np.sort(np.moveaxis(roots, 0, -1), axis=-1)
 
 

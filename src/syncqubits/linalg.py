@@ -47,15 +47,18 @@ def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``np.linalg.eigh(m)`` itself, a pair to unpack as ``w, v``:
     real ascending eigenvalues, and the orthonormal eigenvector of w[i] in
-    column i of v, along the input's leading axes.  Raises NotHermitian for
-    the first matrix whose symmetry error exceeds HERMITIAN_TOL.  The
-    reconstruction V diag(w) V+ matches the input to machine precision for
-    the matrix sizes this package deals in.
+    column i of v, along the input's leading axes.  Raises ValueError for
+    a NaN or infinite entry, and NotHermitian for the first matrix whose
+    symmetry error exceeds HERMITIAN_TOL.  The reconstruction V diag(w) V+
+    matches the input to machine precision for the matrix sizes this
+    package deals in.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] == 0:
         raise DimMismatch(f"expected nonempty matrices, got shape {a.shape}")
     _require_square(a)
+    if not np.isfinite(a).all():  # a NaN error would pass the test below
+        raise ValueError("m must be finite")
     err = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     bad = err > HERMITIAN_TOL
     if bad.any():
@@ -92,6 +95,8 @@ def _orthonormal_columns(vectors, name: str) -> np.ndarray:
         a = np.column_stack([np.asarray(v, dtype=complex).ravel() for v in vectors])
     else:
         a = _as_matrix(vectors)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
     q, _ = np.linalg.qr(a)
     return q
 
@@ -100,10 +105,10 @@ def principal_angles(u, v) -> np.ndarray:
     """Principal angles between the column spans of ``u`` and ``v``.
 
     Accepts 2-d arrays (columns span) or nonempty sequences of vectors,
-    which must be linearly independent; both spans must have equal
-    dimension.  Uses the sine-based formulation, which keeps full precision
-    for the near-zero angles this package asserts on.  Angles come back
-    ascending, in [0, pi/2].
+    which must be finite and linearly independent; both spans must have
+    equal dimension.  Uses the sine-based formulation, which keeps full
+    precision for the near-zero angles this package asserts on.  Angles
+    come back ascending, in [0, pi/2].
     """
     qu = _orthonormal_columns(u, "u")
     qv = _orthonormal_columns(v, "v")

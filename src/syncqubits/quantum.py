@@ -218,8 +218,9 @@ def evolve(rho0, ops: OperatorSet, t_final: float, dt: float) -> np.ndarray:
 def evolve_blocks(rho0, t_final: float, dt: float):
     """Fixed-step RK4 run of the master equation, yielded as (states, lowest
     eigenvalues) blocks from t = 0.  A block holds BLOCK_STEPS states but
-    the last, in a view of one reused buffer valid until the next block is
-    requested.  Each step applies the precomputed RK4 propagator
+    the last, in a view of one reused buffer; a block is valid until the
+    next block is requested, and the last one stays valid once the run has
+    ended.  Each step applies the precomputed RK4 propagator
     (:func:`_rk4_propagator`) to the flattened state, which keeps it
     Hermitian and of unit trace up to roundoff.  Each block is checked
     before it is yielded: PositivityLost names the first time in it that

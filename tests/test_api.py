@@ -69,6 +69,26 @@ WRONG_ARGUMENTS = {
         ValueError,
         r"^m must be finite$",
     ),
+    "hermitian-eigensystem-nan": (
+        lambda: linalg.hermitian_eigensystem(np.full((2, 2), np.nan)),
+        ValueError,
+        r"^m must be finite$",
+    ),
+    "principal-angles-nan": (
+        lambda: linalg.principal_angles(np.full((4, 1), np.nan), np.eye(4)[:, :1]),
+        ValueError,
+        r"^u must be finite$",
+    ),
+    "integrate-ragged": (
+        lambda: classical.integrate([[0, 1, 2], [1, 2]], 1, 0.1),
+        ValueError,
+        r"^initial must be a rectangular array, got \[\[0, 1, 2\], \[1, 2\]\]$",
+    ),
+    "integrate-blocks-ragged": (
+        lambda: next(classical.integrate_blocks([[0, 1, 2], [1, 2]], 1, 0.1)),
+        ValueError,
+        r"^starts must be a rectangular array, got \[\[0, 1, 2\], \[1, 2\]\]$",
+    ),
     "integrate-blocks-complex": (
         lambda: next(classical.integrate_blocks([1j, 0, 0], 1, 0.1)),
         TypeError,

@@ -394,6 +394,18 @@ def test_blocks_collect_to_the_whole_run(n_steps):
         ]
 
 
+def test_a_stacks_last_block_stays_valid_once_the_run_has_ended():
+    # three blocks of 40 time points at 50 runs; the generator writes
+    # nothing after its last yield
+    starts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(50, 3))
+    run = integrate_blocks(starts, 0.1, 1e-3)
+    for block in run:
+        yielded = block.copy()
+    assert next(run, None) is None
+    assert len(yielded) < BLOCK_STEPS // 50
+    assert np.array_equal(block, yielded)
+
+
 def test_stack_wider_than_a_block_yields_one_time_point_per_block():
     starts = np.random.default_rng(4).uniform(-2.0, 2.0, size=(BLOCK_STEPS + 1, 3))
     blocks = [b.copy() for b in integrate_blocks(starts, 5e-3, 1e-3)]

@@ -657,7 +657,7 @@ def test_verify_command_passes(capsys, tmp_path, monkeypatch, verify_results):
 
 def test_internal_error_exit_code(capsys, monkeypatch):
     # an unexpected exception is a defect, reported on one line with its own code
-    def broken(cfg):
+    def broken(cfg, out):
         raise RuntimeError("closed form disagrees")
 
     monkeypatch.setitem(cli._COMMANDS, "ppt", cli._COMMANDS["ppt"]._replace(handler=broken))
@@ -773,11 +773,18 @@ def test_out_in_a_missing_folder_is_named_as_given(capsys, tmp_path):
         (["ppt", "--a", "0.3"], "ppt_analyze"),
         (["sweep"], "sweep"),
         (["verify"], "run_all"),
+        pytest.param(["classical-sim", "--init", "0,0.6"], "integrate_blocks", id="bad-init"),
+        pytest.param(["quantum-evolve", "--init", "basis:22"], "evolve_blocks", id="bad-state"),
+        pytest.param(["stationary", "--a", "2"], "stationary_state", id="bad-weight"),
+        pytest.param(["ppt", "--a", "2"], "ppt_analyze", id="bad-point"),
+        pytest.param(["sweep", "--grid", "1"], "sweep", id="bad-grid"),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )
 def test_out_in_a_missing_folder_fails_before_computing(capsys, tmp_path, monkeypatch, argv, name):
-    # --out's temporary file is opened before the first result is computed
+    # --out's temporary file is opened before the command reads its inputs,
+    # so a bad input meeting an --out that cannot be opened is reported as
+    # the --out error
     def computed(*args):
         raise AssertionError(f"{name} ran before --out was opened")
 
@@ -878,7 +885,8 @@ def test_table_writer_memory_is_bounded(fmt):
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        cli._emit(counted(cli._table_chunks(cli._blocks(columns), fmt)), os.devnull)
+        with cli._output(os.devnull) as (out, _):
+            out.writelines(counted(cli._table_chunks(cli._blocks(columns), fmt)))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

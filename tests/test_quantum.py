@@ -660,6 +660,16 @@ def test_blocks_collect_to_the_whole_run(ops, label, n_steps):
     assert np.array_equal(np.concatenate([low for _, low in blocks]), np.linalg.eigvalsh(whole)[:, 0])
 
 
+def test_last_block_stays_valid_once_the_run_has_ended():
+    # the last of two blocks is a view of the buffer the first one filled
+    run = evolve_blocks(labelled_state("basis:01"), (BLOCK_STEPS + 9) * 1e-3, 1e-3)
+    for states, lowest in run:
+        yielded = states.copy(), lowest.copy()
+    assert next(run, None) is None
+    assert len(states) == 10
+    assert np.array_equal(states, yielded[0]) and np.array_equal(lowest, yielded[1])
+
+
 @pytest.mark.parametrize("block_steps", [2, 4, 5])
 def test_positivity_loss_named_alike_in_any_block(ops, monkeypatch, block_steps):
     # at dt = 0.41 an eigenvalue first falls below -1e-6 at step 6, and at

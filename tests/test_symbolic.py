@@ -79,6 +79,18 @@ def _cubic_roots_coefficients():
     return [sympy.nsimplify(e, rational=True) for e in namespace["cubic_roots"](params)]
 
 
+def _depressed_p(c2, c1):
+    """The depressed cubic's p as _real_cubic_roots computes it, its own
+    statement run on symbols."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(entanglement._real_cubic_roots)))
+    (fn,) = tree.body
+    (statement,) = [
+        s for s in fn.body if isinstance(s, ast.Assign) and getattr(s.targets[0], "id", "") == "p"
+    ]
+    p = eval(compile(ast.Expression(statement.value), "<p>", "eval"), {"c1": c1, "c2": c2})
+    return sympy.nsimplify(p, rational=True)
+
+
 CUBIC = 8 * t**3 - 8 * t**2 + 4 * b * t**2 + 4 * b * t - 6 * b**2 * t - 8 * u * t + b**3
 
 
@@ -110,6 +122,15 @@ def test_cubic_roots_solves_the_transposed_cubic():
     assert sympy.expand(monic - CUBIC / 8) == 0
     # the discriminant that picks the trigonometric branch's angle
     assert sympy.expand(disc - sympy.discriminant(monic, t)) == 0
+
+
+def test_depressed_cubic_takes_the_trigonometric_form():
+    # p = -(5/6) (a - 1/2)^2 - 1/8 - |c|^2 <= -1/8: the roots always come
+    # from the trigonometric form, which needs p < 0
+    coeff2, coeff1, _, _ = _cubic_roots_coefficients()
+    half = sympy.Rational(1, 2)
+    closed = -sympy.Rational(5, 6) * (a - half) ** 2 - sympy.Rational(1, 8) - u
+    assert sympy.expand(_depressed_p(coeff2, coeff1) - closed) == 0
 
 
 def test_transposed_determinant(transposed):
