@@ -155,8 +155,9 @@ def integrate_blocks(starts, t_final: float, dt: float):
     Once iteration begins, raises TypeError for starts that are no real
     numbers; ValueError for any other shape, a nonfinite start, nonfinite
     or nonpositive dt / t_final, or more than MAX_STEPS steps; and
-    StepTooLarge when any component exceeds 1e6 in magnitude or is no
-    longer a number.  A stack's errors name the first run that failed.
+    StepTooLarge when a state, the start included, exceeds 1e6 in
+    magnitude or is no longer a number, naming its time (and run); each
+    block is tested here, before it is yielded.
     """
     start = _as_array(starts, "starts")
     if start.dtype.kind not in "biuf":  # a complex start would lose its imaginary part
@@ -168,11 +169,16 @@ def integrate_blocks(starts, t_final: float, dt: float):
     if not np.all(np.isfinite(start)):
         raise ValueError("initial state must be finite")
     n_steps = step_count(t_final, dt)
-    bad = ~(np.abs(start) <= DIVERGENCE_LIMIT).all(axis=-1)
-    if bad.any():
-        where = "" if one else f" in run {np.argmax(bad)}"
-        raise StepTooLarge(f"initial state exceeds {DIVERGENCE_LIMIT:g}{where}")
-    yield from (_run_one if one else _run_stack)(start, n_steps, dt)
+    rows = max(1, BLOCK_STEPS // (1 if one else len(start)))
+    limit = DIVERGENCE_LIMIT
+    for i, block in enumerate((_run_one if one else _run_stack)(start, n_steps, dt, rows)):
+        # NaN fails both comparisons; min and max allocate nothing
+        if not (-limit <= block.min() and block.max() <= limit):
+            bad = np.argwhere(~(np.abs(block) <= limit).all(axis=1))[0]
+            where = "" if one else f" in run {bad[1]}"
+            # every block before this one held rows time points
+            raise StepTooLarge(f"state exceeded {limit:g} at t = {(i * rows + bad[0]) * dt:g}{where}")
+        yield block
 
 
 def _as_array(value, name: str) -> np.ndarray:
@@ -183,10 +189,10 @@ def _as_array(value, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a rectangular array, got {reprlib.repr(value)}") from None
 
 
-def _run_one(start: np.ndarray, n_steps: int, dt: float):
-    """The blocks of one start's run, as a loop over Python floats."""
+def _run_one(start: np.ndarray, n_steps: int, dt: float, rows: int):
+    """The blocks of rows states of one start's run, as a loop over Python
+    floats.  Past any bound its arithmetic gives inf or NaN and never raises."""
     lx, ly, lz = (float(v) for v in start)
-    limit = DIVERGENCE_LIMIT
     # the stages hold the halved field, so each step size is doubled:
     # 0.5 dt, dt and dt / 6 times 2, all exact
     half, full, sixth = dt, 2.0 * dt, 2.0 * (dt / 6.0)
@@ -194,8 +200,8 @@ def _run_one(start: np.ndarray, n_steps: int, dt: float):
     xs = [lx]
     ys = [ly]
     zs = [lz]
-    for offset in range(0, total, BLOCK_STEPS):
-        for i in range(max(offset, 1), min(offset + BLOCK_STEPS, total)):
+    for offset in range(0, total, rows):
+        for i in range(max(offset, 1), min(offset + rows, total)):
             ax = ly * ly + lz * lz
             ay = -lx * ly
             az = -lx * lz
@@ -225,8 +231,6 @@ def _run_one(start: np.ndarray, n_steps: int, dt: float):
             ly += sixth * (ay + 2.0 * (by + cy) + dy)
             lz += sixth * (az + 2.0 * (bz + cz) + dz)
 
-            if not (abs(lx) <= limit and abs(ly) <= limit and abs(lz) <= limit):
-                raise StepTooLarge(f"state exceeded {limit:g} at t = {i * dt:g}")
             xs.append(lx)
             ys.append(ly)
             zs.append(lz)
@@ -236,19 +240,18 @@ def _run_one(start: np.ndarray, n_steps: int, dt: float):
         zs = []
 
 
-def _run_stack(starts: np.ndarray, n_steps: int, dt: float):
-    """The blocks of a stack's runs as one numpy block.  Each line of the
-    loop repeats one float operation of :func:`_run_one`, operands swapped
-    only where IEEE arithmetic is commutative (x + half a becomes half a +
-    x).  Every operand in the loop is a whole row, (n,) or (3, n), of a
-    buffer viewed once per call, or a 0-d constant: numpy's cost per call
-    bounds the loop, and a call that broadcasts, or a slice, costs several
-    times a plain call.  A block is a view of one reused buffer and is
-    tested for divergence before it is yielded."""
-    limit = DIVERGENCE_LIMIT
+def _run_stack(starts: np.ndarray, n_steps: int, dt: float, rows: int):
+    """The blocks of rows time points of a stack's runs, as one numpy
+    block.  Each line of the loop repeats one float operation of
+    :func:`_run_one`, operands swapped only where IEEE arithmetic is
+    commutative (x + half a becomes half a + x).  Every operand in the
+    loop is a whole row, (n,) or (3, n), of a buffer viewed once per call,
+    or a 0-d constant: numpy's cost per call bounds the loop, and a call
+    that broadcasts, or a slice, costs several times a plain call.  A
+    block is a view of one reused buffer."""
     n = len(starts)
     total = n_steps + 1
-    buf = np.empty((min(max(1, BLOCK_STEPS // n), total), 3, n))
+    buf = np.empty((min(rows, total), 3, n))
     buf[0] = starts.T
     a, b, c, d, mid, acc = (np.empty((3, n)) for _ in range(6))
     squares = np.empty((2, n))
@@ -273,14 +276,14 @@ def _run_stack(starts: np.ndarray, n_steps: int, dt: float):
         """(row, x, y, z, yz) of each (3, n) row, made once."""
         return [(row, row[0], row[1], row[2], row[1:]) for row in rows]
 
-    rows = views(buf)
+    buf_s = views(buf)
     a_s, b_s, c_s, d_s, mid_s = views((a, b, c, d, mid))
-    prev = rows[0]
+    prev = buf_s[0]
     for offset in range(0, total, len(buf)):
         block = buf[: total - offset]
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        with np.errstate(over="ignore", invalid="ignore"):  # integrate_blocks reports it
             # row 0 of the first block holds the starts
-            for cur in rows[1 if offset == 0 else 0 : len(block)]:
+            for cur in buf_s[1 if offset == 0 else 0 : len(block)]:
                 row = prev[0]
                 field(prev, a_s)
                 mul(a, half, mid)
@@ -300,10 +303,6 @@ def _run_stack(starts: np.ndarray, n_steps: int, dt: float):
                 mul(acc, sixth, acc)
                 add(row, acc, cur[0])
                 prev = cur
-        # NaN fails both comparisons; min and max allocate nothing
-        if not (-limit <= block.min() and block.max() <= limit):
-            step, run = np.argwhere(~(np.abs(block) <= limit).all(axis=1))[0]
-            raise StepTooLarge(f"state exceeded {limit:g} at t = {(offset + step) * dt:g} in run {run}")
         yield block
 
 

@@ -137,8 +137,9 @@ def _at(params, index: tuple) -> str:
 
 
 def _guard(gap: np.ndarray, params, what: str) -> None:
-    """RuntimeError naming the first point whose gap exceeds CLOSED_FORM_AGREEMENT."""
-    bad = np.asarray(gap > CLOSED_FORM_AGREEMENT)
+    """RuntimeError naming the first point whose gap exceeds
+    CLOSED_FORM_AGREEMENT or is NaN."""
+    bad = np.asarray(~(gap <= CLOSED_FORM_AGREEMENT))
     if bad.any():
         index = np.unravel_index(bad.argmax(), bad.shape)
         raise RuntimeError(f"{what} by {gap[index]:.3e} at {_at(params, index)}")

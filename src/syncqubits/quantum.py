@@ -15,12 +15,13 @@ model has one operator set, :data:`OPERATORS`.
 from __future__ import annotations
 
 import math
+import numbers
 import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import BLOCK_STEPS, step_count
+from .classical import BLOCK_STEPS, _as_array, step_count
 
 #: slack used when validating stationary-family coefficients
 PARAM_TOL = 1e-12
@@ -146,7 +147,7 @@ def check_density_matrix(rho) -> np.ndarray:
     Hermiticity and unit trace (both within 1e-10) and positivity (no
     eigenvalue below -1e-9); raises ValueError on any violation.
     """
-    r = np.array(rho, dtype=complex)
+    r = np.array(_as_array(rho, "rho"), dtype=complex)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {r.shape}")
     if r.size == 0:
@@ -174,13 +175,21 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def _as_state(rho) -> np.ndarray:
+    """``rho`` as a complex array, or ValueError naming it unless it is 4x4."""
+    r = _as_array(rho, "rho").astype(complex, copy=False)
+    if r.shape != (4, 4):
+        raise ValueError(f"rho must be a 4x4 matrix, got shape {r.shape}")
+    return r
+
+
 def lindblad_rhs(rho) -> np.ndarray:
-    """Time derivative 2 J rho J+ - {J+J, rho} of the density matrix.
+    """Time derivative 2 J rho J+ - {J+J, rho} of the 4x4 density matrix.
 
     Kept as the direct form of the master equation, independent of
     :func:`liouvillian_matrix` and the propagator :func:`evolve_blocks` builds.
     """
-    r = np.asarray(rho, dtype=complex)
+    r = _as_state(rho)
     j, jd = OPERATORS.jump, OPERATORS.jump_dagger
     absorb = jd @ j
     return 2.0 * (j @ r @ jd) - absorb @ r - r @ absorb
@@ -229,7 +238,7 @@ def evolve_blocks(rho0, t_final: float, dt: float):
     comes first.  ValueError, once iteration begins, for an invalid ``rho0``
     (:func:`check_density_matrix`) or steps (:func:`classical.step_count`).
     """
-    rho = check_density_matrix(rho0)
+    rho = check_density_matrix(_as_array(rho0, "rho0"))
     if rho.shape != OPERATORS.jump.shape:
         raise ValueError(f"state has shape {rho.shape}, the operators need {OPERATORS.jump.shape}")
     total = step_count(t_final, dt) + 1
@@ -262,9 +271,9 @@ def ehrenfest_lx(rho) -> float:
     """Growth rate of <lx>, namely 2 Re tr(rho J+J).
 
     Identical to tr(lx * lindblad_rhs(rho)) and nonnegative on states,
-    because J+J is positive semidefinite.
+    because J+J is positive semidefinite; ValueError unless rho is 4x4.
     """
-    r = np.asarray(rho, dtype=complex)
+    r = _as_state(rho)
     return float(2.0 * np.trace(r @ (OPERATORS.jump_dagger @ OPERATORS.jump)).real)
 
 
@@ -320,8 +329,9 @@ class StationaryParams:
     Validated on construction: all three finite, a + b = 1, both
     nonnegative, and a b >= |c|^2 (all within 1e-12), the exact conditions
     for unit trace and positivity.  ``c`` may be complex; a complex ``a``
-    or ``b``, or anything but numbers (None, a string), raises TypeError.
-    A violation raises InvalidParams, naming the first failing point of a
+    or ``b``, or anything but numbers (None, a string), raises TypeError,
+    and a ragged nesting or shapes that do not broadcast ValueError.  A
+    violation raises InvalidParams, naming the first failing point of a
     stack.
 
     Scalar arguments give one point: ``a`` and ``b`` are then floats and
@@ -338,16 +348,27 @@ class StationaryParams:
     def __post_init__(self):
         for name in ("a", "b", "c"):
             value = getattr(self, name)
-            kind = np.asarray(value).dtype.kind
+            kind = _as_array(value, name).dtype.kind
+            if kind == "O" and isinstance(value, numbers.Integral):  # an int beyond int64
+                try:
+                    float(value)
+                except OverflowError:
+                    raise InvalidParams(f"{name} must be finite, got {reprlib.repr(value)}") from None
+                kind = "i"
             if kind not in "biufc":  # None would be cast to NaN, a string to its number
                 raise TypeError(f"{name} must be a number or an array of numbers, got {reprlib.repr(value)}")
             if kind == "c" and name != "c":  # before the cast drops the imaginary part
                 raise TypeError(f"{name} must be real, got {value!r}")
-        arrays = np.broadcast_arrays(
+        arrays = (
             np.asarray(self.a, dtype=float),
             np.asarray(self.b, dtype=float),
             np.asarray(self.c, dtype=complex),
         )
+        try:
+            arrays = np.broadcast_arrays(*arrays)
+        except ValueError:  # numpy's "shape mismatch" names no argument
+            shapes = ", ".join(str(x.shape) for x in arrays)
+            raise ValueError(f"a, b and c must broadcast to one shape, got shapes {shapes}") from None
         for name, x in zip(("a", "b", "c"), arrays):
             object.__setattr__(self, name, x.item() if x.ndim == 0 else _readonly(x.copy()))
         _check_params(self.a, self.b, self.c)
@@ -417,9 +438,7 @@ def project_to_stationary(rho) -> StationaryFit:
     Raises ValueError unless ``rho`` is a finite 4x4 matrix.
     """
     psi1, psi2 = KERNEL_BASIS.psi1, KERNEL_BASIS.psi2
-    r = np.asarray(rho, dtype=complex)
-    if r.shape != (4, 4):
-        raise ValueError(f"rho must be a 4x4 matrix, got shape {r.shape}")
+    r = _as_state(rho)
     if not np.isfinite(r).all():
         raise ValueError("rho must be finite")
     a = float((psi1.conj() @ r @ psi1).real)

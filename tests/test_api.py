@@ -94,6 +94,46 @@ WRONG_ARGUMENTS = {
         TypeError,
         r"^starts must be real numbers, got \[1j, 0, 0\]$",
     ),
+    "lindblad-rhs-3x3": (
+        lambda: quantum.lindblad_rhs(np.eye(3)),
+        ValueError,
+        r"^rho must be a 4x4 matrix, got shape \(3, 3\)$",
+    ),
+    "ehrenfest-lx-3x3": (
+        lambda: quantum.ehrenfest_lx(np.eye(3)),
+        ValueError,
+        r"^rho must be a 4x4 matrix, got shape \(3, 3\)$",
+    ),
+    "params-unbroadcastable": (
+        lambda: quantum.StationaryParams([0.5, 0.5], [0.5, 0.5, 0.5], 0),
+        ValueError,
+        r"^a, b and c must broadcast to one shape, got shapes \(2,\), \(3,\), \(\)$",
+    ),
+    "params-ragged": (
+        lambda: quantum.StationaryParams([0.5, [0.5]], 0.5, 0),
+        ValueError,
+        r"^a must be a rectangular array, got \[0\.5, \[0\.5\]\]$",
+    ),
+    "params-huge-int": (
+        lambda: quantum.StationaryParams(10**400, 0.5, 0),
+        quantum.InvalidParams,
+        r"^a must be finite, got 1000\S*\.\.\.\S*0000$",
+    ),
+    "check-density-matrix-ragged": (
+        lambda: quantum.check_density_matrix([[1, 0], [0]]),
+        ValueError,
+        r"^rho must be a rectangular array, got \[\[1, 0\], \[0\]\]$",
+    ),
+    "evolve-blocks-ragged": (
+        lambda: next(quantum.evolve_blocks([[1, 0], [0]], 1, 0.1)),
+        ValueError,
+        r"^rho0 must be a rectangular array, got \[\[1, 0\], \[0\]\]$",
+    ),
+    "project-to-stationary-ragged": (
+        lambda: quantum.project_to_stationary([[1, 0], [0]]),
+        ValueError,
+        r"^rho must be a rectangular array, got \[\[1, 0\], \[0\]\]$",
+    ),
 }
 
 

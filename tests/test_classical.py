@@ -152,7 +152,7 @@ def test_integrate_divergence_guard(stacked):
         run(initial, 5.0, 0.5)
     start = [2e6, 0.0, 1.0]
     initial = [[0.0, 0.6, 0.8], start] if stacked else start
-    with pytest.raises(StepTooLarge, match=rf"^initial state exceeds 1e\+06{suffix}$"):
+    with pytest.raises(StepTooLarge, match=rf"^state exceeded 1e\+06 at t = 0{suffix}$"):
         run(initial, 1.0, 1e-3)
 
 
@@ -419,17 +419,22 @@ def test_stack_wider_than_a_block_yields_one_time_point_per_block():
 def test_divergence_named_alike_in_any_block(monkeypatch, block_steps):
     # (0, 3, 4) passes the limit at its second step, t = 1: in the second
     # block of two rows, and at the end of the first block of three; the
-    # stack of two runs holds BLOCK_STEPS // 2 rows a block
-    starts = [[0.0, 0.6, 0.8], [0.0, 3.0, 4.0]]
-    for initial, block, message in (
-        (starts, 2 * block_steps, r"^state exceeded 1e\+06 at t = 1 in run 1$"),
-        (starts[1], block_steps, r"^state exceeded 1e\+06 at t = 1$"),
+    # stack of two runs holds BLOCK_STEPS // 2 rows a block.  A start past
+    # the limit fails the first block, at t = 0, also in a stack wider than
+    # a block, whose first block holds the starts alone
+    calm, late, bad = [0.0, 0.6, 0.8], [0.0, 3.0, 4.0], [2e6, 0.0, 1.0]
+    for initial, block, when in (
+        ([calm, late], 2 * block_steps, "1 in run 1"),
+        (late, block_steps, "1"),
+        ([calm, bad], 2 * block_steps, "0 in run 1"),
+        (bad, block_steps, "0"),
+        ([calm] * block_steps + [bad], block_steps, f"0 in run {block_steps}"),
     ):
         monkeypatch.setattr(classical, "BLOCK_STEPS", block)
         blocks = integrate_blocks(initial, 5.0, 0.5)
-        if block_steps == 2:
+        if block_steps == 2 and when.startswith("1"):
             assert len(next(blocks)) == 2  # t = 0 and 0.5 pass
-        with pytest.raises(StepTooLarge, match=message):
+        with pytest.raises(StepTooLarge, match=rf"^state exceeded 1e\+06 at t = {when}$"):
             next(blocks)
 
 

@@ -298,6 +298,26 @@ def test_sweep_names_the_point_failing_the_closed_form_check(monkeypatch):
         sweep(5)
 
 
+def test_ppt_analyze_names_the_point_of_a_nan_closed_form(monkeypatch):
+    # NaN fails every comparison, so a NaN gap must fail the check too
+    monkeypatch.setattr(entanglement, "cubic_roots", lambda params: np.full(3, np.nan))
+    with pytest.raises(
+        RuntimeError,
+        match=r"^closed-form spectrum disagrees with the numerical one by nan "
+        r"at \(a, c\) = \(0\.3, 0\.1\)$",
+    ):
+        ppt_analyze(StationaryParams(0.3, 0.7, 0.1))
+
+
+def test_ppt_analyze_names_the_point_of_a_nan_eigenvalue(monkeypatch):
+    _perturb_eigenvalues(monkeypatch, [(0.3, 0.1)], [1.0, 1.0, 1.0, np.nan])
+    with pytest.raises(
+        RuntimeError,
+        match=r"^determinant disagrees with -b\^4/16 by nan at \(a, c\) = \(0\.3, 0\.1\)$",
+    ):
+        ppt_analyze(StationaryParams(0.3, 0.7, 0.1))
+
+
 def test_sweep_names_the_point_failing_the_symmetry_check(monkeypatch):
     transpose = entanglement.partial_transpose
     target = transpose(stationary_state(StationaryParams(0.25, 0.75, 0.0)))
