@@ -34,6 +34,8 @@ import reprlib
 
 import numpy as np
 
+from .linalg import _as_numbers
+
 #: below this |lz| the ratio k = ly / lz is reported as NaN
 K_UNDEFINED_LZ = 1e-12
 
@@ -60,7 +62,7 @@ class StepTooLarge(RuntimeError):
 
 def classical_field(state) -> np.ndarray:
     """Right-hand side of the synchronization equations."""
-    lx, ly, lz = (float(x) for x in np.asarray(state, dtype=float))
+    lx, ly, lz = (float(x) for x in _as_numbers(state, "state", float))
     return np.array([2.0 * (ly * ly + lz * lz), -2.0 * lx * ly, -2.0 * lx * lz])
 
 
@@ -71,7 +73,7 @@ def dissipative_field(state) -> np.ndarray:
     i r grad(conj r) - i conj(r) grad r is real, and the field is its cross
     product with l; it reproduces :func:`classical_field`.
     """
-    l = np.asarray(state, dtype=float)
+    l = _as_numbers(state, "state", float)
     r = complex(l[2], -l[1])
     grad = np.array([0.0, -1.0j, 1.0])
     torque = -2.0 * (r * grad.conj()).imag
@@ -81,7 +83,7 @@ def dissipative_field(state) -> np.ndarray:
 def quasithermo_field(state) -> np.ndarray:
     """Flow reconstructed from H = |l|^2 / 2 and S = 2 lx alone, whose
     gradients are l and (2, 0, 0): grad H x (grad S x grad H)."""
-    gh = np.asarray(state, dtype=float)
+    gh = _as_numbers(state, "state", float)
     gs = np.array([2.0, 0.0, 0.0])
     return np.cross(gh, np.cross(gs, gh))
 
@@ -120,7 +122,7 @@ def integrate(initial, t_final: float, dt: float) -> np.ndarray:
     S and k.  ValueError for any other shape, a stack of starts included,
     and otherwise errors as for :func:`integrate_blocks`.
     """
-    shape = _as_array(initial, "initial").shape
+    shape = _as_numbers(initial, "initial", float).shape
     if shape != (3,):
         raise ValueError(
             f"initial state must have shape (3,), got shape {shape};"
@@ -159,10 +161,7 @@ def integrate_blocks(starts, t_final: float, dt: float):
     magnitude or is no longer a number, naming its time (and run); each
     block is tested here, before it is yielded.
     """
-    start = _as_array(starts, "starts")
-    if start.dtype.kind not in "biuf":  # a complex start would lose its imaginary part
-        raise TypeError(f"starts must be real numbers, got {reprlib.repr(starts)}")
-    start = start.astype(float, copy=False)
+    start = _as_numbers(starts, "starts", float)
     one = start.shape == (3,)
     if not (one or (start.ndim == 2 and start.shape[1] == 3 and len(start))):
         raise ValueError(f"starts must have shape (n, 3) or (3,), got shape {start.shape}")
@@ -179,14 +178,6 @@ def integrate_blocks(starts, t_final: float, dt: float):
             # every block before this one held rows time points
             raise StepTooLarge(f"state exceeded {limit:g} at t = {(i * rows + bad[0]) * dt:g}{where}")
         yield block
-
-
-def _as_array(value, name: str) -> np.ndarray:
-    """``np.asarray(value)``, or ValueError naming ``name`` for a ragged nesting."""
-    try:
-        return np.asarray(value)
-    except ValueError:  # numpy's "inhomogeneous shape" names no argument
-        raise ValueError(f"{name} must be a rectangular array, got {reprlib.repr(value)}") from None
 
 
 def _run_one(start: np.ndarray, n_steps: int, dt: float, rows: int):
@@ -309,7 +300,9 @@ def _run_stack(starts: np.ndarray, n_steps: int, dt: float, rows: int):
 def tracked_scalars(x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """H = |l|^2 / 2, S = 2 lx and k = ly / lz (NaN wherever |lz| < 1e-12)
     of the state components x, y, z, each computed into its own output
-    array: a stack of runs makes no full-size temporaries."""
+    array: a stack of runs makes no full-size temporaries.  TypeError
+    unless the components are real numbers."""
+    x, y, z = (_as_numbers(v, name, float) for v, name in ((x, "x"), (y, "y"), (z, "z")))
     h = np.multiply(x, x)
     s = np.multiply(y, y)  # scratch until S is written
     h += s

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NotHermitian, hermitian_eigensystem
+from .linalg import NotHermitian, _as_numbers, hermitian_eigensystem
 from .quantum import PARAM_TOL, StationaryParams, point_label, stationary_state
 
 #: closed-form and numerical spectra (and determinants) must agree this well,
@@ -47,7 +47,7 @@ def partial_transpose(rho) -> np.ndarray:
     back the input exactly.  The result is always a new, writeable array,
     even for a broadcast input whose reshape alone would be a view.
     """
-    r = np.asarray(rho, dtype=complex)
+    r = _as_numbers(rho, "rho", complex)
     if r.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4 matrices, got shape {r.shape}")
     lead = r.shape[:-2]

@@ -7,6 +7,9 @@ tiny (at most 16x16), so robust dense LAPACK routines are used throughout.
 
 from __future__ import annotations
 
+import numbers
+import reprlib
+
 import numpy as np
 
 #: largest |m - m+| entry hermitian_eigensystem accepts
@@ -29,8 +32,37 @@ class DimMismatch(ValueError):
     """Raised when operand dimensions are incompatible."""
 
 
+class NotFinite(ValueError):
+    """Raised when an argument holds an int beyond the largest float."""
+
+
+def _as_numbers(value, name: str, dtype: type) -> np.ndarray:
+    """``value`` as an array of ``dtype``, float or complex, copied only to
+    cast it: the one cast of the package's array arguments.  Its errors name
+    ``name``: ValueError for a ragged nesting, NotFinite for an int beyond
+    the largest float, and TypeError for anything but numbers (a string,
+    None) or for complex numbers where ``dtype`` is float."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # numpy's "inhomogeneous shape" names no argument
+        raise ValueError(f"{name} must be a rectangular array, got {reprlib.repr(value)}") from None
+    if a.dtype.kind == "O" and all(isinstance(x, numbers.Number) for x in a.flat):
+        # an int beyond int64 makes an array of Python objects
+        real = all(isinstance(x, numbers.Real) for x in a.flat)
+        try:
+            a = a.astype(float if real else complex)
+        except OverflowError:
+            raise NotFinite(f"{name} must be finite, got {reprlib.repr(value)}") from None
+    if a.dtype.kind not in ("biuf" if dtype is float else "biufc"):
+        if a.dtype.kind == "c":  # before the cast drops the imaginary part
+            raise TypeError(f"{name} must be real numbers, got {reprlib.repr(value)}")
+        # a string would be cast to its number, None to NaN
+        raise TypeError(f"{name} must be a number or an array of numbers, got {reprlib.repr(value)}")
+    return a.astype(dtype, copy=False)
+
+
 def _as_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+    a = _as_numbers(m, "m", complex)
     if a.ndim != 2 or a.size == 0:
         raise DimMismatch(f"expected a nonempty 2-d matrix, got shape {a.shape}")
     return a
@@ -53,7 +85,7 @@ def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     matches the input to machine precision for the matrix sizes this
     package deals in.
     """
-    a = np.asarray(m, dtype=complex)
+    a = _as_numbers(m, "m", complex)
     if a.ndim < 2 or a.shape[-1] == 0:
         raise DimMismatch(f"expected nonempty matrices, got shape {a.shape}")
     _require_square(a)
@@ -92,9 +124,9 @@ def _orthonormal_columns(vectors, name: str) -> np.ndarray:
     if isinstance(vectors, (list, tuple)):
         if not vectors:
             raise DimMismatch(f"{name} holds no vectors")
-        a = np.column_stack([np.asarray(v, dtype=complex).ravel() for v in vectors])
+        a = np.column_stack([_as_numbers(v, name, complex).ravel() for v in vectors])
     else:
-        a = _as_matrix(vectors)
+        a = _as_matrix(_as_numbers(vectors, name, complex))
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     q, _ = np.linalg.qr(a)

@@ -15,13 +15,13 @@ model has one operator set, :data:`OPERATORS`.
 from __future__ import annotations
 
 import math
-import numbers
 import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import BLOCK_STEPS, _as_array, step_count
+from .classical import BLOCK_STEPS, step_count
+from .linalg import NotFinite, _as_numbers
 
 #: slack used when validating stationary-family coefficients
 PARAM_TOL = 1e-12
@@ -147,7 +147,7 @@ def check_density_matrix(rho) -> np.ndarray:
     Hermiticity and unit trace (both within 1e-10) and positivity (no
     eigenvalue below -1e-9); raises ValueError on any violation.
     """
-    r = np.array(_as_array(rho, "rho"), dtype=complex)
+    r = np.array(_as_numbers(rho, "rho", complex))
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {r.shape}")
     if r.size == 0:
@@ -177,7 +177,7 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
 
 def _as_state(rho) -> np.ndarray:
     """``rho`` as a complex array, or ValueError naming it unless it is 4x4."""
-    r = _as_array(rho, "rho").astype(complex, copy=False)
+    r = _as_numbers(rho, "rho", complex)
     if r.shape != (4, 4):
         raise ValueError(f"rho must be a 4x4 matrix, got shape {r.shape}")
     return r
@@ -238,7 +238,7 @@ def evolve_blocks(rho0, t_final: float, dt: float):
     comes first.  ValueError, once iteration begins, for an invalid ``rho0``
     (:func:`check_density_matrix`) or steps (:func:`classical.step_count`).
     """
-    rho = check_density_matrix(_as_array(rho0, "rho0"))
+    rho = check_density_matrix(_as_numbers(rho0, "rho0", complex))
     if rho.shape != OPERATORS.jump.shape:
         raise ValueError(f"state has shape {rho.shape}, the operators need {OPERATORS.jump.shape}")
     total = step_count(t_final, dt) + 1
@@ -346,24 +346,13 @@ class StationaryParams:
     c: complex | np.ndarray = 0.0
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
-            value = getattr(self, name)
-            kind = _as_array(value, name).dtype.kind
-            if kind == "O" and isinstance(value, numbers.Integral):  # an int beyond int64
-                try:
-                    float(value)
-                except OverflowError:
-                    raise InvalidParams(f"{name} must be finite, got {reprlib.repr(value)}") from None
-                kind = "i"
-            if kind not in "biufc":  # None would be cast to NaN, a string to its number
-                raise TypeError(f"{name} must be a number or an array of numbers, got {reprlib.repr(value)}")
-            if kind == "c" and name != "c":  # before the cast drops the imaginary part
-                raise TypeError(f"{name} must be real, got {value!r}")
-        arrays = (
-            np.asarray(self.a, dtype=float),
-            np.asarray(self.b, dtype=float),
-            np.asarray(self.c, dtype=complex),
-        )
+        try:
+            arrays = [
+                _as_numbers(getattr(self, name), name, dtype)
+                for name, dtype in (("a", float), ("b", float), ("c", complex))
+            ]
+        except NotFinite as exc:
+            raise InvalidParams(str(exc)) from None
         try:
             arrays = np.broadcast_arrays(*arrays)
         except ValueError:  # numpy's "shape mismatch" names no argument
@@ -454,7 +443,7 @@ def project_to_stationary(rho) -> StationaryFit:
 def vec(mat) -> np.ndarray:
     """Column-stacking vectorization, the convention with
     vec(A X B) = kron(B.T, A) vec(X)."""
-    return np.asarray(mat, dtype=complex).reshape(-1, order="F")
+    return _as_numbers(mat, "mat", complex).reshape(-1, order="F")
 
 
 def liouvillian_matrix() -> np.ndarray:
@@ -472,7 +461,7 @@ def liouvillian_matrix() -> np.ndarray:
 
 def density_matrix_to_json(rho) -> dict:
     """JSON-ready mapping with ``dim`` and row-major ``re`` / ``im`` lists."""
-    r = np.asarray(rho, dtype=complex)
+    r = _as_numbers(rho, "rho", complex)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {r.shape}")
     return {

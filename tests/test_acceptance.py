@@ -8,7 +8,7 @@ PASS/FAIL line) per criterion.
 
 import pytest
 
-from syncqubits.verify import CHECK_KEYS
+from syncqubits.verify import CHECKS
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +17,7 @@ def results(verify_results):
 
 
 @pytest.mark.parametrize(
-    "number", range(1, 14), ids=[f"{i:02d}-{key}" for i, key in enumerate(CHECK_KEYS, start=1)]
+    "number", range(1, 14), ids=[f"{i:02d}-{key}" for i, (key, _) in enumerate(CHECKS, start=1)]
 )
 def test_criterion(results, number):
     res = results[number]
@@ -28,4 +28,6 @@ def test_criterion(results, number):
 
 def test_all_thirteen_reported(results):
     assert sorted(results) == list(range(1, 14))
-    assert [results[i].key for i in range(1, 14)] == CHECK_KEYS
+    keys = [key for key, _ in CHECKS]
+    assert [results[i].key for i in range(1, 14)] == keys
+    assert len(set(keys)) == 13

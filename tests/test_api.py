@@ -1,6 +1,7 @@
 """The package's calls as its callers make them: the benchmark's calls into
 the library, and library arguments that fail naming the argument."""
 
+import functools
 import inspect
 
 import numpy as np
@@ -119,6 +120,41 @@ WRONG_ARGUMENTS = {
         quantum.InvalidParams,
         r"^a must be finite, got 1000\S*\.\.\.\S*0000$",
     ),
+    "params-huge-int-in-list": (
+        lambda: quantum.StationaryParams([0.5, 10**400], 0.5, 0),
+        quantum.InvalidParams,
+        r"^a must be finite, got \[0\.5, 1000\S*\.\.\.\S*0000\]$",
+    ),
+    "tracked-scalars-str": (
+        lambda: classical.tracked_scalars("a", "b", "c"),
+        TypeError,
+        r"^x must be a number or an array of numbers, got 'a'$",
+    ),
+    "integrate-blocks-under-half-a-step": (
+        lambda: next(classical.integrate_blocks([0, 0.6, 0.8], 1e-4, 1e-3)),
+        ValueError,
+        r"^t_final is shorter than half a step$",
+    ),
+    "null-space-empty": (
+        lambda: linalg.null_space([]),
+        linalg.DimMismatch,
+        r"^expected a nonempty 2-d matrix, got shape \(0,\)$",
+    ),
+    "principal-angles-ambient-dimensions": (
+        lambda: linalg.principal_angles(np.eye(3)[:, :1], np.eye(4)[:, :1]),
+        linalg.DimMismatch,
+        r"^ambient dimensions differ: 3 vs 4$",
+    ),
+    "check-density-matrix-2x3": (
+        lambda: quantum.check_density_matrix(np.zeros((2, 3))),
+        ValueError,
+        r"^expected a square matrix, got shape \(2, 3\)$",
+    ),
+    "density-matrix-to-json-1x3": (
+        lambda: quantum.density_matrix_to_json(np.zeros((1, 3))),
+        ValueError,
+        r"^expected a square matrix, got shape \(1, 3\)$",
+    ),
     "check-density-matrix-ragged": (
         lambda: quantum.check_density_matrix([[1, 0], [0]]),
         ValueError,
@@ -135,6 +171,36 @@ WRONG_ARGUMENTS = {
         r"^rho must be a rectangular array, got \[\[1, 0\], \[0\]\]$",
     ),
 }
+
+
+#: (function, the argument it names) of each function that casts an array
+#: argument through the package's one cast, called on the string "x"
+GIVEN_A_STRING = {
+    "classical-field": (classical.classical_field, "state"),
+    "dissipative-field": (classical.dissipative_field, "state"),
+    "quasithermo-field": (classical.quasithermo_field, "state"),
+    "lindblad-rhs": (quantum.lindblad_rhs, "rho"),
+    "ehrenfest-lx": (quantum.ehrenfest_lx, "rho"),
+    "project-to-stationary": (quantum.project_to_stationary, "rho"),
+    "check-density-matrix": (quantum.check_density_matrix, "rho"),
+    "evolve-blocks": (lambda rho0: next(quantum.evolve_blocks(rho0, 1, 0.1)), "rho0"),
+    "vec": (quantum.vec, "mat"),
+    "density-matrix-to-json": (quantum.density_matrix_to_json, "rho"),
+    "partial-transpose": (entanglement.partial_transpose, "rho"),
+    "hermitian-eigensystem": (linalg.hermitian_eigensystem, "m"),
+    "null-space": (linalg.null_space, "m"),
+}
+WRONG_ARGUMENTS.update(
+    (
+        f"{key}-str",
+        (
+            functools.partial(fn, "x"),
+            TypeError,
+            rf"^{name} must be a number or an array of numbers, got 'x'$",
+        ),
+    )
+    for key, (fn, name) in GIVEN_A_STRING.items()
+)
 
 
 @pytest.mark.parametrize(

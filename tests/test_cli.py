@@ -348,6 +348,11 @@ def test_quantum_evolve_bad_inits(capsys, tmp_path):
     bad.write_text(json.dumps(density_matrix_to_json(np.eye(4))))  # trace 4
     code, _, _ = run_cli(["quantum-evolve", "--init", str(bad)], capsys)
     assert code == 2
+    bad.write_text("{")
+    code, _, err = run_cli(["quantum-evolve", "--init", str(bad)], capsys)
+    assert code == 2
+    # the rest of the line is the json module's own message
+    assert err.startswith(f"error: {str(bad)!r} is not valid JSON: ") and err.count("\n") == 1
 
 
 _MIXED_RE = "0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0, 0.25"
@@ -651,7 +656,16 @@ def test_verify_command_passes(capsys, tmp_path, monkeypatch, verify_results):
     assert code == 0
     report = report_file.read_text().strip().splitlines()
     assert len(report) == 14  # 13 checks plus the summary line
-    assert all(line.startswith("PASS") for line in report[:-1])
+    # the rows of verify.CHECKS in their order: a dropped, doubled or
+    # reordered row renumbers the lines after it
+    keys = (
+        "jump-operator-matrix jump-kernel-basis stationary-spectrum pt-eigenvector "
+        "pt-closed-form-spectrum entanglement-verdicts singlet-corner classical-convergence "
+        "invariant-monotonicity field-equivalence ehrenfest-identity liouvillian-kernel "
+        "quantum-convergence"
+    ).split()
+    heads = [line.split(":", 1)[0] for line in report[:-1]]
+    assert heads == [f"PASS {n:2d} {key}" for n, key in enumerate(keys, start=1)]
     assert report[-1] == "13/13 checks passed"
 
 

@@ -206,7 +206,7 @@ def _loop_stationary_spectrum(rng):
         disc = max(1.0 - 4.0 * (params.a * params.b - abs(params.c) ** 2), 0.0)
         roots = np.sort([0.5 * (1.0 - np.sqrt(disc)), 0.5 * (1.0 + np.sqrt(disc))])
         worst = max(worst, float(np.abs(w[:2]).max()), float(np.abs(w[2:] - roots).max()))
-    return verify._result(3, worst <= 1e-10, f"worst spectral deviation {worst:.2e} (tol 1e-10)")
+    return worst <= 1e-10, f"worst spectral deviation {worst:.2e} (tol 1e-10)"
 
 
 def _loop_pt_eigenvector(rng):
@@ -216,7 +216,7 @@ def _loop_pt_eigenvector(rng):
         params = quantum.StationaryParams(*quantum.random_stationary_coefficients(rng))
         pt = entanglement.partial_transpose(quantum.stationary_state(params))
         worst = max(worst, float(np.abs(pt @ v - 0.5 * params.b * v).max()))
-    return verify._result(4, worst <= 1e-12, f"worst eigenvector residual {worst:.2e} (tol 1e-12)")
+    return worst <= 1e-12, f"worst eigenvector residual {worst:.2e} (tol 1e-12)"
 
 
 def _loop_closed_form_spectrum(rng):
@@ -227,7 +227,7 @@ def _loop_closed_form_spectrum(rng):
         numeric = np.linalg.eigvalsh(pt)
         closed = np.sort(np.append(entanglement.cubic_roots(params), 0.5 * params.b))
         worst = max(worst, float(np.abs(numeric - closed).max()))
-    return verify._result(5, worst <= 1e-9, f"worst spectrum gap {worst:.2e} (tol 1e-9)")
+    return worst <= 1e-9, f"worst spectrum gap {worst:.2e} (tol 1e-9)"
 
 
 def _loop_entanglement_verdicts(rng):
@@ -253,7 +253,7 @@ def _loop_entanglement_verdicts(rng):
         f"250 entangled verdicts (largest min eigenvalue {largest_min:.2e}), "
         f"b = 0 separable (gap {corner_gap:.2e})"
     )
-    return verify._result(6, not failures, "; ".join(failures) if failures else detail)
+    return not failures, "; ".join(failures) if failures else detail
 
 
 def _checks_3_to_6(checks, seed):
@@ -281,7 +281,7 @@ LOOPED = (
 @pytest.mark.parametrize("seed", [verify.DEFAULT_SEED, 0, 1, 7, 2024, 99991])
 def test_stacked_checks_match_the_point_loops(seed):
     stacked = _checks_3_to_6(STACKED, seed)
-    assert [r.passed for r in stacked] == [True] * 4
+    assert [passed for passed, _ in stacked] == [True] * 4
     assert stacked == _checks_3_to_6(LOOPED, seed)
 
 
@@ -308,8 +308,9 @@ def test_stacked_verdicts_name_failures_as_the_point_loop(monkeypatch):
         monkeypatch.setattr(quantum, "random_stationary_coefficients", nearly_separable)
         results.append(check(np.random.default_rng(3)))
     stacked, looped = results
-    assert not stacked.passed
-    assert len(set(stacked.detail.split("; "))) == 40
+    passed, detail = stacked
+    assert not passed
+    assert len(set(detail.split("; "))) == 40
     assert stacked == looped
 
 
@@ -323,8 +324,8 @@ def test_stacked_check_validates_its_draws_once(monkeypatch):
         return check_params(*args)
 
     monkeypatch.setattr(quantum, "_check_params", counted)
-    result = verify._check_stationary_spectrum(np.random.default_rng(verify.DEFAULT_SEED))
-    assert result.passed
+    passed, _ = verify._check_stationary_spectrum(np.random.default_rng(verify.DEFAULT_SEED))
+    assert passed
     assert len(calls) == 1
     assert [np.shape(x) for x in calls[0]] == [(100,)] * 3
 
@@ -364,22 +365,21 @@ BOUNDED = [
     ids=["8-endpoint", "8-l2", "8-k", "9-H", "9-S", "13-residual", "13-lowest"],
 )
 def test_bounded_check_passes_at_its_bound_and_fails_past_it(residual_is_state, check, kind, bound):
-    assert check(bound).passed
-    assert not check(float(np.nextafter(bound, -np.inf if kind == "floor" else np.inf))).passed
+    assert check(bound)[0]
+    assert not check(float(np.nextafter(bound, -np.inf if kind == "floor" else np.inf)))[0]
 
 
 def test_failing_bounded_checks_read_as_before(residual_is_state):
-    assert verify._check_classical_convergence(_reduction(final=2e-5)) == verify._result(
-        8,
+    assert verify._check_classical_convergence(_reduction(final=2e-5)) == (
         False,
         "worst endpoint deviation 2.00e-05 (tol 1e-5), |l^2| drift 0.00e+00 (tol 1e-8), "
         "k drift 0.00e+00 (tol 1e-6)",
     )
-    assert verify._check_monotone_invariants(_reduction(), [_reduction(dip=3e-10)]) == verify._result(
-        9, False, "worst H drift 0.00e+00 (tol 1e-8), worst S decrease 3.00e-10 (tol 1e-10)"
+    assert verify._check_monotone_invariants(_reduction(), [_reduction(dip=3e-10)]) == (
+        False,
+        "worst H drift 0.00e+00 (tol 1e-8), worst S decrease 3.00e-10 (tol 1e-10)",
     )
-    assert _check_13(lowest=-2e-8) == verify._result(
-        13,
+    assert _check_13(lowest=-2e-8) == (
         False,
         "worst endpoint residual 0.00e+00 (tol 1e-8), "
         "lowest eigenvalue along runs -2.00e-08 (floor -1e-8)",
@@ -388,28 +388,26 @@ def test_failing_bounded_checks_read_as_before(residual_is_state):
 
 def test_kernel_check_fails_on_a_wrong_span(ops):
     dark = (quantum.KERNEL_BASIS.psi1, quantum.KERNEL_BASIS.psi2)
-    assert verify._check_kernel(2, ops.jump, dark[:1], 1e-10) == verify._result(
-        2, False, "kernel dimension 2, expected 1"
-    )
+    assert verify._check_kernel(ops.jump, dark[:1], 1e-10) == (False, "kernel dimension 2, expected 1")
     # dark[1] turned by 1e-3 toward a unit vector orthogonal to both dark states
     off = np.array([1, 0, 0, 0]) - sum(np.vdot(u, [1, 0, 0, 0]) * u for u in dark)
     tilted = (dark[0], np.cos(1e-3) * dark[1] + np.sin(1e-3) * off / np.linalg.norm(off))
-    failed = verify._check_kernel(2, ops.jump, tilted, 1e-10)
-    assert not failed.passed
-    assert re.fullmatch(r"kernel dim 2, worst principal angle 1\.00e-03 \(tol 1e-10\)", failed.detail)
-    assert verify._check_kernel(2, ops.jump, tilted, 1e-3).passed
+    passed, detail = verify._check_kernel(ops.jump, tilted, 1e-10)
+    assert not passed
+    assert re.fullmatch(r"kernel dim 2, worst principal angle 1\.00e-03 \(tol 1e-10\)", detail)
+    assert verify._check_kernel(ops.jump, tilted, 1e-3)[0]
 
 
 def test_quantum_convergence_tells_c_from_its_conjugate(monkeypatch):
     # the last quantum start has a complex coherence: a stationary family
     # that swaps c and conj(c) puts the run's endpoint far from it
     run = verify._reduce_quantum(quantum.evolve_blocks(verify._quantum_starts()[-1], 20.0, 1e-3))
-    assert verify._check_quantum_convergence([run]).passed
+    assert verify._check_quantum_convergence([run])[0]
     combination = quantum._kernel_combination
     monkeypatch.setattr(quantum, "_kernel_combination", lambda a, b, c: combination(a, b, np.conj(c)))
-    swapped = verify._check_quantum_convergence([run])
-    assert not swapped.passed
-    assert swapped.detail.startswith("worst endpoint residual 2.50e-01 (tol 1e-8)")
+    passed, detail = verify._check_quantum_convergence([run])
+    assert not passed
+    assert detail.startswith("worst endpoint residual 2.50e-01 (tol 1e-8)")
 
 
 PRINTED_TERM = re.compile(r"(-?\d\.\d\de[-+]\d\d) \((tol|floor) (-?\d+(?:\.\d+)?e-\d+)\)")
@@ -477,7 +475,7 @@ DARK_PRODUCTS = [quantum.vec(np.outer(u, v.conj())) for u in DARK for v in DARK]
 WITH_ONE_NAN = {
     "2-kernel": (
         (verify, "principal_angles", -1, 0),
-        lambda: verify._check_kernel(2, quantum.OPERATORS.jump, DARK, 1e-10),
+        lambda: verify._check_kernel(quantum.OPERATORS.jump, DARK, 1e-10),
     ),
     "3-spectrum": (
         (np.linalg, "eigvalsh", (7, 3), 0),
@@ -510,7 +508,7 @@ WITH_ONE_NAN = {
     ),
     "12-liouvillian-kernel": (
         (verify, "principal_angles", -1, 0),
-        lambda: verify._check_kernel(12, quantum.liouvillian_matrix(), DARK_PRODUCTS, 1e-8),
+        lambda: verify._check_kernel(quantum.liouvillian_matrix(), DARK_PRODUCTS, 1e-8),
     ),
     "13-residual": (None, _nan_residual),
     "13-lowest": (None, _nan_lowest_eigenvalue),
@@ -522,6 +520,6 @@ def test_bounded_check_fails_on_one_nan(monkeypatch, nan_at, check):
     # a NaN after the first value must not be skipped by the reduction
     if nan_at:
         _nan_in(monkeypatch, *nan_at)
-    result = check()
-    assert not result.passed
-    assert "nan" in result.detail
+    passed, detail = check()
+    assert not passed
+    assert "nan" in detail
