@@ -60,9 +60,18 @@ class StepTooLarge(RuntimeError):
     """Integration blew past the divergence guard."""
 
 
+def _as_point(value, name: str) -> np.ndarray:
+    """``value`` cast by :func:`linalg._as_numbers` to a real state
+    (lx, ly, lz), or ValueError naming ``name`` for any shape but (3,)."""
+    l = _as_numbers(value, name, float)
+    if l.shape != (3,):
+        raise ValueError(f"{name} must have shape (3,), got shape {l.shape}")
+    return l
+
+
 def classical_field(state) -> np.ndarray:
-    """Right-hand side of the synchronization equations."""
-    lx, ly, lz = (float(x) for x in _as_numbers(state, "state", float))
+    """Right-hand side of the synchronization equations at ``state``, shape (3,)."""
+    lx, ly, lz = _as_point(state, "state").tolist()
     return np.array([2.0 * (ly * ly + lz * lz), -2.0 * lx * ly, -2.0 * lx * lz])
 
 
@@ -73,7 +82,7 @@ def dissipative_field(state) -> np.ndarray:
     i r grad(conj r) - i conj(r) grad r is real, and the field is its cross
     product with l; it reproduces :func:`classical_field`.
     """
-    l = _as_numbers(state, "state", float)
+    l = _as_point(state, "state")
     r = complex(l[2], -l[1])
     grad = np.array([0.0, -1.0j, 1.0])
     torque = -2.0 * (r * grad.conj()).imag
@@ -83,7 +92,7 @@ def dissipative_field(state) -> np.ndarray:
 def quasithermo_field(state) -> np.ndarray:
     """Flow reconstructed from H = |l|^2 / 2 and S = 2 lx alone, whose
     gradients are l and (2, 0, 0): grad H x (grad S x grad H)."""
-    gh = _as_numbers(state, "state", float)
+    gh = _as_point(state, "state")
     gs = np.array([2.0, 0.0, 0.0])
     return np.cross(gh, np.cross(gs, gh))
 
@@ -122,12 +131,7 @@ def integrate(initial, t_final: float, dt: float) -> np.ndarray:
     S and k.  ValueError for any other shape, a stack of starts included,
     and otherwise errors as for :func:`integrate_blocks`.
     """
-    shape = _as_numbers(initial, "initial", float).shape
-    if shape != (3,):
-        raise ValueError(
-            f"initial state must have shape (3,), got shape {shape};"
-            " integrate_blocks runs a stack of starts"
-        )
+    _as_point(initial, "initial")
     return np.concatenate([block.copy() for block in integrate_blocks(initial, t_final, dt)])
 
 
@@ -299,19 +303,11 @@ def _run_stack(starts: np.ndarray, n_steps: int, dt: float, rows: int):
 
 def tracked_scalars(x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """H = |l|^2 / 2, S = 2 lx and k = ly / lz (NaN wherever |lz| < 1e-12)
-    of the state components x, y, z, each computed into its own output
-    array: a stack of runs makes no full-size temporaries.  TypeError
-    unless the components are real numbers."""
+    of the state components x, y, z.  TypeError unless the components are
+    real numbers, ValueError unless they share one shape."""
     x, y, z = (_as_numbers(v, name, float) for v, name in ((x, "x"), (y, "y"), (z, "z")))
-    h = np.multiply(x, x)
-    s = np.multiply(y, y)  # scratch until S is written
-    h += s
-    np.multiply(z, z, out=s)
-    h += s
-    h *= 0.5
-    np.multiply(x, 2.0, out=s)
-    k = np.abs(z)
-    defined = k >= K_UNDEFINED_LZ
-    k.fill(np.nan)
-    np.divide(y, z, out=k, where=defined)
-    return h, s, k
+    if not x.shape == y.shape == z.shape:
+        raise ValueError(f"x, y and z must have one shape, got {x.shape}, {y.shape}, {z.shape}")
+    k = np.full(z.shape, np.nan)
+    np.divide(y, z, out=k, where=np.abs(z) >= K_UNDEFINED_LZ)
+    return 0.5 * (x * x + y * y + z * z), 2.0 * x, k

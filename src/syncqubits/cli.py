@@ -70,6 +70,10 @@ from .verify import run_all
 
 _REQUIRED = object()
 
+#: most bytes a --config or --init file may hold; a 4x4 state file takes
+#: under 2 kB, and reading stops here even on an endless file, as /dev/zero
+MAX_JSON_BYTES = 2**20
+
 
 class _Option(NamedTuple):
     """A long option, ``--t-final`` for ``t_final``: the type :meth:`convert`
@@ -129,14 +133,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path: str):
-    """The value a JSON file holds; one nested past the interpreter's
-    recursion limit is refused as bad input."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path!r} is nested too deeply to read as JSON") from None
+def _load_json(path: str, option: str):
+    """The value the JSON file ``path``, given as --``option``, holds.
+
+    A ValueError names the option and the file when the file cannot be
+    read, holds more than MAX_JSON_BYTES, is not text in a JSON encoding,
+    is not JSON, or is nested past the interpreter's recursion limit.
+    """
+    where = f"--{option} file {_short(path)!r}"
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_JSON_BYTES + 1)
+    except OSError as exc:
+        raise ValueError(f"cannot read {where}: {exc.strerror}") from None
+    if len(data) > MAX_JSON_BYTES:
+        raise ValueError(f"{where} holds more than MAX_JSON_BYTES = {MAX_JSON_BYTES} bytes")
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise ValueError(f"{where} is nested too deeply to read as JSON") from None
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ValueError(f"{where} is not valid JSON: {exc}") from None
 
 
 def _coerce(key: str, value, opt: _Option):
@@ -161,9 +178,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
     explicit = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     path = getattr(args, "config", None)
     if path is not None:
-        loaded = _load_json(path)
+        loaded = _load_json(path, "config")
         if not isinstance(loaded, dict):
-            raise ValueError("config file must hold a JSON object")
+            raise ValueError(f"--config file {_short(path)!r} must hold a JSON object")
         for key, val in loaded.items():
             norm = str(key).replace("-", "_")
             if norm not in options:
@@ -351,13 +368,7 @@ def _cmd_classical_sim(cfg, out) -> tuple[int, list[str]]:
 def _parse_initial_density(text: str) -> np.ndarray:
     if text == "mixed" or text.startswith("basis:"):
         return labelled_state(text)
-    try:
-        payload = _load_json(text)
-    except OSError as exc:
-        raise ValueError(f"cannot read initial state {reprlib.repr(text)}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{text!r} is not valid JSON: {exc}") from exc
-    return density_matrix_from_json(payload)
+    return density_matrix_from_json(_load_json(text, "init"))
 
 
 def _cmd_quantum_evolve(cfg, out) -> tuple[int, list[str]]:
@@ -496,19 +507,19 @@ def _attach_values(argv: list[str]) -> list[str]:
 _PATH_ENDS = 100
 
 
+def _short(path):
+    """``path``, or a path longer than 2 * _PATH_ENDS + 3 characters named
+    by its two ends: an error line stays short however long the path given."""
+    if isinstance(path, str) and len(path) > 2 * _PATH_ENDS + 3:
+        return f"{path[:_PATH_ENDS]}...{path[-_PATH_ENDS:]}"
+    return path
+
+
 def _shown(exc: Exception) -> Exception:
-    """``exc``, or for an OSError a copy naming each path longer than
-    2 * _PATH_ENDS + 3 characters by its two ends: an error line stays
-    short however long the path given."""
+    """``exc``, or for an OSError a copy naming each path by :func:`_short`."""
     if not isinstance(exc, OSError) or exc.filename is None:
         return exc
-    names = [
-        f"{name[:_PATH_ENDS]}...{name[-_PATH_ENDS:]}"
-        if isinstance(name, str) and len(name) > 2 * _PATH_ENDS + 3
-        else name
-        for name in (exc.filename, exc.filename2)
-    ]
-    return OSError(exc.errno, exc.strerror, names[0], None, names[1])
+    return OSError(exc.errno, exc.strerror, _short(exc.filename), None, _short(exc.filename2))
 
 
 def main(argv=None) -> int:
@@ -527,7 +538,7 @@ def main(argv=None) -> int:
         # as the Python docs' note on SIGPIPE: the flush at exit must not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, OSError) as exc:  # InvalidParams and JSONDecodeError among them
+    except (ValueError, OSError) as exc:  # InvalidParams among them
         print(f"error: {_shown(exc)}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect, not bad input: report it on one line

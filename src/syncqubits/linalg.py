@@ -3,6 +3,10 @@
 Everything operates on plain numpy arrays (promoted to complex128) and
 returns fresh arrays; inputs are never mutated.  The matrices involved are
 tiny (at most 16x16), so robust dense LAPACK routines are used throughout.
+
+Each rule about an array argument is stated once, here: :func:`_as_numbers`
+casts any array argument and names it in its errors, :func:`_as_square` makes
+one a finite square matrix, and :func:`_require_hermitian` tests symmetry.
 """
 
 from __future__ import annotations
@@ -61,16 +65,31 @@ def _as_numbers(value, name: str, dtype: type) -> np.ndarray:
     return a.astype(dtype, copy=False)
 
 
-def _as_matrix(m) -> np.ndarray:
-    a = _as_numbers(m, "m", complex)
-    if a.ndim != 2 or a.size == 0:
-        raise DimMismatch(f"expected a nonempty 2-d matrix, got shape {a.shape}")
+def _as_square(value, name: str) -> np.ndarray:
+    """``value`` cast by :func:`_as_numbers` to a complex, nonempty square
+    matrix of finite entries: DimMismatch naming ``name`` for any other
+    shape, ValueError for a NaN or infinite entry."""
+    a = _as_numbers(value, name, complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimMismatch(f"{name} must be a nonempty square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
     return a
 
 
-def _require_square(a: np.ndarray) -> None:
-    if a.shape[-2] != a.shape[-1]:
-        raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
+def _require_hermitian(value: np.ndarray, name: str) -> None:
+    """NotHermitian naming ``name`` unless each matrix of the finite complex
+    array ``value``, one or a stack (..., n, n), has a symmetry error, its
+    largest |m - m+| entry, of at most HERMITIAN_TOL; the error names the
+    stack index of the first matrix that fails."""
+    with np.errstate(over="ignore"):  # a huge entry reads as an infinite error
+        err = np.abs(value - value.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = err > HERMITIAN_TOL
+    if bad.any():
+        index = tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
+        where = f" in matrix {index}" if index else ""
+        message = f"{name} is not Hermitian: symmetry error {err[index]:.3e} exceeds"
+        raise NotHermitian(f"{message} tolerance {HERMITIAN_TOL:.3e}{where}", index)
 
 
 def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
@@ -79,27 +98,18 @@ def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``np.linalg.eigh(m)`` itself, a pair to unpack as ``w, v``:
     real ascending eigenvalues, and the orthonormal eigenvector of w[i] in
-    column i of v, along the input's leading axes.  Raises ValueError for
-    a NaN or infinite entry, and NotHermitian for the first matrix whose
-    symmetry error exceeds HERMITIAN_TOL.  The reconstruction V diag(w) V+
-    matches the input to machine precision for the matrix sizes this
-    package deals in.
+    column i of v, along the input's leading axes.  Raises DimMismatch for
+    any other shape, ValueError for a NaN or infinite entry, and
+    NotHermitian for the first matrix whose symmetry error exceeds
+    HERMITIAN_TOL.  The reconstruction V diag(w) V+ matches the input to
+    machine precision for the matrix sizes this package deals in.
     """
     a = _as_numbers(m, "m", complex)
-    if a.ndim < 2 or a.shape[-1] == 0:
-        raise DimMismatch(f"expected nonempty matrices, got shape {a.shape}")
-    _require_square(a)
-    if not np.isfinite(a).all():  # a NaN error would pass the test below
+    if a.ndim < 2 or a.shape[-1] == 0 or a.shape[-2] != a.shape[-1]:
+        raise DimMismatch(f"m must hold nonempty square matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():  # a NaN symmetry error would pass the test
         raise ValueError("m must be finite")
-    err = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    bad = err > HERMITIAN_TOL
-    if bad.any():
-        index = tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
-        where = f" in matrix {index}" if index else ""
-        raise NotHermitian(
-            f"symmetry error {err[index]:.3e} exceeds tolerance {HERMITIAN_TOL:.3e}{where}",
-            index,
-        )
+    _require_hermitian(a, "m")
     return np.linalg.eigh(a)
 
 
@@ -108,13 +118,10 @@ def null_space(m) -> list[np.ndarray]:
 
     A singular direction counts as null when its singular value is at most
     NULL_SPACE_TOL times the largest one, so the test is insensitive to overall
-    scale; the zero matrix returns a basis of the whole space.  ValueError
-    unless ``m`` is a finite, nonempty square matrix.
+    scale; the zero matrix returns a basis of the whole space.  Errors of
+    :func:`_as_square` unless ``m`` is a finite, nonempty square matrix.
     """
-    a = _as_matrix(m)
-    _require_square(a)
-    if not np.isfinite(a).all():
-        raise ValueError("m must be finite")
+    a = _as_square(m, "m")
     _, s, vh = np.linalg.svd(a)
     cutoff = NULL_SPACE_TOL * float(s[0])
     return [vh[i].conj() for i in range(a.shape[0]) if s[i] <= cutoff]
@@ -126,7 +133,9 @@ def _orthonormal_columns(vectors, name: str) -> np.ndarray:
             raise DimMismatch(f"{name} holds no vectors")
         a = np.column_stack([_as_numbers(v, name, complex).ravel() for v in vectors])
     else:
-        a = _as_matrix(_as_numbers(vectors, name, complex))
+        a = _as_numbers(vectors, name, complex)
+    if a.ndim != 2 or a.size == 0:
+        raise DimMismatch(f"{name} must be a nonempty 2-d array, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     q, _ = np.linalg.qr(a)

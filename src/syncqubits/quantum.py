@@ -10,6 +10,9 @@ J annihilates exactly two orthonormal vectors, the fully symmetric in-phase
 state (1, 1, 1, 1)/2 and the singlet (0, 1, -1, 0)/sqrt(2), and every
 stationary density matrix is a combination of their outer products.  The
 model has one operator set, :data:`OPERATORS`.
+
+A two-qubit state argument is cast once, by :func:`_as_state`, whose errors
+name it; :func:`check_density_matrix` states what else a density matrix is.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import BLOCK_STEPS, step_count
-from .linalg import NotFinite, _as_numbers
+from .linalg import NotFinite, _as_numbers, _as_square, _require_hermitian
 
 #: slack used when validating stationary-family coefficients
 PARAM_TOL = 1e-12
@@ -143,22 +146,14 @@ def labelled_state(label: str) -> np.ndarray:
 def check_density_matrix(rho) -> np.ndarray:
     """Validate a density matrix and return it as a fresh complex array.
 
-    Checks that it is a nonempty square matrix of finite entries, then
-    Hermiticity and unit trace (both within 1e-10) and positivity (no
-    eigenvalue below -1e-9); raises ValueError on any violation.
-    """
-    r = np.array(_as_numbers(rho, "rho", complex))
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {r.shape}")
-    if r.size == 0:
-        raise ValueError("density matrix is empty")
-    if not np.isfinite(r).all():
-        raise ValueError("density matrix entries must be finite")
-    with np.errstate(over="ignore"):  # huge entries read as an infinite deviation or trace
-        herm = float(np.abs(r - r.conj().T).max())
+    ``rho`` must be a finite square matrix that is Hermitian within
+    HERMITIAN_TOL, by the rules of :mod:`linalg`, whose errors name it; the
+    rules of its own are unit trace (within 1e-10) and positivity (no
+    eigenvalue below -1e-9), each a ValueError."""
+    r = np.array(_as_square(rho, "rho"))
+    _require_hermitian(r, "rho")
+    with np.errstate(over="ignore"):  # huge entries read as an infinite trace
         tr = complex(np.trace(r))
-    if herm > 1e-10:
-        raise ValueError(f"not Hermitian: deviation {herm:.3e}")
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"trace must be 1, got {tr}")
     lowest = float(np.linalg.eigvalsh(r)[0])
@@ -175,11 +170,12 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _as_state(rho) -> np.ndarray:
-    """``rho`` as a complex array, or ValueError naming it unless it is 4x4."""
-    r = _as_numbers(rho, "rho", complex)
+def _as_state(value, name: str) -> np.ndarray:
+    """``value`` as a finite complex 4x4 matrix, a two-qubit state: errors as
+    for :func:`linalg._as_square`, or ValueError naming ``name`` for another size."""
+    r = _as_square(value, name)
     if r.shape != (4, 4):
-        raise ValueError(f"rho must be a 4x4 matrix, got shape {r.shape}")
+        raise ValueError(f"{name} must be a 4x4 matrix, got shape {r.shape}")
     return r
 
 
@@ -188,8 +184,9 @@ def lindblad_rhs(rho) -> np.ndarray:
 
     Kept as the direct form of the master equation, independent of
     :func:`liouvillian_matrix` and the propagator :func:`evolve_blocks` builds.
+    ValueError unless rho is a finite 4x4 matrix.
     """
-    r = _as_state(rho)
+    r = _as_state(rho, "rho")
     j, jd = OPERATORS.jump, OPERATORS.jump_dagger
     absorb = jd @ j
     return 2.0 * (j @ r @ jd) - absorb @ r - r @ absorb
@@ -235,12 +232,11 @@ def evolve_blocks(rho0, t_final: float, dt: float):
     before it is yielded: PositivityLost names the first time in it that
     an eigenvalue fell below -1e-6 (the symptom of a dt too large for the
     stiffest decay mode) or that a state stopped being finite, whichever
-    comes first.  ValueError, once iteration begins, for an invalid ``rho0``
-    (:func:`check_density_matrix`) or steps (:func:`classical.step_count`).
+    comes first.  ValueError, once iteration begins, for a ``rho0`` that is
+    no finite 4x4 matrix (:func:`_as_state`) or no density matrix
+    (:func:`check_density_matrix`), or for steps (:func:`classical.step_count`).
     """
-    rho = check_density_matrix(_as_numbers(rho0, "rho0", complex))
-    if rho.shape != OPERATORS.jump.shape:
-        raise ValueError(f"state has shape {rho.shape}, the operators need {OPERATORS.jump.shape}")
+    rho = check_density_matrix(_as_state(rho0, "rho0"))
     total = step_count(t_final, dt) + 1
     step = _rk4_propagator(dt).dot
     dim = rho.shape[0]
@@ -271,9 +267,10 @@ def ehrenfest_lx(rho) -> float:
     """Growth rate of <lx>, namely 2 Re tr(rho J+J).
 
     Identical to tr(lx * lindblad_rhs(rho)) and nonnegative on states,
-    because J+J is positive semidefinite; ValueError unless rho is 4x4.
+    because J+J is positive semidefinite; ValueError unless rho is a finite
+    4x4 matrix.
     """
-    r = _as_state(rho)
+    r = _as_state(rho, "rho")
     return float(2.0 * np.trace(r @ (OPERATORS.jump_dagger @ OPERATORS.jump)).real)
 
 
@@ -427,16 +424,12 @@ def project_to_stationary(rho) -> StationaryFit:
     Raises ValueError unless ``rho`` is a finite 4x4 matrix.
     """
     psi1, psi2 = KERNEL_BASIS.psi1, KERNEL_BASIS.psi2
-    r = _as_state(rho)
-    if not np.isfinite(r).all():
-        raise ValueError("rho must be finite")
+    r = _as_state(rho, "rho")
     a = float((psi1.conj() @ r @ psi1).real)
     b = float((psi2.conj() @ r @ psi2).real)
     c = complex(psi1.conj() @ r @ psi2)
-    total = a + b
-    if total <= 0.0:
-        return StationaryFit(a=a, b=b, c=c, residual=float(np.abs(r).max()))
-    fitted = _kernel_combination(a / total, b / total, c / total)
+    total = a + b  # with no weight in the kernel, the residual is rho's largest entry
+    fitted = _kernel_combination(a / total, b / total, c / total) if total > 0.0 else 0.0
     return StationaryFit(a=a, b=b, c=c, residual=float(np.abs(r - fitted).max()))
 
 
@@ -460,21 +453,20 @@ def liouvillian_matrix() -> np.ndarray:
 
 
 def density_matrix_to_json(rho) -> dict:
-    """JSON-ready mapping with ``dim`` and row-major ``re`` / ``im`` lists."""
-    r = _as_numbers(rho, "rho", complex)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {r.shape}")
-    return {
-        "dim": int(r.shape[0]),
-        "re": r.real.ravel().tolist(),
-        "im": r.imag.ravel().tolist(),
-    }
+    """JSON-ready mapping with ``dim`` and row-major ``re`` / ``im`` lists;
+    the errors of :func:`linalg._as_square` unless ``rho`` is a finite,
+    nonempty square matrix."""
+    r = _as_square(rho, "rho")
+    return {"dim": int(r.shape[0]), "re": r.real.ravel().tolist(), "im": r.imag.ravel().tolist()}
 
 
 def density_matrix_from_json(obj) -> np.ndarray:
-    """Rebuild a complex matrix from :func:`density_matrix_to_json` output."""
+    """Rebuild a complex matrix from :func:`density_matrix_to_json` output;
+    ValueError unless ``dim`` is a positive integer and ``re``, ``im`` hold dim^2 reals."""
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
+        if type(dim) is not int or dim < 1:  # a JSON true is an int to isinstance
+            raise ValueError(f"dim must be a positive integer, got {reprlib.repr(dim)}")
         rho = np.asarray(obj["re"], dtype=float).reshape(dim, dim).astype(complex)
         rho.imag = np.asarray(obj["im"], dtype=float).reshape(dim, dim)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -16,6 +16,8 @@ points of its 50 runs), so neither does it grow with the ensemble's width.
 
 from __future__ import annotations
 
+import numbers
+import reprlib
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -340,7 +342,13 @@ CHECKS = (
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run the checks of :data:`CHECKS` in order and return their results."""
+    """Run the checks of :data:`CHECKS` in order, drawing from a generator
+    seeded with ``seed``, and return their results.  TypeError unless the
+    seed is an integer, ValueError if it is negative."""
+    if not isinstance(seed, numbers.Integral):
+        raise TypeError(f"seed must be an integer, got {reprlib.repr(seed)}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     classical_runs = _classical_ensemble(rng)
     inputs = SimpleNamespace(rng=rng, classical=classical_runs, quantum=_quantum_ensemble())

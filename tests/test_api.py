@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import syncqubits
-from syncqubits import classical, entanglement, linalg, quantum
+from syncqubits import classical, entanglement, linalg, quantum, verify
 
 
 def test_the_benchmarks_calls_run():
@@ -138,7 +138,17 @@ WRONG_ARGUMENTS = {
     "null-space-empty": (
         lambda: linalg.null_space([]),
         linalg.DimMismatch,
-        r"^expected a nonempty 2-d matrix, got shape \(0,\)$",
+        r"^m must be a nonempty square matrix, got shape \(0,\)$",
+    ),
+    "principal-angles-one-vector-as-an-array": (
+        lambda: linalg.principal_angles(np.ones(3), np.eye(3)),
+        linalg.DimMismatch,
+        r"^u must be a nonempty 2-d array, got shape \(3,\)$",
+    ),
+    "hermitian-eigensystem-vector": (
+        lambda: linalg.hermitian_eigensystem(np.ones(3)),
+        linalg.DimMismatch,
+        r"^m must hold nonempty square matrices, got shape \(3,\)$",
     ),
     "principal-angles-ambient-dimensions": (
         lambda: linalg.principal_angles(np.eye(3)[:, :1], np.eye(4)[:, :1]),
@@ -148,12 +158,12 @@ WRONG_ARGUMENTS = {
     "check-density-matrix-2x3": (
         lambda: quantum.check_density_matrix(np.zeros((2, 3))),
         ValueError,
-        r"^expected a square matrix, got shape \(2, 3\)$",
+        r"^rho must be a nonempty square matrix, got shape \(2, 3\)$",
     ),
     "density-matrix-to-json-1x3": (
         lambda: quantum.density_matrix_to_json(np.zeros((1, 3))),
         ValueError,
-        r"^expected a square matrix, got shape \(1, 3\)$",
+        r"^rho must be a nonempty square matrix, got shape \(1, 3\)$",
     ),
     "check-density-matrix-ragged": (
         lambda: quantum.check_density_matrix([[1, 0], [0]]),
@@ -169,6 +179,57 @@ WRONG_ARGUMENTS = {
         lambda: quantum.project_to_stationary([[1, 0], [0]]),
         ValueError,
         r"^rho must be a rectangular array, got \[\[1, 0\], \[0\]\]$",
+    ),
+    "run-all-str": (
+        lambda: verify.run_all("x"),
+        TypeError,
+        r"^seed must be an integer, got 'x'$",
+    ),
+    "run-all-negative": (
+        lambda: verify.run_all(-1),
+        ValueError,
+        r"^seed must be nonnegative, got -1$",
+    ),
+    "tracked-scalars-shapes": (
+        lambda: classical.tracked_scalars([1, 2], [1, 2, 3], [1]),
+        ValueError,
+        r"^x, y and z must have one shape, got \(2,\), \(3,\), \(1,\)$",
+    ),
+    "classical-field-short": (
+        lambda: classical.classical_field([1, 2]),
+        ValueError,
+        r"^state must have shape \(3,\), got shape \(2,\)$",
+    ),
+    "classical-field-stack": (
+        lambda: classical.classical_field(np.zeros((2, 3))),
+        ValueError,
+        r"^state must have shape \(3,\), got shape \(2, 3\)$",
+    ),
+    "dissipative-field-short": (
+        lambda: classical.dissipative_field([1, 2]),
+        ValueError,
+        r"^state must have shape \(3,\), got shape \(2,\)$",
+    ),
+    "quasithermo-field-long": (
+        lambda: classical.quasithermo_field([1, 2, 3, 4]),
+        ValueError,
+        r"^state must have shape \(3,\), got shape \(4,\)$",
+    ),
+    "hermitian-eigensystem-overflow": (
+        # under warnings-as-errors: the symmetry error overflows to inf quietly
+        lambda: linalg.hermitian_eigensystem([[0, 1e308], [-1e308, 0]]),
+        linalg.NotHermitian,
+        r"^m is not Hermitian: symmetry error inf exceeds tolerance 1\.000e-10$",
+    ),
+    "lindblad-rhs-nan": (
+        lambda: quantum.lindblad_rhs(np.full((4, 4), np.nan)),
+        ValueError,
+        r"^rho must be finite$",
+    ),
+    "density-matrix-from-json-fractional-dim": (
+        lambda: quantum.density_matrix_from_json({"dim": 4.9, "re": [0.0] * 16, "im": [0.0] * 16}),
+        ValueError,
+        r"^not a serialized density matrix: dim must be a positive integer, got 4\.9$",
     ),
 }
 

@@ -172,7 +172,7 @@ def test_integrate_rejects_bad_arguments():
 @pytest.mark.parametrize("starts", [[[0.0, 0.6, 0.8]], [[0.0, 0.6, 0.8], [0.1, 0.2, 0.3]]])
 def test_integrate_refuses_a_stack(starts):
     # one start only: a stack is integrate_blocks' input
-    message = r"^initial state must have shape \(3,\), got shape \(\d, 3\); integrate_blocks"
+    message = r"^initial must have shape \(3,\), got shape \(\d, 3\)$"
     with pytest.raises(ValueError, match=message):
         integrate(starts, 1.0, 1e-3)
 
@@ -463,3 +463,26 @@ def test_integrate_blocks_rejects_bad_arguments(starts, t_final, message):
     # checked when the first block is asked for, before anything is allocated
     with pytest.raises(ValueError, match=message):
         next(integrate_blocks(starts, t_final, 1e-3))
+
+
+# ---------------------------------------------------------------------------
+# order of accuracy against the closed form
+
+
+@pytest.mark.parametrize(
+    "starts",
+    [[0.1, 0.6, 0.8], [[0.1, 0.6, 0.8], [0.3, -0.5, 0.7]]],
+    ids=["one-start", "two-run-stack"],
+)
+def test_integrators_are_fourth_order(starts):
+    # RK4's error at t = 1 falls 16-fold per halved step; a lower order's
+    # at most 8-fold
+    ends = np.array([0.0, 1.0])
+    exact = np.array([_closed_form(s, ends)[-1] for s in np.reshape(starts, (-1, 3))])
+    errors = []
+    for dt in (0.04, 0.02, 0.01, 0.005):
+        *_, last = integrate_blocks(starts, 1.0, dt)
+        # the last time point: a (3,) row, or a (3, n) row of a stack
+        errors.append(np.abs(np.reshape(last[-1].T, (-1, 3)) - exact).max())
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+    assert all(3.8 <= p <= 4.4 for p in orders), orders

@@ -352,11 +352,20 @@ def test_quantum_evolve_bad_inits(capsys, tmp_path):
     code, _, err = run_cli(["quantum-evolve", "--init", str(bad)], capsys)
     assert code == 2
     # the rest of the line is the json module's own message
-    assert err.startswith(f"error: {str(bad)!r} is not valid JSON: ") and err.count("\n") == 1
+    assert err.startswith(f"error: --init file {str(bad)!r} is not valid JSON: ")
+    assert err.count("\n") == 1
 
 
 _MIXED_RE = "0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0, 0.25"
 _ZEROS = ", ".join(["0"] * 16)
+
+
+def _diagonal(*values):
+    """A 4x4 state file's text with ``values`` on the diagonal."""
+    return '{"dim": 4, "re": [%s], "im": [%s]}' % (
+        ", ".join(str(values[i // 5]) if i % 5 == 0 else "0" for i in range(16)),
+        _ZEROS,
+    )
 
 
 @pytest.mark.filterwarnings("error")
@@ -366,34 +375,46 @@ _ZEROS = ", ".join(["0"] * 16)
         pytest.param(
             '{"dim": 4, "re": [0.25, Infinity, 0, 0, Infinity, 0.25, 0, 0, '
             '0, 0, 0.25, -Infinity, 0, 0, -Infinity, 0.25], "im": [%s]}' % _ZEROS,
-            "error: density matrix entries must be finite\n",
+            "error: rho0 must be finite\n",
             id="inf",
         ),
         pytest.param(
             '{"dim": 4, "re": [%s], "im": [NaN, %s]}' % (_MIXED_RE, ", ".join(["0"] * 15)),
-            "error: density matrix entries must be finite\n",
+            "error: rho0 must be finite\n",
             id="nan",
         ),
         pytest.param(
-            '{"dim": 0, "re": [], "im": []}', "error: density matrix is empty\n", id="empty"
+            '{"dim": 0, "re": [], "im": []}',
+            "error: not a serialized density matrix: dim must be a positive integer, got 0\n",
+            id="empty",
         ),
         pytest.param(
             '{"dim": 1e999, "re": [], "im": []}',
-            "error: not a serialized density matrix: cannot convert float infinity to integer\n",
+            "error: not a serialized density matrix: dim must be a positive integer, got inf\n",
             id="infinite-dim",
         ),
         pytest.param(
-            '{"dim": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}',
+            '{"dim": 4.9, "re": [%s], "im": [%s]}' % (_MIXED_RE, _ZEROS),
+            "error: not a serialized density matrix: dim must be a positive integer, got 4.9\n",
+            id="fractional-dim",
+        ),
+        pytest.param(
+            '{"dim": true, "re": [1], "im": [0]}',
+            "error: not a serialized density matrix: dim must be a positive integer, got True\n",
+            id="boolean-dim",
+        ),
+        pytest.param(
+            _diagonal(0.5, 0.5, 0.5, 0.5),
             "error: trace must be 1, got (2+0j)\n",
             id="trace",
         ),
         pytest.param(
-            '{"dim": 2, "re": [0.5, 0.5, 0, 0.5], "im": [0, 0, 0, 0]}',
-            "error: not Hermitian: deviation 5.000e-01\n",
+            '{"dim": 4, "re": [%s], "im": [%s]}' % (_MIXED_RE.replace(", 0,", ", 0.5,", 1), _ZEROS),
+            "error: rho is not Hermitian: symmetry error 5.000e-01 exceeds tolerance 1.000e-10\n",
             id="not-hermitian",
         ),
         pytest.param(
-            '{"dim": 2, "re": [1.5, 0, 0, -0.5], "im": [0, 0, 0, 0]}',
+            _diagonal(1.5, -0.5, 0, 0),
             "error: not positive: lowest eigenvalue -5.000e-01\n",
             id="not-positive",
         ),
@@ -421,7 +442,7 @@ def test_quantum_evolve_rejects_two_by_two_state(capsys, tmp_path):
     small.write_text(json.dumps(density_matrix_to_json(np.eye(2) / 2.0)))
     code, _, err = run_cli(["quantum-evolve", "--init", str(small)], capsys)
     assert code == 2
-    assert err == "error: state has shape (2, 2), the operators need (4, 4)\n"
+    assert err == "error: rho0 must be a 4x4 matrix, got shape (2, 2)\n"
 
 
 @pytest.mark.parametrize("command", ["classical-sim", "quantum-evolve"])
@@ -627,8 +648,67 @@ def test_config_values_read_like_flags(capsys, tmp_path):
 
 
 def test_config_file_missing(capsys, tmp_path):
-    code, _, err = run_cli(["classical-sim", "--config", str(tmp_path / "nope.json")], capsys)
-    assert code == 2
+    missing = str(tmp_path / "nope.json")
+    code, _, err = run_cli(["classical-sim", "--config", missing], capsys)
+    assert (code, err) == (2, f"error: cannot read --config file {missing!r}: No such file or directory\n")
+
+
+def test_config_file_must_hold_an_object(capsys, tmp_path):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    code, _, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert (code, err) == (2, f"error: --config file {str(cfg)!r} must hold a JSON object\n")
+
+
+#: (command line, its JSON file's option) of each command that reads a JSON file
+JSON_READERS = [
+    (["sweep", "--grid", "3", "--config"], "config"),
+    (["quantum-evolve", "--t-final", "0.01", "--init"], "init"),
+]
+
+
+@pytest.mark.parametrize("argv, option", JSON_READERS, ids=["config", "init"])
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b'{"grid": 3\n', "is not valid JSON: Expecting ',' delimiter: line 2 column 1 (char 11)"),
+        (
+            b"\xff{}",
+            "is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
+    ],
+    ids=["truncated", "not-utf-8"],
+)
+def test_an_unreadable_json_file_is_named_with_its_option(capsys, tmp_path, argv, option, content, reason):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    code, out, err = run_cli([*argv, str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: --{option} file {str(path)!r} {reason}\n")
+
+
+@pytest.mark.parametrize("argv, option", JSON_READERS, ids=["config", "init"])
+def test_a_json_file_past_the_size_bound_is_refused(capsys, tmp_path, monkeypatch, argv, option):
+    monkeypatch.setattr(cli, "MAX_JSON_BYTES", 40)
+    path = tmp_path / "in.json"
+    # a file of exactly MAX_JSON_BYTES is read: a 1x1 state is refused for its size
+    text = '{"grid": 3}' if option == "config" else json.dumps(density_matrix_to_json(np.eye(1)))
+    path.write_text(text.ljust(40))
+    read = (0, "") if option == "config" else (2, "error: rho0 must be a 4x4 matrix, got shape (1, 1)\n")
+    code, _, err = run_cli([*argv, str(path)], capsys)
+    assert (code, err) == read
+    path.write_text(text.ljust(41))
+    code, out, err = run_cli([*argv, str(path)], capsys)
+    message = f"error: --{option} file {str(path)!r} holds more than MAX_JSON_BYTES = 40 bytes\n"
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize("argv, option", JSON_READERS, ids=["config", "init"])
+def test_an_endless_json_file_is_refused(capsys, argv, option):
+    # reading stops one byte past the bound
+    code, out, err = run_cli([*argv, "/dev/zero"], capsys)
+    message = f"error: --{option} file '/dev/zero' holds more than MAX_JSON_BYTES = 1048576 bytes\n"
+    assert (code, out, err) == (2, "", message)
 
 
 DEEP_JSON = "[" * 100000 + "]" * 100000  # nested past the interpreter's recursion limit
@@ -638,14 +718,16 @@ def test_deeply_nested_config_is_bad_input(capsys, tmp_path):
     cfg = tmp_path / "deep.json"
     cfg.write_text(DEEP_JSON)
     code, out, err = run_cli(["ppt", "--a", "0.3", "--config", str(cfg)], capsys)
-    assert (code, out, err) == (2, "", f"error: {str(cfg)!r} is nested too deeply to read as JSON\n")
+    message = f"error: --config file {str(cfg)!r} is nested too deeply to read as JSON\n"
+    assert (code, out, err) == (2, "", message)
 
 
 def test_deeply_nested_initial_state_is_bad_input(capsys, tmp_path):
     state = tmp_path / "deep.json"
     state.write_text(DEEP_JSON)
     code, out, err = run_cli(["quantum-evolve", "--init", str(state)], capsys)
-    assert (code, out, err) == (2, "", f"error: {str(state)!r} is nested too deeply to read as JSON\n")
+    message = f"error: --init file {str(state)!r} is nested too deeply to read as JSON\n"
+    assert (code, out, err) == (2, "", message)
 
 
 def test_verify_command_passes(capsys, tmp_path, monkeypatch, verify_results):

@@ -71,7 +71,7 @@ def test_hermitian_eigensystem_names_the_first_nonhermitian_matrix(rng):
     stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
     stack[3, 1, 0] += 1e-3
     stack[2, 0, 1] += 1e-6
-    with pytest.raises(NotHermitian, match=r"^symmetry error 1\.000e-06 .* in matrix \(2,\)$") as info:
+    with pytest.raises(NotHermitian, match=r"^m is not Hermitian: symmetry error 1\.000e-06 .* in matrix \(2,\)$") as info:
         hermitian_eigensystem(stack)
     assert info.value.index == (2,)
 
