@@ -170,7 +170,7 @@ def integrate_blocks(starts, t_final: float, dt: float):
     if not (one or (start.ndim == 2 and start.shape[1] == 3 and len(start))):
         raise ValueError(f"starts must have shape (n, 3) or (3,), got shape {start.shape}")
     if not np.all(np.isfinite(start)):
-        raise ValueError("initial state must be finite")
+        raise ValueError("starts must be finite")
     n_steps = step_count(t_final, dt)
     rows = max(1, BLOCK_STEPS // (1 if one else len(start)))
     limit = DIVERGENCE_LIMIT

@@ -149,16 +149,21 @@ def check_density_matrix(rho) -> np.ndarray:
     ``rho`` must be a finite square matrix that is Hermitian within
     HERMITIAN_TOL, by the rules of :mod:`linalg`, whose errors name it; the
     rules of its own are unit trace (within 1e-10) and positivity (no
-    eigenvalue below -1e-9), each a ValueError."""
-    r = np.array(_as_square(rho, "rho"))
-    _require_hermitian(r, "rho")
+    eigenvalue below -1e-9), each a ValueError that names it too."""
+    return _density_matrix(rho, "rho")
+
+
+def _density_matrix(value, name: str) -> np.ndarray:
+    """:func:`check_density_matrix` for an argument called ``name``."""
+    r = np.array(_as_square(value, name))
+    _require_hermitian(r, name)
     with np.errstate(over="ignore"):  # huge entries read as an infinite trace
         tr = complex(np.trace(r))
     if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"trace must be 1, got {tr}")
+        raise ValueError(f"{name} must have trace 1, got {tr}")
     lowest = float(np.linalg.eigvalsh(r)[0])
     if lowest < -1e-9:
-        raise ValueError(f"not positive: lowest eigenvalue {lowest:.3e}")
+        raise ValueError(f"{name} is not positive: lowest eigenvalue {lowest:.3e}")
     return r
 
 
@@ -234,9 +239,10 @@ def evolve_blocks(rho0, t_final: float, dt: float):
     stiffest decay mode) or that a state stopped being finite, whichever
     comes first.  ValueError, once iteration begins, for a ``rho0`` that is
     no finite 4x4 matrix (:func:`_as_state`) or no density matrix
-    (:func:`check_density_matrix`), or for steps (:func:`classical.step_count`).
+    (:func:`check_density_matrix`), each naming ``rho0``, or for steps
+    (:func:`classical.step_count`).
     """
-    rho = check_density_matrix(_as_state(rho0, "rho0"))
+    rho = _density_matrix(_as_state(rho0, "rho0"), "rho0")
     total = step_count(t_final, dt) + 1
     step = _rk4_propagator(dt).dot
     dim = rho.shape[0]

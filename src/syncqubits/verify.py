@@ -12,12 +12,26 @@ handful of long master-equation runs) are reduced block by block as they
 are integrated, so their memory does not grow with the run length; the
 classical ensemble's blocks hold classical.BLOCK_STEPS states (40 time
 points of its 50 runs), so neither does it grow with the ensemble's width.
+
+The two ensembles share no data.  With two or more usable CPUs the quantum
+ensemble runs in a second interpreter, started before the classical one
+at the lowest priority and importing this package from the caller's
+``sys.path``, beside the classical ensemble in this process; the second
+interpreter peaks at about 35 MB.  Whatever runs it has not sent when the
+classical ensemble ends are run here, from the last start back, so a busy
+second CPU costs no more than one process.  With one CPU, or off POSIX,
+both run here, one after the other.  The results, and so the printed
+text, are the same bytes either way.
 """
 
 from __future__ import annotations
 
 import numbers
+import os
+import pickle
 import reprlib
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -133,10 +147,14 @@ def _quantum_starts():
     return [*(quantum.labelled_state(label) for label in labels), np.outer(v, v.conj())]
 
 
+def _quantum_run(rho):
+    """A master-equation run to t = 20 (dt = 1e-3) from ``rho``, reduced."""
+    return _reduce_quantum(quantum.evolve_blocks(rho, 20.0, 1e-3))
+
+
 def _quantum_ensemble():
-    """Master-equation runs to t = 20 (dt = 1e-3) from each of
-    :func:`_quantum_starts`."""
-    return [_reduce_quantum(quantum.evolve_blocks(rho, 20.0, 1e-3)) for rho in _quantum_starts()]
+    """:func:`_quantum_run` from each of :func:`_quantum_starts`."""
+    return [_quantum_run(rho) for rho in _quantum_starts()]
 
 
 def _reduce_quantum(blocks) -> _Reduction:
@@ -150,6 +168,131 @@ def _reduce_quantum(blocks) -> _Reduction:
         run.lowest = float(np.min([run.lowest, lowest.min()]))
     run.last_state = states[-1].copy()
     return run
+
+
+#: the second interpreter's program: at the lowest priority, so that it
+#: takes only a CPU nobody else wants, the caller's import path, then one
+#: frame per :func:`_quantum_run` in start order, up to the first
+#: PositivityLost, which is sent in its place
+_CHILD = """\
+import os, pickle, sys
+os.nice(19)
+sys.path[:] = {path!r}
+from {package} import quantum, verify
+for rho in verify._quantum_starts():
+    try:
+        run = verify._quantum_run(rho)
+    except quantum.PositivityLost as exc:
+        run = exc
+    frame = pickle.dumps(run)
+    sys.stdout.buffer.write(len(frame).to_bytes(8, "little") + frame)
+    sys.stdout.buffer.flush()
+    if isinstance(run, quantum.PositivityLost):
+        break
+"""
+
+
+def _unframe(pending: bytearray) -> list:
+    """Remove the whole frames, each a little-endian 8-byte length and a
+    pickle, from the head of ``pending`` and return them unpickled."""
+    objects = []
+    while len(pending) >= 8:
+        end = 8 + int.from_bytes(pending[:8], "little")
+        if len(pending) < end:
+            break
+        objects.append(pickle.loads(pending[8:end]))
+        del pending[:end]
+    return objects
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _quantum_beside():
+    """Yield a call that returns :func:`_quantum_ensemble`'s result.
+
+    With two or more usable CPUs a second interpreter, started on entry at
+    the lowest priority, runs the ensemble from its first start on, beside
+    whatever the caller does meanwhile; it imports this package from the
+    caller's ``sys.path``, with the caller's -W and -X dev flags.  The call
+    takes the runs the interpreter has sent and runs the others here, from
+    the last start back, until the two meet; so a busy machine, which
+    leaves the low-priority interpreter no CPU, costs no more than running
+    the ensemble here.  A PositivityLost is raised for the first start
+    that lost positivity, wherever it ran.  An interpreter that ends
+    before sending its runs raises RuntimeError naming its exit status,
+    if the call sees it end.  The interpreter is killed and reaped on
+    exit.  With one CPU, no known interpreter or no POSIX system (the
+    interpreter's ``os.nice`` and the nonblocking pipe need one), the call
+    runs the ensemble in this process."""
+    if _usable_cpus() < 2 or not sys.executable or os.name != "posix":
+        yield _quantum_ensemble
+        return
+    import subprocess  # here: the command line imports this module for every command
+
+    flags = [f"-W{option}" for option in sys.warnoptions]
+    if sys.flags.dev_mode:
+        flags += ["-X", "dev"]
+    code = _CHILD.format(path=sys.path, package=__package__)
+    with subprocess.Popen(
+        [sys.executable, *flags, "-c", code],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        fd = child.stdout.fileno()
+        os.set_blocking(fd, False)
+        pending = bytearray()
+        sent = []  # the child's runs, in start order
+        starts = _quantum_starts()
+        runs = [None] * len(starts)
+
+        def take():
+            """Add the runs the child has sent so far to ``sent``."""
+            while True:
+                try:
+                    chunk = os.read(fd, 1 << 16)
+                except BlockingIOError:
+                    return
+                if not chunk:
+                    break
+                pending.extend(chunk)
+                sent.extend(_unframe(pending))
+            # the child has closed its output: it sent every run, or stopped
+            # at a PositivityLost, or failed
+            stopped = sent and isinstance(sent[-1], quantum.PositivityLost)
+            if len(sent) < len(runs) and not stopped:
+                last = child.stderr.read().decode(errors="replace").strip().rpartition("\n")[2]
+                status = child.wait()
+                raise RuntimeError(
+                    f"the quantum ensemble's interpreter exited with status {status}"
+                    + (f": {last}" if last else "")
+                )
+
+        def result():
+            for j in reversed(range(len(runs))):
+                take()
+                runs[: len(sent)] = sent
+                if runs[j] is not None:
+                    break
+                try:
+                    runs[j] = _quantum_run(starts[j])
+                except quantum.PositivityLost as exc:
+                    runs[j] = exc
+            for run in runs:
+                if isinstance(run, quantum.PositivityLost):
+                    raise run
+            return runs
+
+        try:
+            yield result
+        finally:
+            child.kill()  # a no-op once the child has been reaped
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +493,9 @@ def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
-    classical_runs = _classical_ensemble(rng)
-    inputs = SimpleNamespace(rng=rng, classical=classical_runs, quantum=_quantum_ensemble())
+    with _quantum_beside() as quantum_runs:
+        classical_runs = _classical_ensemble(rng)
+        inputs = SimpleNamespace(rng=rng, classical=classical_runs, quantum=quantum_runs())
     return [
         CheckResult(number, key, *check(inputs))
         for number, (key, check) in enumerate(CHECKS, start=1)

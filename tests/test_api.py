@@ -95,6 +95,26 @@ WRONG_ARGUMENTS = {
         TypeError,
         r"^starts must be real numbers, got \[1j, 0, 0\]$",
     ),
+    "integrate-blocks-nan": (
+        lambda: next(classical.integrate_blocks([np.nan, 0, 1], 1, 0.1)),
+        ValueError,
+        r"^starts must be finite$",
+    ),
+    "evolve-blocks-trace": (
+        lambda: next(quantum.evolve_blocks(np.eye(4) / 2.0, 1, 0.1)),
+        ValueError,
+        r"^rho0 must have trace 1, got \(2\+0j\)$",
+    ),
+    "evolve-blocks-not-hermitian": (
+        lambda: next(quantum.evolve_blocks(np.triu(np.ones((4, 4))) / 4.0, 1, 0.1)),
+        linalg.NotHermitian,
+        r"^rho0 is not Hermitian: symmetry error 2\.500e-01 exceeds tolerance 1\.000e-10$",
+    ),
+    "evolve-blocks-not-positive": (
+        lambda: next(quantum.evolve_blocks(np.diag([1.5, -0.5, 0, 0]), 1, 0.1)),
+        ValueError,
+        r"^rho0 is not positive: lowest eigenvalue -5\.000e-01$",
+    ),
     "lindblad-rhs-3x3": (
         lambda: quantum.lindblad_rhs(np.eye(3)),
         ValueError,

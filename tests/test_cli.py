@@ -405,17 +405,17 @@ def _diagonal(*values):
         ),
         pytest.param(
             _diagonal(0.5, 0.5, 0.5, 0.5),
-            "error: trace must be 1, got (2+0j)\n",
+            "error: rho0 must have trace 1, got (2+0j)\n",
             id="trace",
         ),
         pytest.param(
             '{"dim": 4, "re": [%s], "im": [%s]}' % (_MIXED_RE.replace(", 0,", ", 0.5,", 1), _ZEROS),
-            "error: rho is not Hermitian: symmetry error 5.000e-01 exceeds tolerance 1.000e-10\n",
+            "error: rho0 is not Hermitian: symmetry error 5.000e-01 exceeds tolerance 1.000e-10\n",
             id="not-hermitian",
         ),
         pytest.param(
             _diagonal(1.5, -0.5, 0, 0),
-            "error: not positive: lowest eigenvalue -5.000e-01\n",
+            "error: rho0 is not positive: lowest eigenvalue -5.000e-01\n",
             id="not-positive",
         ),
     ],
@@ -434,7 +434,7 @@ def test_quantum_evolve_checks_the_state_before_the_steps(capsys, tmp_path):
     bad.write_text(json.dumps(density_matrix_to_json(np.eye(4))))  # trace 4
     code, _, err = run_cli(["quantum-evolve", "--init", str(bad), "--dt", "nan"], capsys)
     assert code == 2
-    assert err == "error: trace must be 1, got (4+0j)\n"
+    assert err == "error: rho0 must have trace 1, got (4+0j)\n"
 
 
 def test_quantum_evolve_rejects_two_by_two_state(capsys, tmp_path):

@@ -447,17 +447,18 @@ def test_evolve_rejects_bad_input(ops):
 def test_evolve_validates_its_state_once(ops, monkeypatch):
     calls = []
 
-    def counted(rho):
-        calls.append(rho)
-        return check_density_matrix(rho)
+    def counted(rho, name):
+        calls.append(name)
+        return density_matrix(rho, name)
 
-    monkeypatch.setattr(quantum, "check_density_matrix", counted)
+    density_matrix = quantum._density_matrix
+    monkeypatch.setattr(quantum, "_density_matrix", counted)
     evolve(np.eye(4) / 4.0, ops, 0.01, 1e-3)
-    assert len(calls) == 1
+    assert calls == ["rho0"]
     # a bad state is still reported before bad steps
-    with pytest.raises(ValueError, match="^trace must be 1"):
+    with pytest.raises(ValueError, match=r"^rho0 must have trace 1, got \(2\+0j\)$"):
         evolve(np.eye(4) / 2.0, ops, -1.0, 1e-3)
-    with pytest.raises(ValueError, match="^trace must be 1"):
+    with pytest.raises(ValueError, match="^rho0 must have trace 1"):
         next(evolve_blocks(np.eye(4) / 2.0, -1.0, 1e-3))
 
 
@@ -604,12 +605,12 @@ def test_density_matrix_json_rejects_garbage():
 
 
 def test_check_density_matrix_rejects_bad_states():
-    with pytest.raises(ValueError):
-        check_density_matrix(np.eye(4))  # trace 4
-    with pytest.raises(ValueError):
-        check_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not hermitian
-    with pytest.raises(ValueError):
-        check_density_matrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+    with pytest.raises(ValueError, match=r"^rho must have trace 1, got \(4\+0j\)$"):
+        check_density_matrix(np.eye(4))
+    with pytest.raises(ValueError, match="^rho is not Hermitian"):
+        check_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="^rho is not positive: lowest eigenvalue -5.000e-01$"):
+        check_density_matrix(np.diag([1.5, -0.5]))
     # refused before any LAPACK call
     with pytest.raises(ValueError, match="empty"):
         check_density_matrix(np.zeros((0, 0)))
@@ -618,7 +619,7 @@ def test_check_density_matrix_rejects_bad_states():
     with pytest.raises(ValueError, match="must be finite"):
         check_density_matrix(np.array([[0.5, np.nan], [np.nan, 0.5]]))
     # huge finite entries overflow to an infinite trace or deviation, without a warning
-    with pytest.raises(ValueError, match="trace must be 1"):
+    with pytest.raises(ValueError, match="^rho must have trace 1"):
         check_density_matrix(np.full((4, 4), 1e308))
     with pytest.raises(ValueError, match="not Hermitian"):
         check_density_matrix(np.array([[0.5, 1e308], [-1e308, 0.5]]))
