@@ -129,9 +129,11 @@ def integrate(initial, t_final: float, dt: float) -> np.ndarray:
     (3,): the blocks of :func:`integrate_blocks` joined into the (T, 3)
     states from t = 0 on, dt apart; :func:`tracked_scalars` gives their H,
     S and k.  ValueError for any other shape, a stack of starts included,
-    and otherwise errors as for :func:`integrate_blocks`.
+    or a nonfinite start, and otherwise errors as for
+    :func:`integrate_blocks`.
     """
-    _as_point(initial, "initial")
+    if not np.isfinite(_as_point(initial, "initial")).all():
+        raise ValueError("initial must be finite")
     return np.concatenate([block.copy() for block in integrate_blocks(initial, t_final, dt)])
 
 
@@ -152,11 +154,13 @@ def integrate_blocks(starts, t_final: float, dt: float):
     float loop (10-11 us against 0.84 us on a 2-vCPU x86 host), so the
     stack is the faster of the two from about a dozen runs on; a narrower
     stack runs faster start by start.  The step count is round(t_final /
-    dt), at most MAX_STEPS.  Each stage holds the halved field (ly^2 +
-    lz^2, -lx ly, -lx lz) and the step sizes are doubled instead, which
-    changes no bit but where a product is subnormal.  Because every stage
-    of the lx update is a sum of squares, lx is nondecreasing exactly, not
-    just within tolerance.
+    dt), at most MAX_STEPS.  Each stage holds the halved field without its
+    minus signs, (ly^2 + lz^2, lx ly, lx lz); the step sizes are doubled
+    instead, and those of ly and lz negated.  Against the whole field
+    that changes no bit but where a product is subnormal, or where ly or lz
+    is exactly zero: the run keeps that zero's sign, as the flow does.
+    Because every stage of the lx update is a sum of squares, lx is
+    nondecreasing exactly, not just within tolerance.
 
     Once iteration begins, raises TypeError for starts that are no real
     numbers; ValueError for any other shape, a nonfinite start, nonfinite
@@ -188,9 +192,12 @@ def _run_one(start: np.ndarray, n_steps: int, dt: float, rows: int):
     """The blocks of rows states of one start's run, as a loop over Python
     floats.  Past any bound its arithmetic gives inf or NaN and never raises."""
     lx, ly, lz = (float(v) for v in start)
-    # the stages hold the halved field, so each step size is doubled:
-    # 0.5 dt, dt and dt / 6 times 2, all exact
+    # the stages hold the halved field without its y and z minus signs, so
+    # each step size is doubled, 0.5 dt, dt and dt / 6 times 2, all exact,
+    # and the y and z ones are negated; the signs move no bit but that of a
+    # zero ly or lz, which the run keeps, as the flow does
     half, full, sixth = dt, 2.0 * dt, 2.0 * (dt / 6.0)
+    neg_half, neg_full, neg_sixth = -half, -full, -sixth
     total = n_steps + 1
     xs = [lx]
     ys = [ly]
@@ -198,33 +205,33 @@ def _run_one(start: np.ndarray, n_steps: int, dt: float, rows: int):
     for offset in range(0, total, rows):
         for i in range(max(offset, 1), min(offset + rows, total)):
             ax = ly * ly + lz * lz
-            ay = -lx * ly
-            az = -lx * lz
+            ay = lx * ly
+            az = lx * lz
 
             x1 = lx + half * ax
-            y1 = ly + half * ay
-            z1 = lz + half * az
+            y1 = ly + neg_half * ay
+            z1 = lz + neg_half * az
             bx = y1 * y1 + z1 * z1
-            by = -x1 * y1
-            bz = -x1 * z1
+            by = x1 * y1
+            bz = x1 * z1
 
             x2 = lx + half * bx
-            y2 = ly + half * by
-            z2 = lz + half * bz
+            y2 = ly + neg_half * by
+            z2 = lz + neg_half * bz
             cx = y2 * y2 + z2 * z2
-            cy = -x2 * y2
-            cz = -x2 * z2
+            cy = x2 * y2
+            cz = x2 * z2
 
             x3 = lx + full * cx
-            y3 = ly + full * cy
-            z3 = lz + full * cz
+            y3 = ly + neg_full * cy
+            z3 = lz + neg_full * cz
             dx = y3 * y3 + z3 * z3
-            dy = -x3 * y3
-            dz = -x3 * z3
+            dy = x3 * y3
+            dz = x3 * z3
 
             lx += sixth * (ax + 2.0 * (bx + cx) + dx)
-            ly += sixth * (ay + 2.0 * (by + cy) + dy)
-            lz += sixth * (az + 2.0 * (bz + cz) + dz)
+            ly += neg_sixth * (ay + 2.0 * (by + cy) + dy)
+            lz += neg_sixth * (az + 2.0 * (bz + cz) + dz)
 
             xs.append(lx)
             ys.append(ly)
@@ -238,12 +245,12 @@ def _run_one(start: np.ndarray, n_steps: int, dt: float, rows: int):
 def _run_stack(starts: np.ndarray, n_steps: int, dt: float, rows: int):
     """The blocks of rows time points of a stack's runs, as one numpy
     block.  Each line of the loop repeats one float operation of
-    :func:`_run_one`, operands swapped only where IEEE arithmetic is
-    commutative (x + half a becomes half a + x).  Every operand in the
-    loop is a whole row, (n,) or (3, n), of a buffer viewed once per call,
-    or a 0-d constant: numpy's cost per call bounds the loop, and a call
-    that broadcasts, or a slice, costs several times a plain call.  A
-    block is a view of one reused buffer."""
+    :func:`_run_one`, 28 a step, operands swapped only where IEEE
+    arithmetic is commutative (x + half a becomes half a + x).  Every
+    operand in the loop is a whole row, (n,) or (3, n), of a buffer viewed
+    once per call, or a 0-d constant: numpy's cost per call bounds the
+    loop, and a call that broadcasts, or a slice, costs several times a
+    plain call.  A block is a view of one reused buffer."""
     n = len(starts)
     total = n_steps + 1
     buf = np.empty((min(rows, total), 3, n))
@@ -251,21 +258,26 @@ def _run_stack(starts: np.ndarray, n_steps: int, dt: float, rows: int):
     a, b, c, d, mid, acc = (np.empty((3, n)) for _ in range(6))
     squares = np.empty((2, n))
     sq_y, sq_z = squares
-    neg_x = np.empty(n)
-    # 0-d arrays: numpy converts a Python float on every call.  The stages
-    # hold the halved field, so each step size is doubled, exactly.
-    two, half, full, sixth = (np.array(v) for v in (2.0, dt, 2.0 * dt, 2.0 * (dt / 6.0)))
-    mul, add, neg = np.multiply, np.add, np.negative
+    # the stages hold the halved field without its y and z minus signs, so
+    # each step size is doubled, exactly, and its y and z rows negated, as
+    # in _run_one: whole (3, n) rows (+c, -c, -c), which cost a call no more
+    # than a 0-d constant, where a (3, 1) column would broadcast
+    half, full, sixth = (
+        np.repeat([[v], [-v], [-v]], n, axis=1) for v in (dt, 2.0 * dt, 2.0 * (dt / 6.0))
+    )
+    # 0-d: numpy converts a Python float on every call
+    two = np.array(2.0)
+    mul, add = np.multiply, np.add
 
     def field(state, out):
-        # the halved field (y y + z z, -x y, -x z) of state's (row, x, y, z, yz)
+        # the halved field without its minus signs, (y y + z z, x y, x z),
+        # of state's (row, x, y, z, yz)
         _, x, y, z, yz = state
         _, out_x, out_y, out_z, _ = out
         mul(yz, yz, squares)
         add(sq_y, sq_z, out_x)
-        neg(x, neg_x)
-        mul(neg_x, y, out_y)
-        mul(neg_x, z, out_z)
+        mul(x, y, out_y)
+        mul(x, z, out_z)
 
     def views(rows):
         """(row, x, y, z, yz) of each (3, n) row, made once."""

@@ -39,7 +39,13 @@ class InvalidParams(ValueError):
 
 
 class PositivityLost(RuntimeError):
-    """Integration produced a state that is no longer positive (or finite)."""
+    """Integration produced a state that is no longer positive (or finite).
+    ``what`` is the message without its ``advice``, for a caller that chose
+    no dt."""
+
+    def __init__(self, what: str, advice: str = ""):
+        super().__init__(f"{what}; {advice}" if advice else what)
+        self.what = what
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -262,7 +268,7 @@ def evolve_blocks(rho0, t_final: float, dt: float):
         bad = np.nonzero(lowest < POSITIVITY_ERROR)[0]
         if bad.size:
             raise PositivityLost(
-                f"eigenvalue {lowest[bad[0]]:.3e} at t = {(offset + bad[0]) * dt:g}; reduce dt"
+                f"eigenvalue {lowest[bad[0]]:.3e} at t = {(offset + bad[0]) * dt:g}", "reduce dt"
             )
         if n_finite < len(rows):
             raise PositivityLost(f"state diverged at t = {(offset + n_finite) * dt:g}")

@@ -152,9 +152,28 @@ def _quantum_run(rho):
     return _reduce_quantum(quantum.evolve_blocks(rho, 20.0, 1e-3))
 
 
+def _quantum_outcome(rho):
+    """:func:`_quantum_run` from ``rho``, or the PositivityLost it raised."""
+    try:
+        return _quantum_run(rho)
+    except quantum.PositivityLost as exc:
+        return exc
+
+
 def _quantum_ensemble():
-    """:func:`_quantum_run` from each of :func:`_quantum_starts`."""
-    return [_quantum_run(rho) for rho in _quantum_starts()]
+    """:func:`_quantum_run` from each of :func:`_quantum_starts`, as
+    :func:`_all_positive` returns them."""
+    return _all_positive([_quantum_outcome(rho) for rho in _quantum_starts()])
+
+
+def _all_positive(runs):
+    """``runs``, or a PositivityLost for the first of them that is one,
+    naming the run and what it lost but not the advice to reduce dt, which
+    verify does not take."""
+    for i, run in enumerate(runs):
+        if isinstance(run, quantum.PositivityLost):
+            raise quantum.PositivityLost(f"quantum run {i + 1} of {len(runs)}: {run.what}") from run
+    return runs
 
 
 def _reduce_quantum(blocks) -> _Reduction:
@@ -172,18 +191,15 @@ def _reduce_quantum(blocks) -> _Reduction:
 
 #: the second interpreter's program: at the lowest priority, so that it
 #: takes only a CPU nobody else wants, the caller's import path, then one
-#: frame per :func:`_quantum_run` in start order, up to the first
-#: PositivityLost, which is sent in its place
+#: frame per :func:`_quantum_outcome` in start order, up to the first
+#: PositivityLost
 _CHILD = """\
 import os, pickle, sys
 os.nice(19)
 sys.path[:] = {path!r}
 from {package} import quantum, verify
 for rho in verify._quantum_starts():
-    try:
-        run = verify._quantum_run(rho)
-    except quantum.PositivityLost as exc:
-        run = exc
+    run = verify._quantum_outcome(rho)
     frame = pickle.dumps(run)
     sys.stdout.buffer.write(len(frame).to_bytes(8, "little") + frame)
     sys.stdout.buffer.flush()
@@ -223,10 +239,10 @@ def _quantum_beside():
     takes the runs the interpreter has sent and runs the others here, from
     the last start back, until the two meet; so a busy machine, which
     leaves the low-priority interpreter no CPU, costs no more than running
-    the ensemble here.  A PositivityLost is raised for the first start
-    that lost positivity, wherever it ran.  An interpreter that ends
-    before sending its runs raises RuntimeError naming its exit status,
-    if the call sees it end.  The interpreter is killed and reaped on
+    the ensemble here.  A PositivityLost names the first run that lost
+    positivity (:func:`_all_positive`), wherever it ran.  An interpreter
+    that ends before sending its runs raises RuntimeError naming its exit
+    status, if the call sees it end.  The interpreter is killed and reaped on
     exit.  With one CPU, no known interpreter or no POSIX system (the
     interpreter's ``os.nice`` and the nonblocking pipe need one), the call
     runs the ensemble in this process."""
@@ -280,14 +296,8 @@ def _quantum_beside():
                 runs[: len(sent)] = sent
                 if runs[j] is not None:
                     break
-                try:
-                    runs[j] = _quantum_run(starts[j])
-                except quantum.PositivityLost as exc:
-                    runs[j] = exc
-            for run in runs:
-                if isinstance(run, quantum.PositivityLost):
-                    raise run
-            return runs
+                runs[j] = _quantum_outcome(starts[j])
+            return _all_positive(runs)
 
         try:
             yield result

@@ -100,6 +100,11 @@ WRONG_ARGUMENTS = {
         ValueError,
         r"^starts must be finite$",
     ),
+    "integrate-nan": (
+        lambda: classical.integrate([np.nan, 0, 1], 1, 0.1),
+        ValueError,
+        r"^initial must be finite$",
+    ),
     "evolve-blocks-trace": (
         lambda: next(quantum.evolve_blocks(np.eye(4) / 2.0, 1, 0.1)),
         ValueError,

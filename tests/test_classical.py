@@ -268,9 +268,13 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-160, -1e-155]
     ),
     dt=st.sampled_from([1e-3, 1e-2, 5e-2]),
 )
-# a subnormal ly: -lx ly and -2 lx ly round differently here, so a stack
+# a subnormal ly: lx ly and 2 lx ly round differently here, so a stack
 # and a loop that halve the field differently part
 @example(starts=np.array([[0.3, 1e-310, -0.1]]), dt=5e-2)
+# zero ly or lz of either sign, beside lx of either sign: a stack and a loop
+# that place the field's minus signs differently part in the zero's sign
+@example(starts=np.array([[0.5, -0.0, 0.8], [0.5, 0.0, -0.0], [-0.5, -0.0, 0.3]]), dt=1e-2)
+@example(starts=np.array([[0.0, -0.0, -0.0], [-0.0, 0.0, 0.7], [-0.4, 0.6, 0.0]]), dt=5e-2)
 def test_stack_matches_one_start_runs(starts, dt):
     states = _collected(starts, 20 * dt, dt)
     for i, start in enumerate(starts):
@@ -289,7 +293,8 @@ def test_stack_is_bit_identical_at_any_width(width):
 
 def test_stack_step_broadcasts_nothing(monkeypatch):
     # every operand of the step loop has the shape of the output row, and is
-    # contiguous, or is a 0-d constant: a broadcast costs several plain calls
+    # contiguous, or is a 0-d constant: a broadcast costs several plain calls.
+    # The step sizes carry the field's minus signs, so nothing is negated.
     calls = []
 
     def checked(ufunc):
@@ -306,27 +311,30 @@ def test_stack_step_broadcasts_nothing(monkeypatch):
     for name in ("multiply", "add", "negative"):
         monkeypatch.setattr(np, name, checked(getattr(np, name)))
     _collected(np.random.default_rng(5).uniform(-2.0, 2.0, size=(7, 3)), 0.01, 1e-3)
-    assert len(calls) == 10 * 32  # ten steps
+    assert len(calls) == 10 * 28  # ten steps
+    assert np.negative not in calls
 
 
 def _unhalved_run(start, n_steps, dt):
-    """The one-start RK4 loop with the whole field 2 (ly^2 + lz^2),
-    -2 lx ly, -2 lx lz and the step sizes dt / 2, dt and dt / 6: the
-    arithmetic before the stages held the halved field."""
+    """The one-start RK4 loop with the whole field 2 (ly^2 + lz^2), 2 lx ly,
+    2 lx lz, its y and z minus signs in the step sizes: dt / 2, dt and
+    dt / 6 for lx, their negatives for ly and lz.  The arithmetic before the
+    stages held the halved field, with the signs placed as now."""
     lx, ly, lz = (float(v) for v in start)
     half, h, sixth = 0.5 * dt, dt, dt / 6.0
+    neg_half, neg_h, neg_sixth = -half, -h, -sixth
     states = [(lx, ly, lz)]
     for _ in range(n_steps):
-        ax, ay, az = 2.0 * (ly * ly + lz * lz), -2.0 * lx * ly, -2.0 * lx * lz
-        x1, y1, z1 = lx + half * ax, ly + half * ay, lz + half * az
-        bx, by, bz = 2.0 * (y1 * y1 + z1 * z1), -2.0 * x1 * y1, -2.0 * x1 * z1
-        x2, y2, z2 = lx + half * bx, ly + half * by, lz + half * bz
-        cx, cy, cz = 2.0 * (y2 * y2 + z2 * z2), -2.0 * x2 * y2, -2.0 * x2 * z2
-        x3, y3, z3 = lx + h * cx, ly + h * cy, lz + h * cz
-        dx, dy, dz = 2.0 * (y3 * y3 + z3 * z3), -2.0 * x3 * y3, -2.0 * x3 * z3
+        ax, ay, az = 2.0 * (ly * ly + lz * lz), 2.0 * lx * ly, 2.0 * lx * lz
+        x1, y1, z1 = lx + half * ax, ly + neg_half * ay, lz + neg_half * az
+        bx, by, bz = 2.0 * (y1 * y1 + z1 * z1), 2.0 * x1 * y1, 2.0 * x1 * z1
+        x2, y2, z2 = lx + half * bx, ly + neg_half * by, lz + neg_half * bz
+        cx, cy, cz = 2.0 * (y2 * y2 + z2 * z2), 2.0 * x2 * y2, 2.0 * x2 * z2
+        x3, y3, z3 = lx + h * cx, ly + neg_h * cy, lz + neg_h * cz
+        dx, dy, dz = 2.0 * (y3 * y3 + z3 * z3), 2.0 * x3 * y3, 2.0 * x3 * z3
         lx += sixth * (ax + 2.0 * (bx + cx) + dx)
-        ly += sixth * (ay + 2.0 * (by + cy) + dy)
-        lz += sixth * (az + 2.0 * (bz + cz) + dz)
+        ly += neg_sixth * (ay + 2.0 * (by + cy) + dy)
+        lz += neg_sixth * (az + 2.0 * (bz + cz) + dz)
         states.append((lx, ly, lz))
     return np.array(states)
 
@@ -342,6 +350,62 @@ def test_halved_field_changes_no_bit_of_normal_runs(start, dt):
     assume(np.abs(start[start != 0.0]).min(initial=1.0) >= 1e-150)
     states = integrate(start, 20 * dt, dt)
     assert np.array_equal(_bits(states), _bits(_unhalved_run(start, 20, dt)))
+
+
+def _unfolded_run(start, n_steps, dt):
+    """The one-start RK4 loop with the halved field ly^2 + lz^2, -lx ly,
+    -lx lz and the step sizes dt, 2 dt and 2 (dt / 6): the arithmetic
+    before the y and z minus signs moved into the step sizes."""
+    lx, ly, lz = (float(v) for v in start)
+    half, full, sixth = dt, 2.0 * dt, 2.0 * (dt / 6.0)
+    states = [(lx, ly, lz)]
+    for _ in range(n_steps):
+        ax, ay, az = ly * ly + lz * lz, -lx * ly, -lx * lz
+        x1, y1, z1 = lx + half * ax, ly + half * ay, lz + half * az
+        bx, by, bz = y1 * y1 + z1 * z1, -x1 * y1, -x1 * z1
+        x2, y2, z2 = lx + half * bx, ly + half * by, lz + half * bz
+        cx, cy, cz = y2 * y2 + z2 * z2, -x2 * y2, -x2 * z2
+        x3, y3, z3 = lx + full * cx, ly + full * cy, lz + full * cz
+        dx, dy, dz = y3 * y3 + z3 * z3, -x3 * y3, -x3 * z3
+        lx += sixth * (ax + 2.0 * (bx + cx) + dx)
+        ly += sixth * (ay + 2.0 * (by + cy) + dy)
+        lz += sixth * (az + 2.0 * (bz + cz) + dz)
+        states.append((lx, ly, lz))
+    return np.array(states)
+
+
+#: an ly or lz that stays normal through a short run, so never exactly zero
+NONZERO = st.floats(-3.0, -1e-150) | st.floats(1e-150, 3.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    start=st.tuples(st.floats(-3.0, 3.0), NONZERO, NONZERO),
+    dt=st.sampled_from([1e-3, 1e-2, 5e-2]),
+)
+def test_folded_signs_change_no_bit_of_nonzero_runs(start, dt):
+    # -(lx ly) and dt (-(lx ly)) = (-dt)(lx ly) are exact, so moving the
+    # minus signs into the step sizes changes only the sign of a zero
+    states = integrate(start, 20 * dt, dt)
+    assert np.array_equal(_bits(states), _bits(_unfolded_run(start, 20, dt)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    start=arrays(float, 3, elements=st.floats(-3.0, 3.0)),
+    zeros=st.dictionaries(st.sampled_from([1, 2]), st.sampled_from([0.0, -0.0]), min_size=1),
+    dt=st.sampled_from([1e-3, 1e-2, 5e-2]),
+)
+def test_a_zero_ly_or_lz_keeps_its_sign(start, zeros, dt):
+    # the flow keeps a zero ly or lz, and so does the run in either kernel,
+    # the zero's sign included, whatever the sign of lx
+    for axis, zero in zeros.items():
+        start[axis] = zero
+    one = integrate(start, 20 * dt, dt)
+    stacked = _collected([start, [0.1, 0.6, 0.8]], 20 * dt, dt)[:, :, 0]
+    for states in (one, stacked):
+        for axis, zero in zeros.items():
+            assert np.array_equal(_bits(states[:, axis]), _bits(np.full(21, zero))), axis
 
 
 @settings(max_examples=20, deadline=None)

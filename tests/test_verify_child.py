@@ -3,6 +3,7 @@ as in this process, the same errors, no process left behind, and the
 in-process path with one CPU."""
 
 import os
+import pickle
 import re
 import shutil
 import signal
@@ -79,7 +80,9 @@ def test_positivity_lost_in_the_child_exits_3(tmp_path):
     quantum_py.write_text(source.replace("\nPOSITIVITY_ERROR = -1e-6\n", "\nPOSITIVITY_ERROR = 1.0\n"))
     proc = _run_script(tmp_path, "-m", "syncqubits.cli", "verify")
     assert (proc.returncode, proc.stdout) == (3, "")
-    assert re.fullmatch(r"error: eigenvalue \S+ at t = 0; reduce dt\n", proc.stderr), proc.stderr
+    # verify takes no dt, so the message names the run and gives no advice
+    message = r"error: quantum run 1 of 6: eigenvalue \S+ at t = 0\n"
+    assert re.fullmatch(message, proc.stderr), proc.stderr
 
 
 def test_an_unguarded_script_runs_the_checks_once(tmp_path):
@@ -130,9 +133,10 @@ def test_runs_from_both_sides_meet(verify_results, two_cpus, started, monkeypatc
     assert started[0].returncode == -signal.SIGKILL
 
 
-def test_positivity_lost_is_raised_for_the_first_start(two_cpus, monkeypatch):
-    # the child never sends a run, so this process runs all six, last to
-    # first; starts 4 and 2 lose positivity, in that order
+def test_positivity_lost_is_raised_for_the_first_start(monkeypatch):
+    # with two CPUs the child never sends a run, so this process runs all
+    # six, last to first, and starts 4 and 2 lose positivity in that order;
+    # with one it runs them first to last, and names the same run
     starts = verify._quantum_starts()
 
     def run(rho):
@@ -144,9 +148,19 @@ def test_positivity_lost_is_raised_for_the_first_start(two_cpus, monkeypatch):
     monkeypatch.setattr(verify, "_CHILD", "import time\ntime.sleep(120)\n")
     monkeypatch.setattr(verify, "_quantum_starts", lambda: starts)
     monkeypatch.setattr(verify, "_quantum_run", run)
-    with pytest.raises(verify.quantum.PositivityLost, match="^start 2$"):
-        with verify._quantum_beside() as quantum_runs:
-            quantum_runs()
+    for cpus in (2, 1):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+        with pytest.raises(verify.quantum.PositivityLost, match="^quantum run 3 of 6: start 2$"):
+            with verify._quantum_beside() as quantum_runs:
+                quantum_runs()
+
+
+def test_positivity_lost_keeps_what_was_lost_across_the_pipe():
+    # the child pickles a run's PositivityLost; verify reads its what
+    lost = verify.quantum.PositivityLost("eigenvalue -1.000e+00 at t = 0", "reduce dt")
+    frame = pickle.dumps(lost)
+    [sent] = verify._unframe(bytearray(len(frame).to_bytes(8, "little") + frame))
+    assert (str(sent), sent.what) == (str(lost), "eigenvalue -1.000e+00 at t = 0")
 
 
 def test_one_cpu_runs_the_ensemble_here(verify_results, started, monkeypatch):
